@@ -122,19 +122,3 @@ def common_member_intersection_dist(sizes: Sequence[int], q: int) -> np.ndarray:
     return np.array(
         [float(p) for p in common_member_intersection_dist_exact(sizes, q)]
     )
-
-
-def intersection_prob(sizes: Sequence[int], m: int, q: int) -> float:
-    """P(|intersection| = m) for uniform random subsets, 0 <= m <= min."""
-    t = _norm(sizes, q)
-    if not 0 <= m <= t[0]:
-        raise ValueError(f"m={m} outside [0, {t[0]}]")
-    return float(_dist_exact(t, q)[m])
-
-
-def common_member_intersection_prob(sizes: Sequence[int], m: int, q: int) -> float:
-    """P(|intersection| = m) for subsets sharing a common symbol, 1 <= m <= min."""
-    t = _norm(sizes, q)
-    if not 1 <= m <= t[0]:
-        raise ValueError(f"m={m} outside [1, {t[0]}]")
-    return float(_common_dist_exact(t, q)[m])

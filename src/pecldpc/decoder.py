@@ -7,9 +7,11 @@ its channel set.  Messages only ever shrink, and they always contain
 the transmitted symbol, so decoding either resolves every variable to
 a singleton or stalls at a fixed point.
 
-For q up to MASK_TABLE_MAX_Q the iteration runs on numpy mask arrays
-with whole-array table lookups (the path the Monte Carlo harness uses);
-larger fields fall back to a per-node Python loop on int masks.
+One flooding loop serves every field: it runs on whole arrays of edge
+messages in the set layout of ``symbol_sets.set_layout`` (uint16 masks
+with table lookups for small q, bool planes above), computing each
+node's leave-one-out sumsets and intersections as prefix/suffix folds
+over the edges sorted by node.
 """
 
 from __future__ import annotations
@@ -20,13 +22,7 @@ import numpy as np
 
 from .gf import GF
 from .ldpc import TannerGraph
-from .symbol_sets import (
-    MASK_TABLE_MAX_Q,
-    SymbolSet,
-    mask_tables,
-    scale_mask,
-    sumset_pair_mask,
-)
+from .symbol_sets import SymbolSet, scale_mask, set_layout, sumset_pair_mask
 
 STATUS_SUCCESS = "success"
 STATUS_STALLED = "stalled"
@@ -104,7 +100,6 @@ class _GraphIndex:
     """Sorted edge views plus fold-step index arrays for one graph."""
 
     def __init__(self, graph: TannerGraph):
-        self.graph = graph
         f = graph.field
         labels = graph.edge_label
 
@@ -151,209 +146,101 @@ def decode(
     singleton, the edge messages reach a fixed point, or ``max_iters``.
 
     ``received`` is one channel output per variable, as SymbolSets or
-    as a bitmask array.
+    as a bitmask array.  Masks that are not integers, are negative or
+    name an element outside the field raise ValueError; an empty set
+    raises DecodingInconsistency.
     """
-    q = graph.field.q
-    chan = _received_masks(graph, received)
-    if q <= MASK_TABLE_MAX_Q:
-        return _decode_tables(graph, chan, max_iters, record_messages)
-    return _decode_scalar(graph, chan, max_iters, record_messages)
-
-
-def _received_masks(graph: TannerGraph, received) -> list[int]:
-    if isinstance(received, np.ndarray):
-        masks = [int(x) for x in received]
-    else:
-        masks = []
-        for s in received:
-            if isinstance(s, SymbolSet):
-                if s.field.q != graph.field.q:
-                    raise ValueError("received set field does not match the graph")
-                masks.append(s.mask)
-            else:
-                masks.append(int(s))
-    if len(masks) != graph.n:
-        raise ValueError(f"expected {graph.n} received sets, got {len(masks)}")
-    if any(m == 0 for m in masks):
-        raise DecodingInconsistency("empty channel set")
-    return masks
-
-
-def _result(graph, status, posterior_masks, iterations, vtc_sizes_all_one, history, msgs):
-    estimate = [SymbolSet.from_mask(graph.field, int(m)) for m in posterior_masks]
-    return DecodeResult(
-        status=status,
-        estimate=estimate,
-        iterations=iterations,
-        vtc_resolved=vtc_sizes_all_one,
-        vtc_size_history=history,
-        message_history=msgs,
-    )
-
-
-def _decode_tables(graph, chan_masks, max_iters, record_messages):
-    f = graph.field
-    t = mask_tables(f)
+    sets = set_layout(graph.field)
     gi = _GraphIndex(graph)
     n_edges = graph.n_edges
 
-    chan = np.asarray(chan_masks, dtype=np.uint16)
+    chan = sets.encode(_received_masks(graph, received))
     vtc = chan[graph.edge_var]
-    posterior = chan.copy()
-
-    def size_hist(arr):
-        return np.bincount(t.popcount[arr], minlength=f.q + 1)
-
-    history = [size_hist(vtc)]
-    msgs = [(None, vtc.copy())] if record_messages else None
-
-    if bool((t.popcount[posterior] == 1).all()):
-        return _result(
-            graph, STATUS_SUCCESS, posterior, 0,
-            bool((t.popcount[vtc] == 1).all()), history, msgs,
-        )
+    vtc_sizes = sets.sizes(vtc)
+    posterior = chan
+    post_sizes = sets.sizes(posterior)
+    history = [np.bincount(vtc_sizes, minlength=graph.field.q + 1)]
+    msgs = [(None, sets.to_masks(vtc))] if record_messages else None
 
     iterations = 0
-    status = STATUS_STALLED
-    for it in range(1, max_iters + 1):
+    while iterations < max_iters and not bool((post_sizes == 1).all()):
+        iterations += 1
         # check pass: leave-one-out sumsets of the negated-label scaled sets
-        y = t.scale[gi.sfac, vtc[gi.by_chk]]
-        pre = np.ones(n_edges, dtype=np.uint16)
+        y = sets.scaled(vtc[gi.by_chk], gi.sfac)
+        pre = sets.zero_sets(n_edges)
         for tgt, src in gi.pre_c:
-            pre[tgt] = t.pair_sum[pre[src], y[src]]
-        suf = np.ones(n_edges, dtype=np.uint16)
+            pre[tgt] = sets.sumsets(pre[src], y[src])
+        suf = sets.zero_sets(n_edges)
         for tgt, src in gi.suf_c:
-            suf[tgt] = t.pair_sum[suf[src], y[src]]
-        out = t.scale[gi.ofac, t.pair_sum[pre, suf]]
+            suf[tgt] = sets.sumsets(suf[src], y[src])
         ctv = np.empty_like(vtc)
-        ctv[gi.by_chk] = out
+        ctv[gi.by_chk] = sets.scaled(sets.sumsets(pre, suf), gi.ofac)
 
         # variable pass: leave-one-out intersections with the channel set
         c = ctv[gi.by_var]
-        pre = np.full(n_edges, t.full_mask, dtype=np.uint16)
+        pre = sets.full_sets(n_edges)
         for tgt, src in gi.pre_v:
             pre[tgt] = pre[src] & c[src]
-        suf = np.full(n_edges, t.full_mask, dtype=np.uint16)
+        suf = sets.full_sets(n_edges)
         for tgt, src in gi.suf_v:
             suf[tgt] = suf[src] & c[src]
-        new_sorted = chan[gi.var_sorted] & pre & suf
         new_vtc = np.empty_like(vtc)
-        new_vtc[gi.by_var] = new_sorted
+        new_vtc[gi.by_var] = chan[gi.var_sorted] & pre & suf
 
         posterior = chan.copy()
         posterior[gi.last_vars] = (
             chan[gi.last_vars] & pre[gi.last_pos_v] & c[gi.last_pos_v]
         )
 
-        if bool((new_vtc == 0).any()) or bool((posterior == 0).any()):
+        new_sizes = sets.sizes(new_vtc)
+        post_sizes = sets.sizes(posterior)
+        if not (new_sizes.all() and post_sizes.all()):
             raise DecodingInconsistency("received sets admit no common codeword")
 
-        history.append(size_hist(new_vtc))
+        history.append(np.bincount(new_sizes, minlength=graph.field.q + 1))
         if record_messages:
-            msgs.append((ctv.copy(), new_vtc.copy()))
+            msgs.append((sets.to_masks(ctv), sets.to_masks(new_vtc)))
 
-        if bool((t.popcount[posterior] == 1).all()):
-            iterations = it
-            status = STATUS_SUCCESS
-            vtc = new_vtc
-            break
         if np.array_equal(new_vtc, vtc):
-            iterations = it
             break
-        vtc = new_vtc
-    else:
-        iterations = max_iters
+        vtc, vtc_sizes = new_vtc, new_sizes
 
-    return _result(
-        graph, status, posterior, iterations,
-        bool((t.popcount[vtc] == 1).all()), history, msgs,
+    resolved = bool((post_sizes == 1).all())
+    return DecodeResult(
+        status=STATUS_SUCCESS if resolved else STATUS_STALLED,
+        estimate=[SymbolSet.from_mask(graph.field, m) for m in sets.to_masks(posterior)],
+        iterations=iterations,
+        vtc_resolved=bool((vtc_sizes == 1).all()),
+        vtc_size_history=history,
+        message_history=msgs,
     )
 
 
-def _decode_scalar(graph, chan_masks, max_iters, record_messages):
-    f = graph.field
-    q = f.q
-    full = (1 << q) - 1
-    chk_edges = [[] for _ in range(graph.m)]
-    var_edges = [[] for _ in range(graph.n)]
-    for e in range(graph.n_edges):
-        chk_edges[int(graph.edge_chk[e])].append(e)
-        var_edges[int(graph.edge_var[e])].append(e)
-    labels = [int(x) for x in graph.edge_label]
-    evar = [int(x) for x in graph.edge_var]
-
-    vtc = [chan_masks[evar[e]] for e in range(graph.n_edges)]
-    posterior = list(chan_masks)
-
-    def size_hist(masks):
-        h = np.zeros(q + 1, dtype=np.int64)
-        for m in masks:
-            h[m.bit_count()] += 1
-        return h
-
-    history = [size_hist(vtc)]
-    msgs = [(None, list(vtc))] if record_messages else None
-
-    if all(m.bit_count() == 1 for m in posterior):
-        return _result(
-            graph, STATUS_SUCCESS, posterior, 0,
-            all(m.bit_count() == 1 for m in vtc), history, msgs,
+def _received_masks(graph: TannerGraph, received) -> np.ndarray:
+    """The channel sets as validated masks: uint64 for q <= 64, Python
+    ints in an object array above."""
+    q = graph.field.q
+    if isinstance(received, np.ndarray):
+        masks = received
+    else:
+        items = list(received)
+        if any(isinstance(s, SymbolSet) and s.field.q != q for s in items):
+            raise ValueError("received set field does not match the graph")
+        masks = np.array(
+            [s.mask if isinstance(s, SymbolSet) else s for s in items], dtype=object
         )
-
-    iterations = 0
-    status = STATUS_STALLED
-    for it in range(1, max_iters + 1):
-        ctv = [0] * graph.n_edges
-        for edges in chk_edges:
-            ys = [scale_mask(f, vtc[e], f.neg(labels[e])) for e in edges]
-            d = len(edges)
-            pre = [1] * (d + 1)
-            for k in range(d):
-                pre[k + 1] = sumset_pair_mask(f, pre[k], ys[k])
-            suf = [1] * (d + 1)
-            for k in range(d - 1, -1, -1):
-                suf[k] = sumset_pair_mask(f, suf[k + 1], ys[k])
-            for k, e in enumerate(edges):
-                ctv[e] = scale_mask(
-                    f, sumset_pair_mask(f, pre[k], suf[k + 1]), f.inv(labels[e])
-                )
-
-        new_vtc = [0] * graph.n_edges
-        posterior = []
-        for v, edges in enumerate(var_edges):
-            cs = [ctv[e] for e in edges]
-            d = len(edges)
-            pre = [full] * (d + 1)
-            for k in range(d):
-                pre[k + 1] = pre[k] & cs[k]
-            suf = [full] * (d + 1)
-            for k in range(d - 1, -1, -1):
-                suf[k] = suf[k + 1] & cs[k]
-            base = chan_masks[v]
-            posterior.append(base & pre[d])
-            for k, e in enumerate(edges):
-                new_vtc[e] = base & pre[k] & suf[k + 1]
-
-        if any(m == 0 for m in new_vtc) or any(m == 0 for m in posterior):
-            raise DecodingInconsistency("received sets admit no common codeword")
-
-        history.append(size_hist(new_vtc))
-        if record_messages:
-            msgs.append((list(ctv), list(new_vtc)))
-
-        if all(m.bit_count() == 1 for m in posterior):
-            iterations = it
-            status = STATUS_SUCCESS
-            vtc = new_vtc
-            break
-        if new_vtc == vtc:
-            iterations = it
-            break
-        vtc = new_vtc
-    else:
-        iterations = max_iters
-
-    return _result(
-        graph, status, posterior, iterations,
-        all(m.bit_count() == 1 for m in vtc), history, msgs,
-    )
+    if masks.ndim != 1 or len(masks) != graph.n:
+        raise ValueError(f"expected {graph.n} received sets, got shape {masks.shape}")
+    if masks.dtype == object:
+        if not all(isinstance(m, (int, np.integer)) for m in masks):
+            raise ValueError("received masks must be integers")
+    elif masks.dtype.kind not in "iu":
+        raise ValueError(f"received masks must be integers, not {masks.dtype}")
+    if (masks < 0).any():
+        raise ValueError("received masks must be nonnegative")
+    masks = masks.astype(np.uint64 if q <= 64 else object)
+    if (masks >> q).any():
+        raise ValueError(f"a received mask names an element outside GF({q})")
+    if not masks.all():
+        raise DecodingInconsistency("empty channel set")
+    return masks

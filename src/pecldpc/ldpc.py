@@ -51,9 +51,6 @@ class TannerGraph:
     def edges_of_check(self, j: int) -> np.ndarray:
         return np.flatnonzero(self.edge_chk == j)
 
-    def edges_of_var(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.edge_var == i)
-
     def check_satisfied(self, assignment, j: int) -> bool:
         """True iff the label-weighted GF(q) sum over check j is zero."""
         assignment = np.asarray(assignment)

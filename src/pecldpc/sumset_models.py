@@ -33,7 +33,7 @@ import numpy as np
 
 from .combinatorics import binom, intersection_dist
 from .gf import GF
-from .symbol_sets import MASK_TABLE_MAX_Q, mask_tables, sumset_pair_mask
+from .symbol_sets import set_layout, sumset_pair_mask
 
 DEFAULT_WORK_CAP = 10**8
 DEFAULT_MC_SAMPLES = 10**6
@@ -178,45 +178,19 @@ def _monte_carlo_dist(
     q = field.q
     if q > 64:
         raise ValueError("monte_carlo sampling supports q <= 64")
-    masks = np.zeros(samples, dtype=np.uint64)
-    first = True
+    sets = set_layout(field)
+    acc = None
     for s in sizes:
         # uniform size-s subsets via the first s slots of random permutations
         picks = rng.random((samples, q)).argsort(axis=1)[:, :s]
-        drawn = np.bitwise_or.reduce(
-            np.left_shift(np.uint64(1), picks.astype(np.uint64)), axis=1
+        drawn = sets.encode(
+            np.bitwise_or.reduce(
+                np.left_shift(np.uint64(1), picks.astype(np.uint64)), axis=1
+            )
         )
-        if first:
-            masks = drawn
-            first = False
-        else:
-            masks = _pair_sum_vec(field, masks, drawn)
-    sizes_out = np.zeros(samples, dtype=np.int64)
-    for x in range(q):
-        sizes_out += ((masks >> np.uint64(x)) & np.uint64(1)).astype(np.int64)
-    hist = np.bincount(sizes_out, minlength=q + 1)[1 : q + 1]
+        acc = drawn if acc is None else sets.sumsets(acc, drawn)
+    hist = np.bincount(sets.sizes(acc), minlength=q + 1)[1:]
     return hist / samples
-
-
-def _pair_sum_vec(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise sumset of two mask arrays."""
-    q = field.q
-    if q <= MASK_TABLE_MAX_Q:
-        tables = mask_tables(field)
-        return tables.pair_sum[a.astype(np.uint32), b.astype(np.uint32)].astype(
-            np.uint64
-        )
-    out = np.zeros_like(a)
-    one = np.uint64(1)
-    for x in range(q):
-        ax = ((a >> np.uint64(x)) & one).astype(bool)
-        if not ax.any():
-            continue
-        row = field.add_table[x]
-        for y in range(q):
-            hit = ax & (((b >> np.uint64(y)) & one).astype(bool))
-            out[hit] |= one << np.uint64(int(row[y]))
-    return out
 
 
 # -- Markov coverage models --------------------------------------------------

@@ -3,13 +3,19 @@
 A set is an int whose bit i is 1 iff field element i is a member, so
 intersection is ``&`` and the two field-aware operations (scaling by a
 nonzero element, sumset of a family) reduce to table lookups over set
-bits.  For q <= MASK_TABLE_MAX_Q a per-field :class:`MaskTables` bundle
-provides the same operations as whole-array lookups, which is what the
-decoder and the Monte Carlo sampler run on.
+bits.
+
+The decoder and the Monte Carlo sampler work on whole arrays of sets
+in the layout :func:`set_layout` picks for the field: uint16 masks with
+table lookups (:class:`MaskTables`) for q <= MASK_TABLE_MAX_Q, and
+(n, q) bool planes (:class:`SetPlanes`) above.  Both offer the same
+operations (encode, zero_sets, full_sets, scaled, sumsets, sizes,
+to_masks) and intersect with ``&``, so one loop runs on either.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -155,12 +161,11 @@ def intersect(sets: Sequence[SymbolSet]) -> SymbolSet:
 
 
 class MaskTables:
-    """Vectorized mask algebra for one field (q <= MASK_TABLE_MAX_Q).
+    """Set-array layout for q <= MASK_TABLE_MAX_Q: one uint16 mask per
+    set, with every field-aware operation a whole-array table lookup.
 
     Attributes
     ----------
-    translate : ndarray, shape (q, 2**q)
-        translate[x, m] = mask of {x + y : y in m}.
     pair_sum : ndarray, shape (2**q, 2**q)
         pair_sum[a, b] = sumset mask of a and b.
     scale : ndarray, shape (q, 2**q)
@@ -176,25 +181,20 @@ class MaskTables:
         masks = np.arange(n, dtype=np.uint32)
         bit = [(masks >> x) & 1 for x in range(q)]
 
-        translate = np.zeros((q, n), dtype=np.uint16)
-        for x in range(q):
-            row = field.add_table[x]
+        def image(row) -> np.ndarray:
+            # mask of {row[y] : y in m} for every mask m
             acc = np.zeros(n, dtype=np.uint32)
             for y in range(q):
                 acc |= bit[y] << np.uint32(int(row[y]))
-            translate[x] = acc
+            return acc.astype(np.uint16)
 
         pair = np.zeros((n, n), dtype=np.uint16)
         for x in range(q):
-            pair[bit[x] == 1] |= translate[x][None, :]
+            pair[bit[x] == 1] |= image(field.add_table[x])[None, :]
 
         scale = np.zeros((q, n), dtype=np.uint16)
         for a in range(1, q):
-            row = field.mul_table[a]
-            acc = np.zeros(n, dtype=np.uint32)
-            for y in range(q):
-                acc |= bit[y] << np.uint32(int(row[y]))
-            scale[a] = acc
+            scale[a] = image(field.mul_table[a])
 
         pc = np.zeros(n, dtype=np.uint8)
         for x in range(q):
@@ -202,17 +202,91 @@ class MaskTables:
 
         self.q = q
         self.full_mask = n - 1
-        self.translate = translate
         self.pair_sum = pair
         self.scale = scale
         self.popcount = pc
 
+    def encode(self, masks: np.ndarray) -> np.ndarray:
+        return masks.astype(np.uint16)
 
-_TABLE_CACHE: dict[GF, MaskTables] = {}
+    def zero_sets(self, n: int) -> np.ndarray:
+        return np.ones(n, dtype=np.uint16)
+
+    def full_sets(self, n: int) -> np.ndarray:
+        return np.full(n, self.full_mask, dtype=np.uint16)
+
+    def scaled(self, sets: np.ndarray, factors: np.ndarray) -> np.ndarray:
+        return self.scale[factors, sets]
+
+    def sumsets(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.pair_sum[a, b]
+
+    def sizes(self, sets: np.ndarray) -> np.ndarray:
+        return self.popcount[sets]
+
+    def to_masks(self, sets: np.ndarray) -> list[int]:
+        return sets.tolist()
 
 
+class SetPlanes:
+    """Set-array layout for q > MASK_TABLE_MAX_Q: n sets are an (n, q)
+    bool array whose row r has column x set iff x is in set r.
+
+    A sumset ORs, over the members x of the left sets, the right sets
+    translated by x; scaling gathers columns through a q x q table.
+    """
+
+    def __init__(self, field: GF):
+        self.q = field.q
+        # _minus[x, z] = z - x: member z of x + B is member z - x of B
+        self._minus = field.add_table[:, field.neg_table].T.astype(np.intp)
+        # _div[a, z] = z / a: member z of a * B is member z / a of B
+        self._div = field.mul_table[field.inv_table].astype(np.intp)
+
+    def encode(self, masks: np.ndarray) -> np.ndarray:
+        """Planes of valid masks given as uint64, or as Python ints in
+        an object array when q > 64."""
+        if masks.dtype == object:
+            width = (self.q + 7) // 8
+            raw = b"".join(int(m).to_bytes(width, "little") for m in masks)
+        else:
+            width = 8
+            raw = masks.astype("<u8").tobytes()
+        octets = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
+        return np.unpackbits(octets, axis=1, count=self.q, bitorder="little").view(bool)
+
+    def zero_sets(self, n: int) -> np.ndarray:
+        sets = np.zeros((n, self.q), dtype=bool)
+        sets[:, 0] = True
+        return sets
+
+    def full_sets(self, n: int) -> np.ndarray:
+        return np.ones((n, self.q), dtype=bool)
+
+    def scaled(self, sets: np.ndarray, factors: np.ndarray) -> np.ndarray:
+        return np.take_along_axis(sets, self._div[factors], axis=1)
+
+    def sumsets(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(a)
+        for x in np.flatnonzero(a.any(axis=0)):
+            out |= a[:, x, None] & b[:, self._minus[x]]
+        return out
+
+    def sizes(self, sets: np.ndarray) -> np.ndarray:
+        return np.count_nonzero(sets, axis=1)
+
+    def to_masks(self, sets: np.ndarray) -> list[int]:
+        packed = np.packbits(sets, axis=1, bitorder="little")
+        return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+@lru_cache(maxsize=None)
 def mask_tables(field: GF) -> MaskTables:
-    tables = _TABLE_CACHE.get(field)
-    if tables is None:
-        tables = _TABLE_CACHE[field] = MaskTables(field)
-    return tables
+    return MaskTables(field)
+
+
+@lru_cache(maxsize=None)
+def set_layout(field: GF) -> MaskTables | SetPlanes:
+    """The set-array layout of a field: mask tables up to
+    MASK_TABLE_MAX_Q, bool planes above."""
+    return mask_tables(field) if field.q <= MASK_TABLE_MAX_Q else SetPlanes(field)

@@ -83,6 +83,62 @@ def brute_ctv(field: GF, incoming, out_label: int) -> set[int]:
     return values
 
 
+def random_codeword(field: GF, edges, n: int, m: int, rng) -> list[int]:
+    """A random nonzero codeword of the GF(q) code whose parity checks
+    are the label-weighted (variable, check, label) edges, by Gaussian
+    elimination with the field's operation tables; free symbols are
+    drawn uniformly from ``rng`` (a numpy Generator)."""
+    add = field.add_table.tolist()
+    mul = field.mul_table.tolist()
+    neg = field.neg_table.tolist()
+    inv = field.inv_table.tolist()
+    H = [[0] * n for _ in range(m)]
+    for v, c, h in edges:
+        H[c][v] = add[H[c][v]][h]  # parallel edges add their labels
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        pr = next((i for i in range(r, m) if H[i][col]), None)
+        if pr is None:
+            continue
+        H[r], H[pr] = H[pr], H[r]
+        s = inv[H[r][col]]
+        H[r] = [mul[s][x] for x in H[r]]
+        for i in range(m):
+            if i != r and H[i][col]:
+                f = neg[H[i][col]]
+                H[i] = [add[a][mul[f][b]] for a, b in zip(H[i], H[r])]
+        pivots.append(col)
+    free = [col for col in range(n) if col not in set(pivots)]
+    if not free:
+        raise ValueError("the code has only the zero codeword")
+    x = [0] * n
+    while not any(x[col] for col in free):
+        for col in free:
+            x[col] = int(rng.integers(field.q))
+    for i, col in enumerate(pivots):
+        acc = 0
+        for j in free:
+            acc = add[acc][mul[H[i][j]][x[j]]]
+        x[col] = neg[acc]
+    for c in range(m):  # every check of the original graph holds
+        acc = 0
+        for v, c2, h in edges:
+            if c2 == c:
+                acc = add[acc][mul[h][x[v]]]
+        assert acc == 0
+    return x
+
+
+def translate_mask(field: GF, mask: int, c: int) -> int:
+    """Mask of {x + c : x in mask}."""
+    out = 0
+    for x in range(field.q):
+        if mask >> x & 1:
+            out |= 1 << field.add(x, c)
+    return out
+
+
 def bec_trajectory(eps: float, d_v: int, d_c: int, iters: int) -> list[float]:
     """Scalar erasure recursion for a regular code, including term 0."""
     pe = eps

@@ -13,11 +13,6 @@ from pecldpc import (
     intersection_dist,
     intersection_dist_exact,
 )
-from pecldpc.combinatorics import (
-    common_member_intersection_prob,
-    intersection_prob,
-)
-
 from oracles import brute_common_member_dist, brute_intersection_counts
 
 
@@ -136,15 +131,6 @@ def test_common_member_matches_bruteforce():
             for sizes in combinations_with_replacement(range(1, q + 1), j):
                 got = common_member_intersection_dist_exact(sizes, q)
                 assert list(got) == brute_common_member_dist(sizes, q)
-
-
-def test_point_query_wrappers():
-    assert intersection_prob([2, 1], 1, 4) == 0.5
-    assert common_member_intersection_prob([2, 2], 1, 3) == 0.5
-    with pytest.raises(ValueError):
-        common_member_intersection_prob([2, 2], 0, 3)
-    with pytest.raises(ValueError):
-        common_member_intersection_prob([2, 2], 3, 3)
 
 
 def test_memoization_stability():

@@ -33,6 +33,7 @@ def reference_flood(graph, received, iters):
                      graph.edge_label.tolist()))
     vtc = {e: received[v] for e, (v, _, _) in enumerate(edges)}
     history = [(None, [vtc[e].mask for e in range(len(edges))])]
+    ctv = {e: SymbolSet.full(f) for e in range(len(edges))}  # no check heard yet
     for _ in range(iters):
         ctv = {}
         for e, (v, c, h) in enumerate(edges):
@@ -62,6 +63,28 @@ def reference_flood(graph, received, iters):
         incoming = [ctv[e] for e, (v2, _, _) in enumerate(edges) if v2 == v]
         posterior.append(vtc_message(received[v], incoming).mask)
     return history, posterior
+
+
+def assert_decode_matches_reference(graph, received, max_iters):
+    """decode() on ``received`` (SymbolSets) repeats reference_flood
+    message for message, stops where the reference first reaches a
+    resolved posterior or a fixed point, and ends on its posteriors."""
+    res = decode(graph, received, max_iters=max_iters, record_messages=True)
+    want_hist, want_post = reference_flood(graph, received, res.iterations)
+    assert len(res.message_history) == len(want_hist) == res.iterations + 1
+    for (ga, gv), (wa, wv) in zip(res.message_history, want_hist):
+        assert ga is None if wa is None else [int(x) for x in ga] == wa
+        assert [int(x) for x in gv] == wv
+    assert [s.mask for s in res.estimate] == want_post
+    resolved = all(m.bit_count() == 1 for m in want_post)
+    assert res.status == ("success" if resolved else "stalled")
+    # no earlier iteration was a fixed point ...
+    vtcs = [v for _, v in want_hist]
+    assert all(a != b for a, b in zip(vtcs[:-2], vtcs[1:-1]))
+    # ... and a stall before max_iters is one
+    if not resolved and res.iterations < max_iters:
+        assert vtcs[-1] == vtcs[-2]
+    return res
 
 
 def test_decode_agrees_with_public_op_reference():
@@ -117,21 +140,28 @@ def test_irregular_bec_reduction_termwise():
 
 
 # ---------------------------------------------------------
-# kernel equivalence at a larger field
+# decode() vs the reference on both set layouts
 # ---------------------------------------------------------
 def test_kernels_agree_gf8():
-    from pecldpc.decoder import _decode_scalar, _decode_tables, _received_masks
-
     rng = np.random.default_rng(88)
     f = GF(8)
     for _ in range(6):
         g = build_regular(12, 3, 6, f, rng)
         ch = PartialErasureChannel(f, int(rng.integers(2, 9)), 0.7)
-        masks = _received_masks(g, ch.transmit_zero_word(g.n, rng))
-        a = _decode_tables(g, masks, 15, True)
-        b = _decode_scalar(g, masks, 15, True)
-        assert a.status == b.status and a.iterations == b.iterations
-        assert [s.mask for s in a.estimate] == [s.mask for s in b.estimate]
+        received = [SymbolSet.from_mask(f, int(m)) for m in ch.transmit_zero_word(g.n, rng)]
+        assert_decode_matches_reference(g, received, 15)
+
+
+@pytest.mark.parametrize("q", [13, 16, 32, 67])
+def test_planes_layout_agrees_with_reference(q):
+    # fields above MASK_TABLE_MAX_Q, up to one whose masks exceed 64 bits
+    rng = np.random.default_rng(q)
+    f = GF(q)
+    for _ in range(4):
+        g = build_regular(12, 3, 6, f, rng)
+        ch = PartialErasureChannel(f, int(rng.integers(2, 6)), float(rng.uniform(0.4, 0.9)))
+        received = [ch.transmit(0, rng) for _ in range(g.n)]
+        assert_decode_matches_reference(g, received, 15)
 
 
 # ---------------------------------------------------------

@@ -12,9 +12,8 @@ from pecldpc import (
     decode,
     vtc_message,
 )
-from pecldpc.decoder import _decode_scalar, _decode_tables, _received_masks
-
 from oracles import brute_ctv
+from test_cross_validation import assert_decode_matches_reference
 
 
 def S(field, *elems):
@@ -128,6 +127,54 @@ def test_received_length_checked():
         decode(g, [S(g.field, 0)])
 
 
+def small_graph(q):
+    return build_regular(12, 3, 6, GF(q), np.random.default_rng(q))
+
+
+@pytest.mark.parametrize(
+    "q, bad",
+    [
+        (4, 0x30),  # bits 4 and 5 name no element of GF(4)
+        (4, 70000),  # wider than the uint16 masks of the table layout
+        (4, -1),
+        (16, 1 << 20),
+        (67, 1 << 67),
+    ],
+)
+def test_received_mask_outside_field_rejected(q, bad):
+    g = small_graph(q)
+    masks = [1] * g.n
+    masks[3] = bad
+    with pytest.raises(ValueError):
+        decode(g, masks)
+    if bad >= 0 and bad < 1 << 63:
+        with pytest.raises(ValueError):
+            decode(g, np.array(masks, dtype=np.int64))
+
+
+def test_received_masks_must_be_integers():
+    g = small_graph(4)
+    with pytest.raises(ValueError):
+        decode(g, np.ones(g.n))
+    with pytest.raises(ValueError):
+        decode(g, [1.0] * g.n)
+    with pytest.raises(ValueError):
+        decode(g, np.ones((g.n, 1), dtype=np.uint16))
+
+
+def test_received_mask_array_dtypes_agree():
+    g = small_graph(4)
+    masks = PartialErasureChannel(g.field, 2, 0.5).transmit_zero_word(
+        g.n, np.random.default_rng(2)
+    )
+    want = [s.mask for s in decode(g, masks).estimate]
+    for dtype in (np.uint8, np.int16, np.uint64, object):
+        got = decode(g, masks.astype(dtype)).estimate
+        assert [s.mask for s in got] == want
+    with pytest.raises(DecodingInconsistency):
+        decode(g, np.zeros(g.n, dtype=np.uint32))
+
+
 # ---------------------------------------------------------
 # Invariants on randomized traces
 # ---------------------------------------------------------
@@ -193,23 +240,14 @@ def test_stall_is_fixed_point():
 
 
 # ---------------------------------------------------------
-# Table kernel vs scalar kernel
+# decode() vs the public-op reference decoder
 # ---------------------------------------------------------
 def test_kernels_agree():
     rng = np.random.default_rng(31)
     for _ in range(25):
         g, received = random_trace_case(rng)
-        masks = _received_masks(g, received)
-        a = _decode_tables(g, masks, 20, True)
-        b = _decode_scalar(g, masks, 20, True)
-        assert a.status == b.status
-        assert a.iterations == b.iterations
-        assert [s.mask for s in a.estimate] == [s.mask for s in b.estimate]
-        assert len(a.message_history) == len(b.message_history)
-        for (ca, va), (cb, vb) in zip(a.message_history, b.message_history):
-            if ca is not None:
-                assert [int(x) for x in ca] == [int(x) for x in cb]
-            assert [int(x) for x in va] == [int(x) for x in vb]
+        sets = [SymbolSet.from_mask(g.field, int(m)) for m in received]
+        assert_decode_matches_reference(g, sets, 20)
 
 
 def test_vtc_size_history_shape():

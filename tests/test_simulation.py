@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from pecldpc import GF, PartialErasureChannel, build_regular, run_trials
+from pecldpc import GF, PartialErasureChannel, build_regular, decode, run_trials
+
+from oracles import random_codeword, translate_mask
 
 
 def channel(q, M, eps):
@@ -73,3 +75,37 @@ def test_argument_validation():
         run_trials(channel(4, 2, 0.1), trials=3, max_iters=5, seed=0)
     with pytest.raises(ValueError):
         run_trials(channel(4, 2, 0.1), n=10, d_v=3, trials=0, max_iters=5, seed=0, d_c=6)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16])
+def test_nonzero_codeword_decodes_like_zero_word(q):
+    # the channel noise is independent of the codeword, so decoding
+    # c + N must be the all-zero run on N with every set shifted by c
+    f = GF(q)
+    rng = np.random.default_rng(40 + q)
+    for _ in range(5):
+        g = build_regular(24, 3, 6, f, rng)
+        edges = list(zip(g.edge_var.tolist(), g.edge_chk.tolist(), g.edge_label.tolist()))
+        c = random_codeword(f, edges, g.n, g.m, rng)
+        assert any(c)
+        ch = PartialErasureChannel(f, int(rng.integers(2, q + 1)), float(rng.uniform(0.3, 0.9)))
+        noise = ch.transmit_zero_word(g.n, rng)
+        sent = [translate_mask(f, int(m), cv) for m, cv in zip(noise, c)]
+        zero = decode(g, noise, max_iters=40, record_messages=True)
+        word = decode(g, sent, max_iters=40, record_messages=True)
+        assert (word.status, word.iterations) == (zero.status, zero.iterations)
+        assert [h.tolist() for h in word.vtc_size_history] == [
+            h.tolist() for h in zero.vtc_size_history
+        ]
+        assert [s.mask for s in word.estimate] == [
+            translate_mask(f, s.mask, cv) for s, cv in zip(zero.estimate, c)
+        ]
+        edge_c = [c[v] for v, _, _ in edges]
+        for (wc, wv), (zc, zv) in zip(word.message_history, zero.message_history):
+            for got, base in ((wc, zc), (wv, zv)):
+                if base is not None:
+                    assert list(got) == [
+                        translate_mask(f, int(m), ce) for m, ce in zip(base, edge_c)
+                    ]
+        if word.status == "success":
+            assert [s.mask for s in word.estimate] == [1 << cv for cv in c]
