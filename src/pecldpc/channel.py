@@ -14,7 +14,7 @@ import numpy as np
 
 from .combinatorics import binom
 from .gf import GF
-from .symbol_sets import SymbolSet
+from .symbol_sets import SymbolSet, index_masks, mask_dtype
 
 
 class PartialErasureChannel:
@@ -58,15 +58,14 @@ class PartialErasureChannel:
         return SymbolSet.from_mask(self.field, mask)
 
     def transmit_zero_word(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Channel outputs for an all-zero codeword as a bitmask array.
+        """Channel outputs for an all-zero codeword as a bitmask array,
+        in the dtype of ``mask_dtype(q)``.
 
         Vectorized companion draw; the per-row argsort makes every
         (M-1)-subset of the nonzero symbols equally likely.
         """
         q = self.field.q
-        if q > 32:
-            raise ValueError("bitmask word sampling supports q <= 32")
-        masks = np.ones(n, dtype=np.uint32)
+        masks = np.ones(n, dtype=mask_dtype(q))
         erased = rng.random(n) < self.epsilon
         k = int(erased.sum())
         if k == 0:
@@ -75,10 +74,7 @@ class PartialErasureChannel:
             masks[erased] = (1 << q) - 1
             return masks
         picks = rng.random((k, q - 1)).argsort(axis=1)[:, : self.M - 1] + 1
-        extra = np.bitwise_or.reduce(
-            np.left_shift(np.uint32(1), picks.astype(np.uint32)), axis=1
-        )
-        masks[erased] |= extra
+        masks[erased] |= index_masks(picks, q)
         return masks
 
     def capacity(self, units: str = "qary") -> float:

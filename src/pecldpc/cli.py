@@ -84,7 +84,7 @@ def _parse_models(text: str) -> list[str]:
 
 
 def _make_model(kind: str, args) -> SumsetSizeModel:
-    if kind == "exact" and getattr(args, "mc_samples", None):
+    if kind == "exact" and getattr(args, "mc_samples", None) is not None:
         return SumsetSizeModel(
             "exact", mc_samples=args.mc_samples, mc_seed=args.seed
         )

@@ -22,7 +22,7 @@ import numpy as np
 
 from .gf import GF
 from .ldpc import TannerGraph
-from .symbol_sets import SymbolSet, scale_mask, set_layout, sumset_pair_mask
+from .symbol_sets import SymbolSet, mask_dtype, set_layout, sumset
 
 STATUS_SUCCESS = "success"
 STATUS_STALLED = "stalled"
@@ -41,14 +41,13 @@ def ctv_message(incoming, out_label: int, field: GF) -> SymbolSet:
     parity equation: the sumset of the incoming sets scaled by
     -label/out_label.
     """
-    if out_label == 0:
-        raise ValueError("edge labels must be nonzero")
-    acc = 1  # {0}
-    for s, label in incoming:
-        if not s:
-            raise ValueError("incoming message sets must be nonempty")
-        acc = sumset_pair_mask(field, acc, scale_mask(field, s.mask, field.neg(label)))
-    return SymbolSet.from_mask(field, scale_mask(field, acc, field.inv(out_label)))
+    incoming = list(incoming)
+    for label in [out_label] + [label for _, label in incoming]:
+        if not 0 < label < field.q:
+            raise ValueError(f"edge labels must be nonzero elements of GF({field.q})")
+    if not incoming:
+        return SymbolSet.from_mask(field, 1)  # the parity pins the target to 0
+    return sumset([s.scale(field.neg(h)) for s, h in incoming]).scale(field.inv(out_label))
 
 
 def vtc_message(channel_info: SymbolSet, incoming_ctv) -> SymbolSet:
@@ -160,7 +159,7 @@ def decode(
     posterior = chan
     post_sizes = sets.sizes(posterior)
     history = [np.bincount(vtc_sizes, minlength=graph.field.q + 1)]
-    msgs = [(None, sets.to_masks(vtc))] if record_messages else None
+    msgs = [(None, sets.to_masks(vtc).tolist())] if record_messages else None
 
     iterations = 0
     while iterations < max_iters and not bool((post_sizes == 1).all()):
@@ -199,7 +198,7 @@ def decode(
 
         history.append(np.bincount(new_sizes, minlength=graph.field.q + 1))
         if record_messages:
-            msgs.append((sets.to_masks(ctv), sets.to_masks(new_vtc)))
+            msgs.append((sets.to_masks(ctv).tolist(), sets.to_masks(new_vtc).tolist()))
 
         if np.array_equal(new_vtc, vtc):
             break
@@ -208,7 +207,9 @@ def decode(
     resolved = bool((post_sizes == 1).all())
     return DecodeResult(
         status=STATUS_SUCCESS if resolved else STATUS_STALLED,
-        estimate=[SymbolSet.from_mask(graph.field, m) for m in sets.to_masks(posterior)],
+        estimate=[
+            SymbolSet.from_mask(graph.field, m) for m in sets.to_masks(posterior).tolist()
+        ],
         iterations=iterations,
         vtc_resolved=bool((vtc_sizes == 1).all()),
         vtc_size_history=history,
@@ -238,7 +239,7 @@ def _received_masks(graph: TannerGraph, received) -> np.ndarray:
         raise ValueError(f"received masks must be integers, not {masks.dtype}")
     if (masks < 0).any():
         raise ValueError("received masks must be nonnegative")
-    masks = masks.astype(np.uint64 if q <= 64 else object)
+    masks = masks.astype(mask_dtype(q))
     if (masks >> q).any():
         raise ValueError(f"a received mask names an element outside GF({q})")
     if not masks.all():

@@ -211,6 +211,10 @@ def threshold_search(
     ``check_monotone`` additionally probes a coarse grid and warns if
     convergence is not monotone in epsilon (the bisection assumes it).
     """
+    # below 2**-52 the midpoint of two adjacent floats in [0, 1] is one
+    # of them, so the bisection would never narrow to within tol_eps
+    if not tol_eps >= 2.0**-52:
+        raise ValueError(f"bisection tolerance must be at least 2**-52, got {tol_eps}")
 
     def converges(eps: float) -> bool:
         return run(replace(cfg, channel=cfg.channel.with_epsilon(eps))).converged

@@ -7,9 +7,10 @@ this module provides
 
 * hard bounds on the realized size (``sumset_bounds``) and the two
   degenerate point-mass distributions built from them,
-* the exact distribution by enumeration over subset assignments
-  (organized as a distribution-convolution, so exhaustive cost grows
-  with 2**q instead of with the raw assignment count),
+* the exact distribution by enumeration over subset assignments,
+  folded one operand at a time over the distinct partial sumsets with
+  integer counts (so exhaustive cost grows with 2**q instead of with
+  the raw assignment count) through the field's set layout,
 * two absorbing-Markov-chain approximations driven by the coverage
   transition matrix: a per-sum occupancy model ("balls") and a
   per-translate model ("union"),
@@ -33,10 +34,13 @@ import numpy as np
 
 from .combinatorics import binom, intersection_dist
 from .gf import GF
-from .symbol_sets import set_layout, sumset_pair_mask
+from .symbol_sets import index_masks, set_layout
 
 DEFAULT_WORK_CAP = 10**8
 DEFAULT_MC_SAMPLES = 10**6
+# (state, subset) pairs the exact fold expands at once; keeps each of
+# its temporaries well under 1 MB in either set layout
+_FOLD_BLOCK = 1 << 14
 
 MODEL_KINDS = ("exact", "bound-lower", "bound-upper", "balls", "union")
 
@@ -99,15 +103,9 @@ def bound_dist(sizes: Sequence[int], field: GF, which: str) -> np.ndarray:
 # -- exact distribution ------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _subset_masks(q: int, size: int) -> tuple[int, ...]:
-    out = []
-    for combo in combinations(range(q), size):
-        m = 0
-        for e in combo:
-            m |= 1 << e
-        out.append(m)
-    return tuple(out)
+def _subset_masks(q: int, size: int) -> np.ndarray:
+    """Masks of every size-``size`` subset of GF(q)."""
+    return index_masks(np.array(list(combinations(range(q), size))), q)
 
 
 def exhaustive_work_estimate(sizes: Sequence[int], q: int) -> int:
@@ -118,22 +116,37 @@ def exhaustive_work_estimate(sizes: Sequence[int], q: int) -> int:
 @lru_cache(maxsize=None)
 def _exact_dist_rational(sizes: tuple[int, ...], field: GF) -> tuple[Fraction, ...]:
     q = field.q
-    # integer assignment counts per sumset mask; fold one operand at a time
-    counts: dict[int, int] = {}
-    for m in _subset_masks(q, sizes[0]):
-        counts[m] = counts.get(m, 0) + 1
-    for s in sizes[1:]:
-        nxt: dict[int, int] = {}
-        for a, c in counts.items():
-            for b in _subset_masks(q, s):
-                key = sumset_pair_mask(field, a, b)
-                nxt[key] = nxt.get(key, 0) + c
-        counts = nxt
+    sets = set_layout(field)
     total = prod(binom(q, s) for s in sizes)
-    by_size = [0] * q
-    for m, c in counts.items():
-        by_size[m.bit_count() - 1] += c
-    return tuple(Fraction(c, total) for c in by_size)
+    # a count never exceeds total, so int64 is exact below 2**63
+    ctype = np.int64 if total < 2**63 else object
+    # live sumset masks with their assignment counts; fold one operand
+    # at a time, merging each block of (state, subset) pairs into the
+    # next live states, so memory stays O(2**q + block)
+    keys = _subset_masks(q, sizes[0])
+    counts = np.ones(len(keys), dtype=ctype)
+    for s in sizes[1:]:
+        states, weights = sets.encode(keys), counts
+        subsets = sets.encode(_subset_masks(q, s))
+        pairs = len(states) * len(subsets)
+        keys, counts = keys[:0], counts[:0]
+        for lo in range(0, pairs, _FOLD_BLOCK):
+            i, j = np.divmod(np.arange(lo, min(lo + _FOLD_BLOCK, pairs)), len(subsets))
+            sums = sets.to_masks(sets.sumsets(states[i], subsets[j]))
+            keys, counts = _merge_counts(
+                np.concatenate([keys, sums]), np.concatenate([counts, weights[i]])
+            )
+    by_size = np.zeros(q + 1, dtype=ctype)
+    np.add.at(by_size, sets.sizes(sets.encode(keys)), counts)
+    return tuple(Fraction(int(c), total) for c in by_size[1:])
+
+
+def _merge_counts(keys: np.ndarray, counts: np.ndarray):
+    """Distinct keys, each with the summed counts of its copies."""
+    uniq, where = np.unique(keys, return_inverse=True)
+    merged = np.zeros(len(uniq), dtype=counts.dtype)
+    np.add.at(merged, where, counts)
+    return uniq, merged
 
 
 def exact_dist_rational(sizes: Sequence[int], field: GF) -> tuple[Fraction, ...]:
@@ -167,6 +180,8 @@ def exact_dist(
         return np.array([float(p) for p in _exact_dist_rational(t, field)])
     if method != "monte_carlo":
         raise ValueError(f"unknown method {method!r}")
+    if samples < 1:
+        raise ValueError(f"monte_carlo needs at least one sample, got {samples}")
     if rng is None:
         rng = np.random.default_rng()
     return _monte_carlo_dist(t, field, samples, rng)
@@ -183,11 +198,7 @@ def _monte_carlo_dist(
     for s in sizes:
         # uniform size-s subsets via the first s slots of random permutations
         picks = rng.random((samples, q)).argsort(axis=1)[:, :s]
-        drawn = sets.encode(
-            np.bitwise_or.reduce(
-                np.left_shift(np.uint64(1), picks.astype(np.uint64)), axis=1
-            )
-        )
+        drawn = sets.encode(index_masks(picks, q))
         acc = drawn if acc is None else sets.sumsets(acc, drawn)
     hist = np.bincount(sets.sizes(acc), minlength=q + 1)[1:]
     return hist / samples
@@ -291,6 +302,8 @@ class SumsetSizeModel:
     ):
         if kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {kind!r}; choose from {MODEL_KINDS}")
+        if mc_samples < 1:
+            raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
         self.kind = kind
         self.work_cap = work_cap
         self.mc_samples = mc_samples

@@ -1,16 +1,15 @@
-"""Subsets of GF(q) stored as bit-vectors.
+"""Subsets of GF(q) and the set arithmetic of the package.
 
-A set is an int whose bit i is 1 iff field element i is a member, so
-intersection is ``&`` and the two field-aware operations (scaling by a
-nonzero element, sumset of a family) reduce to table lookups over set
-bits.
-
-The decoder and the Monte Carlo sampler work on whole arrays of sets
-in the layout :func:`set_layout` picks for the field: uint16 masks with
-table lookups (:class:`MaskTables`) for q <= MASK_TABLE_MAX_Q, and
-(n, q) bool planes (:class:`SetPlanes`) above.  Both offer the same
-operations (encode, zero_sets, full_sets, scaled, sumsets, sizes,
-to_masks) and intersect with ``&``, so one loop runs on either.
+A single set is a :class:`SymbolSet`: an int whose bit i is 1 iff
+field element i is a member, so intersection is ``&``.  The two
+field-aware operations, scaling by a nonzero element and the sumset,
+exist only in the set-array layout :func:`set_layout` picks for the
+field: uint16 masks with table lookups (:class:`MaskTables`) for
+q <= MASK_TABLE_MAX_Q, and (n, q) bool planes (:class:`SetPlanes`)
+above.  Both offer the same operations (encode, zero_sets, full_sets,
+scaled, sumsets, sizes, to_masks) and intersect with ``&``, so the
+decoder, the exact and Monte Carlo sumset laws and the SymbolSet
+operations all run the same code on either.
 """
 
 from __future__ import annotations
@@ -26,39 +25,18 @@ from .gf import GF
 MASK_TABLE_MAX_Q = 12
 
 
-def scale_mask(field: GF, mask: int, a: int) -> int:
-    """Bitmask of {a*x : x in mask}; a must be nonzero."""
-    if a == 0:
-        raise ValueError("scaling by 0 is not invertible")
-    if a == 1:
-        return mask
-    row = field._mul_rows[a]
-    out = 0
-    m = mask
-    while m:
-        x = (m & -m).bit_length() - 1
-        out |= 1 << row[x]
-        m &= m - 1
-    return out
+def mask_dtype(q: int):
+    """Dtype of the mask arrays layouts encode from and return: uint64
+    for q <= 64, Python ints in an object array above."""
+    return np.uint64 if q <= 64 else object
 
 
-def sumset_pair_mask(field: GF, a: int, b: int) -> int:
-    """Bitmask of {x + y : x in a, y in b}."""
-    if a.bit_count() > b.bit_count():
-        a, b = b, a
-    add = field._add_rows
-    out = 0
-    m = a
-    while m:
-        x = (m & -m).bit_length() - 1
-        row = add[x]
-        n = b
-        while n:
-            y = (n & -n).bit_length() - 1
-            out |= 1 << row[y]
-            n &= n - 1
-        m &= m - 1
-    return out
+def index_masks(members: np.ndarray, q: int) -> np.ndarray:
+    """Mask of each row of distinct element indices, in the dtype of
+    ``mask_dtype(q)``."""
+    dtype = mask_dtype(q)
+    bits = np.left_shift(np.ones(1, dtype), members.astype(dtype))
+    return np.bitwise_or.reduce(bits, axis=1)
 
 
 class SymbolSet:
@@ -127,7 +105,17 @@ class SymbolSet:
         return f"SymbolSet(q={self.field.q}, {self})"
 
     def scale(self, a: int) -> "SymbolSet":
-        return SymbolSet.from_mask(self.field, scale_mask(self.field, self.mask, a))
+        """{a*x : x in self}; a must be a nonzero field element."""
+        if not 0 < a < self.field.q:
+            raise ValueError(f"scaling by {a} is not invertible in GF({self.field.q})")
+        sets = set_layout(self.field)
+        out = sets.scaled(_encode(self.field, [self.mask]), np.array([a]))
+        return SymbolSet.from_mask(self.field, int(sets.to_masks(out)[0]))
+
+
+def _encode(field: GF, masks: list[int]) -> np.ndarray:
+    """Python-int masks as sets in the field's layout."""
+    return set_layout(field).encode(np.array(masks, dtype=mask_dtype(field.q)))
 
 
 def _check_family(sets: Sequence[SymbolSet]) -> GF:
@@ -146,10 +134,12 @@ def sumset(sets: Sequence[SymbolSet]) -> SymbolSet:
     for s in sets:
         if not s:
             raise ValueError("sumset of an empty set is undefined")
-    mask = sets[0].mask
-    for s in sets[1:]:
-        mask = sumset_pair_mask(field, mask, s.mask)
-    return SymbolSet.from_mask(field, mask)
+    layout = set_layout(field)
+    operands = _encode(field, [s.mask for s in sets])
+    acc = operands[:1]
+    for k in range(1, len(operands)):
+        acc = layout.sumsets(acc, operands[k : k + 1])
+    return SymbolSet.from_mask(field, int(layout.to_masks(acc)[0]))
 
 
 def intersect(sets: Sequence[SymbolSet]) -> SymbolSet:
@@ -224,8 +214,8 @@ class MaskTables:
     def sizes(self, sets: np.ndarray) -> np.ndarray:
         return self.popcount[sets]
 
-    def to_masks(self, sets: np.ndarray) -> list[int]:
-        return sets.tolist()
+    def to_masks(self, sets: np.ndarray) -> np.ndarray:
+        return sets.astype(np.uint64)
 
 
 class SetPlanes:
@@ -242,18 +232,12 @@ class SetPlanes:
         self._minus = field.add_table[:, field.neg_table].T.astype(np.intp)
         # _div[a, z] = z / a: member z of a * B is member z / a of B
         self._div = field.mul_table[field.inv_table].astype(np.intp)
+        # _bits[x] = mask of {x}
+        self._bits = np.array([1 << x for x in range(self.q)], dtype=mask_dtype(self.q))
 
     def encode(self, masks: np.ndarray) -> np.ndarray:
-        """Planes of valid masks given as uint64, or as Python ints in
-        an object array when q > 64."""
-        if masks.dtype == object:
-            width = (self.q + 7) // 8
-            raw = b"".join(int(m).to_bytes(width, "little") for m in masks)
-        else:
-            width = 8
-            raw = masks.astype("<u8").tobytes()
-        octets = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
-        return np.unpackbits(octets, axis=1, count=self.q, bitorder="little").view(bool)
+        """Planes of valid masks given in the dtype of ``mask_dtype(q)``."""
+        return (masks[:, None] & self._bits) != 0
 
     def zero_sets(self, n: int) -> np.ndarray:
         sets = np.zeros((n, self.q), dtype=bool)
@@ -275,9 +259,9 @@ class SetPlanes:
     def sizes(self, sets: np.ndarray) -> np.ndarray:
         return np.count_nonzero(sets, axis=1)
 
-    def to_masks(self, sets: np.ndarray) -> list[int]:
-        packed = np.packbits(sets, axis=1, bitorder="little")
-        return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    def to_masks(self, sets: np.ndarray) -> np.ndarray:
+        """Masks of the sets, in the dtype of ``mask_dtype(q)``."""
+        return sets.astype(self._bits.dtype) @ self._bits
 
 
 @lru_cache(maxsize=None)

@@ -52,6 +52,15 @@ def gf_sumset(field: GF, a: frozenset, b: frozenset) -> frozenset:
     return frozenset(field.add(x, y) for x in a for y in b)
 
 
+def gf_scale(field: GF, a: frozenset, c: int) -> frozenset:
+    return frozenset(field.mul(c, x) for x in a)
+
+
+def mask_elements(mask: int) -> frozenset:
+    """The set whose bit-vector is ``mask``."""
+    return frozenset(x for x in range(mask.bit_length()) if mask >> x & 1)
+
+
 def brute_sumset_dist(sizes, field: GF, pinned: bool = False) -> list[Fraction]:
     """Sumset-size law over all assignments; length q, index size-1."""
     q = field.q

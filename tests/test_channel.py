@@ -140,6 +140,17 @@ def test_zero_word_matches_scalar_semantics():
     assert (masks == 0b1111).all()
 
 
+@pytest.mark.parametrize("q", [64, 128])
+def test_zero_word_sets_beyond_32_bits(q):
+    rng = np.random.default_rng(q)
+    for M in (2, q // 2, q):
+        masks = make(q, M, 0.5).transmit_zero_word(400, rng)
+        sizes = [int(m).bit_count() for m in masks]
+        assert all(int(m) & 1 for m in masks)
+        assert all(int(m) >> q == 0 for m in masks)
+        assert set(sizes) == {1, M}
+
+
 def test_with_epsilon():
     ch = make(4, 2, 0.25)
     ch2 = ch.with_epsilon(0.75)

@@ -61,6 +61,16 @@ def test_threshold_rows(tmp_path):
         assert abs(v - 0.4294) < 2e-3
 
 
+def test_threshold_rejects_unusable_tolerance(capsys):
+    args = [
+        "threshold", "--q", "4", "--M", "2", "--dv", "3", "--dc", "6",
+        "--model", "bound-upper", "--no-check-monotone",
+    ]
+    for tol in ("0", "-1", "1e-300", "nan"):
+        assert main(args + ["--tol", tol]) == 2
+        assert "tolerance" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------
 # pm-table
 # ---------------------------------------------------------
@@ -98,6 +108,19 @@ def test_simulate_no_erasures(tmp_path):
     assert code == 0
     row = rows_of(text)[1]
     assert row[6] == "4" and row[7] == "4"  # trials == successes
+
+
+def test_simulate_large_field(tmp_path):
+    code, text = run_cli(
+        [
+            "simulate", "--q", "64", "--M", "2", "--dv", "3", "--dc", "6",
+            "--n", "60", "--eps", "0.3", "--trials", "3", "--seed", "5",
+        ],
+        tmp_path,
+    )
+    assert code == 0
+    row = rows_of(text)[1]
+    assert row[0] == "64" and row[6] == "3" and row[7] == "3"
 
 
 # ---------------------------------------------------------
@@ -156,6 +179,9 @@ def test_validation_exit_code(tmp_path, capsys):
     assert main(["capacity", "--q", "4", "--M", "9", "--eps", "0.5"]) == 2
     assert main(["capacity", "--q", "4", "--M", "2", "--eps", "1.5"]) == 2
     assert main(["pm-table", "--q", "4", "--sizes", "2,2", "--model", "nope"]) == 2
+    for samples in ("0", "-5"):
+        pm = ["pm-table", "--q", "16", "--sizes", "8,8,8", "--model", "exact"]
+        assert main(pm + ["--mc-samples", samples]) == 2
     assert main(["bogus-command"]) == 2
 
 

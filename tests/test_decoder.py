@@ -41,7 +41,7 @@ def test_ctv_singletons_and_full_set():
 
 def test_ctv_matches_bruteforce_randomized():
     rng = np.random.default_rng(8)
-    for q in (4, 5, 8):
+    for q in (4, 5, 8, 13):
         f = GF(q)
         for _ in range(40):
             incoming = []
@@ -54,6 +54,18 @@ def test_ctv_matches_bruteforce_randomized():
             out_label = int(rng.integers(1, q))
             got = ctv_message(incoming, out_label, f)
             assert frozenset(got) == brute_ctv(f, incoming, out_label)
+
+
+def test_ctv_rejects_zero_labels():
+    f = GF(5)
+    incoming = [(S(f, 0, 1), 2), (S(f, 3), 4)]
+    with pytest.raises(ValueError):
+        ctv_message(incoming, 0, f)
+    for k in range(len(incoming)):
+        bad = list(incoming)
+        bad[k] = (bad[k][0], 0)
+        with pytest.raises(ValueError):
+            ctv_message(bad, 3, f)
 
 
 def test_vtc_examples():

@@ -237,6 +237,12 @@ def test_threshold_bec_anchor():
     assert abs(th - 0.4294) < 1e-3
 
 
+def test_threshold_rejects_unusable_tolerance():
+    for tol in (0.0, -1.0, 1e-300, float("nan")):
+        with pytest.raises(ValueError):
+            threshold_search(bec_cfg(2, 0.0), tol_eps=tol)
+
+
 def test_threshold_same_for_all_qec_sizes():
     # M=q: the size distribution is two-point and the recursion is the
     # same for every q

@@ -77,7 +77,16 @@ def test_argument_validation():
         run_trials(channel(4, 2, 0.1), n=10, d_v=3, trials=0, max_iters=5, seed=0, d_c=6)
 
 
-@pytest.mark.parametrize("q", [4, 8, 9, 16])
+@pytest.mark.parametrize("q", [64, 128])
+def test_large_fields_run_end_to_end(q):
+    kw = dict(n=60, d_v=3, d_c=6, trials=4, max_iters=40, seed=5)
+    easy = run_trials(channel(q, 2, 0.3), **kw)
+    assert easy.successes == 4 and easy.residual_symbol_error_rate == 0.0
+    hard = run_trials(channel(q, q // 2, 0.6), **kw)
+    assert hard.successes == 0 and hard.residual_symbol_error_rate > 0.0
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 64, 128])
 def test_nonzero_codeword_decodes_like_zero_word(q):
     # the channel noise is independent of the codeword, so decoding
     # c + N must be the all-zero run on N with every set shifted by c

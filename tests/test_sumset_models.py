@@ -87,6 +87,20 @@ def test_exact_matches_bruteforce():
                 )
 
 
+@pytest.mark.parametrize("q", [13, 16])
+def test_exact_planes_layout_matches_bruteforce(q):
+    f = GF(q)
+    assert list(exact_dist_rational((1, 2, 2), f)) == brute_sumset_dist((1, 2, 2), f)
+
+
+def test_exact_counts_do_not_wrap():
+    # 2-sets of GF(4) are cosets of its 3 additive subgroups of order 2:
+    # 25 of them sum to a 2-set iff all lie in one subgroup, else to GF(4);
+    # the 6**25 assignments exceed 2**63
+    d = exact_dist_rational([2] * 25, GF(4))
+    assert d == (0, Fraction(1, 3**24), 0, 1 - Fraction(1, 3**24))
+
+
 def test_exact_respects_bounds_and_forced_full():
     for q in (2, 3, 4, 5):
         f = GF(q)
@@ -117,6 +131,15 @@ def test_monte_carlo_close_to_exact():
     )
     assert np.abs(mc - exact).max() < 0.005
     assert mc.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_monte_carlo_needs_samples():
+    f = GF(4)
+    for samples in (0, -3):
+        with pytest.raises(ValueError):
+            exact_dist((2, 2), f, method="monte_carlo", samples=samples)
+        with pytest.raises(ValueError):
+            SumsetSizeModel("exact", mc_samples=samples, mc_seed=1)
 
 
 # ---------------------------------------------------------

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from pecldpc import GF, SymbolSet, intersect, sumset
-from pecldpc.symbol_sets import mask_tables, scale_mask, sumset_pair_mask
+from pecldpc.symbol_sets import MASK_TABLE_MAX_Q, MaskTables, SetPlanes, mask_dtype
 
-from oracles import gf_sumset
+from oracles import gf_scale, gf_sumset, mask_elements
 
 
 def S(field, *elems):
@@ -53,8 +53,9 @@ def test_scale_examples():
 def test_scale_rejects_zero_and_preserves_size():
     f = GF(8)
     s = S(f, 1, 5, 7)
-    with pytest.raises(ValueError):
-        s.scale(0)
+    for a in (0, -1, 8):  # 0 is not invertible, -1 and 8 are not in GF(8)
+        with pytest.raises(ValueError):
+            s.scale(a)
     for a in f.nonzero_elements():
         assert len(s.scale(a)) == len(s)
 
@@ -87,18 +88,19 @@ def test_intersect_examples():
 
 
 def test_sumset_matches_bruteforce():
-    f = GF(8)
     rng = np.random.default_rng(11)
-    for _ in range(60):
-        fams = []
-        for _ in range(rng.integers(1, 4)):
-            elems = rng.choice(8, size=rng.integers(1, 4), replace=False)
-            fams.append(frozenset(int(e) for e in elems))
-        expect = fams[0]
-        for t in fams[1:]:
-            expect = gf_sumset(f, expect, t)
-        got = sumset([SymbolSet(f, t) for t in fams])
-        assert frozenset(got) == expect
+    for q in (8, 16):  # one field per set layout
+        f = GF(q)
+        for _ in range(60):
+            fams = []
+            for _ in range(rng.integers(1, 4)):
+                elems = rng.choice(q, size=rng.integers(1, 4), replace=False)
+                fams.append(frozenset(int(e) for e in elems))
+            expect = fams[0]
+            for t in fams[1:]:
+                expect = gf_sumset(f, expect, t)
+            got = sumset([SymbolSet(f, t) for t in fams])
+            assert frozenset(got) == expect
 
 
 # ---------------------------------------------------------
@@ -164,18 +166,32 @@ def test_sumset_fold_associative_commutative():
 
 
 # ---------------------------------------------------------
-# Vectorized tables agree with the scalar ops
+# Both set-array layouts agree with the oracles
 # ---------------------------------------------------------
-@pytest.mark.parametrize("q", [2, 4, 5])
-def test_mask_tables_match_scalar(q):
+@pytest.mark.parametrize("q", [2, 4, 5, 8, 9, 13, 16, 67])
+def test_layouts_match_oracles(q):
     f = GF(q)
-    t = mask_tables(f)
-    n = 1 << q
-    for m1 in range(n):
-        assert t.popcount[m1] == m1.bit_count()
-        for a in f.nonzero_elements():
-            if m1:
-                assert int(t.scale[a, m1]) == scale_mask(f, m1, a)
-        for m2 in range(n):
-            if m1 and m2:
-                assert int(t.pair_sum[m1, m2]) == sumset_pair_mask(f, m1, m2)
+    rng = np.random.default_rng(q)
+    if q <= 5:  # every pair of nonempty sets
+        pairs = [(a, b) for a in range(1, 1 << q) for b in range(1, 1 << q)]
+    else:
+        def draw():
+            members = rng.random(q) < rng.uniform(0.05, 0.5)
+            members[rng.integers(q)] = True
+            return sum(1 << int(x) for x in np.flatnonzero(members))
+
+        pairs = [(draw(), draw()) for _ in range(200)]
+    # cycling factors: with every pair, each left set meets every factor
+    factors = np.arange(len(pairs)) % (q - 1) + 1
+    layouts = [SetPlanes(f)] + ([MaskTables(f)] if q <= MASK_TABLE_MAX_Q else [])
+    for sets in layouts:
+        a = sets.encode(np.array([m for m, _ in pairs], dtype=mask_dtype(q)))
+        b = sets.encode(np.array([m for _, m in pairs], dtype=mask_dtype(q)))
+        sums = sets.to_masks(sets.sumsets(a, b)).tolist()
+        scaled = sets.to_masks(sets.scaled(a, factors)).tolist()
+        sizes = sets.sizes(a).tolist()
+        for k, (ma, mb) in enumerate(pairs):
+            sa, sb = mask_elements(ma), mask_elements(mb)
+            assert mask_elements(sums[k]) == gf_sumset(f, sa, sb)
+            assert mask_elements(scaled[k]) == gf_scale(f, sa, int(factors[k]))
+            assert sizes[k] == len(sa)
