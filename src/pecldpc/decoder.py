@@ -147,8 +147,11 @@ def decode(
     ``received`` is one channel output per variable, as SymbolSets or
     as a bitmask array.  Masks that are not integers, are negative or
     name an element outside the field raise ValueError; an empty set
-    raises DecodingInconsistency.
+    raises DecodingInconsistency.  Zero ``max_iters`` returns the channel
+    sets as the posterior; a negative one raises ValueError.
     """
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
     sets = set_layout(graph.field)
     gi = _GraphIndex(graph)
     n_edges = graph.n_edges

@@ -8,15 +8,16 @@ multiset of incoming sizes by a sumset-size model) and back through the
 variable nodes (weighting by the exact intersection-size law, with the
 channel's M-set joining the intersection on an erasure event).
 
-Each update is organized as (weights @ matrix) where the rows of the
-matrix are the per-size-multiset output distributions; the matrices
-depend only on (field, M, degree, model) and are built once per run.
+Each half is a degree-weighted mix of (weights @ matrix) terms whose
+matrix rows are the per-size-multiset output distributions; a matrix
+depends only on (field, M, degree, model) and is built once per process.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import combinations_with_replacement
 from math import factorial, prod
 
@@ -39,42 +40,54 @@ def initial_vtc_dist(channel: PartialErasureChannel) -> np.ndarray:
     return z
 
 
-def _multisets(max_size: int, k: int) -> list[tuple[int, ...]]:
-    return list(combinations_with_replacement(range(1, max_size + 1), k))
-
-
+@cache
 def _weight_tables(max_size: int, k: int):
     """Exponent matrix and multinomial coefficients for all size
     multisets of k draws from 1..max_size."""
-    tuples = _multisets(max_size, k)
-    counts = np.zeros((len(tuples), max_size), dtype=np.int64)
-    multinom = np.zeros(len(tuples))
-    for r, t in enumerate(tuples):
-        for s in t:
-            counts[r, s - 1] += 1
-        multinom[r] = factorial(k) // prod(factorial(int(c)) for c in counts[r] if c)
+    sizes = range(1, max_size + 1)
+    tuples = tuple(combinations_with_replacement(sizes, k))
+    counts = np.array([[t.count(s) for s in sizes] for t in tuples], dtype=np.int64)
+    multinom = np.array([factorial(k) // prod(map(factorial, c)) for c in counts], float)
+    counts.setflags(write=False)
+    multinom.setflags(write=False)
     return tuples, counts, multinom
 
 
+@cache  # keys the model by identity; it caches its own distributions
 def _check_matrices(field: GF, M: int, d_c: int, model: SumsetSizeModel):
     tuples, counts, multinom = _weight_tables(M, d_c - 1)
     pmat = np.stack([model.distribution(t, field) for t in tuples])
+    pmat.setflags(write=False)
     return counts, multinom, pmat
 
 
+@cache
 def _variable_matrices(field: GF, M: int, d_v: int):
-    q = field.q
-    tuples, counts, multinom = _weight_tables(q, d_v - 1)
-    qmat = np.zeros((len(tuples), q))
+    tuples, counts, multinom = _weight_tables(field.q, d_v - 1)
+    qmat = np.zeros((len(tuples), field.q))
     for r, t in enumerate(tuples):
-        dist = common_member_intersection_dist(sorted(t + (M,)), q)
+        dist = common_member_intersection_dist(sorted(t + (M,)), field.q)
         qmat[r, : len(dist) - 1] = dist[1:]
+    qmat.setflags(write=False)
     return counts, multinom, qmat
 
 
-def _apply(dist: np.ndarray, counts, multinom, mat) -> np.ndarray:
-    weights = multinom * np.prod(dist[None, : counts.shape[1]] ** counts, axis=1)
-    return weights @ mat
+def _mix(dist: np.ndarray, terms) -> np.ndarray:
+    """Sum over (degree fraction, matrices) terms of fraction * (weights @ matrix)."""
+    out = 0.0
+    for frac, (counts, multinom, mat) in terms:
+        weights = multinom * np.prod(dist[None, : counts.shape[1]] ** counts, axis=1)
+        out = out + frac * (weights @ mat)
+    return out
+
+
+def _variable_output(w: np.ndarray, terms, eps: float, q: int) -> np.ndarray:
+    """(1-eps) on size 1 plus eps times the mixed intersection law."""
+    z = np.zeros(q)
+    z[0] = 1.0 - eps
+    if eps > 0.0:
+        z += eps * _mix(w, terms)
+    return z
 
 
 def check_update(
@@ -86,22 +99,16 @@ def check_update(
         raise ValueError("check degree must be at least 2")
     if z[M:].any():
         raise ValueError("variable-to-check sizes cannot exceed M")
-    return _apply(z, *_check_matrices(field, M, d_c, model))
+    return _mix(z, [(1.0, _check_matrices(field, M, d_c, model))])
 
 
-def variable_update(
-    w: np.ndarray, d_v: int, channel: PartialErasureChannel
-) -> np.ndarray:
+def variable_update(w: np.ndarray, d_v: int, channel: PartialErasureChannel) -> np.ndarray:
     """Size distribution of a variable output given the incoming
     check-size distribution w."""
     if d_v < 2:
         raise ValueError("variable degree must be at least 2")
     field, M, eps = channel.field, channel.M, channel.epsilon
-    z = np.zeros(field.q)
-    z[0] = 1.0 - eps
-    if eps > 0.0:
-        z += eps * _apply(w, *_variable_matrices(field, M, d_v))
-    return z
+    return _variable_output(w, [(1.0, _variable_matrices(field, M, d_v))], eps, field.q)
 
 
 @dataclass
@@ -136,14 +143,9 @@ def run(cfg: DeConfig) -> DeResult:
     ch = cfg.channel
     field, M, eps = ch.field, ch.M, ch.epsilon
 
-    chk = [
-        (rho, _check_matrices(field, M, d, cfg.size_model))
-        for d, rho in sorted(cfg.degrees.rho_coeffs.items())
-    ]
-    var = [
-        (lam, _variable_matrices(field, M, d))
-        for d, lam in sorted(cfg.degrees.lambda_coeffs.items())
-    ]
+    rho, lam = cfg.degrees.rho_coeffs, cfg.degrees.lambda_coeffs
+    chk = [(rho[d], _check_matrices(field, M, d, cfg.size_model)) for d in sorted(rho)]
+    var = [(lam[d], _variable_matrices(field, M, d)) for d in sorted(lam)]
 
     z = initial_vtc_dist(ch)
     pe = 1.0 - z[0]
@@ -156,20 +158,14 @@ def run(cfg: DeConfig) -> DeResult:
     for it in range(1, cfg.max_iters + 1):
         if converged:
             break
-        w = np.zeros(field.q)
-        for rho, mats in chk:
-            w += rho * _apply(z, *mats)
+        w = _mix(z, chk)
         # renormalize: mass is conserved exactly in exact arithmetic, but
         # the per-multiset products amplify float drift exponentially
         w_sum = w.sum()
         if abs(w_sum - 1.0) > 1e-9:
             mass_ok = False
         w /= w_sum
-        z = np.zeros(field.q)
-        z[0] = 1.0 - eps
-        if eps > 0.0:
-            for lam, mats in var:
-                z += eps * lam * _apply(w, *mats)
+        z = _variable_output(w, var, eps, field.q)
         z_sum = z.sum()
         if abs(z_sum - 1.0) > 1e-9:
             mass_ok = False
@@ -210,12 +206,16 @@ def threshold_search(
 
     ``check_monotone`` additionally probes a coarse grid and warns if
     convergence is not monotone in epsilon (the bisection assumes it).
+    Each epsilon is run at most once.
     """
     # below 2**-52 the midpoint of two adjacent floats in [0, 1] is one
     # of them, so the bisection would never narrow to within tol_eps
     if not tol_eps >= 2.0**-52:
         raise ValueError(f"bisection tolerance must be at least 2**-52, got {tol_eps}")
+    if cfg.max_iters < 1:  # every probe with eps > 0 would fail
+        raise ValueError(f"max_iters must be at least 1, got {cfg.max_iters}")
 
+    @cache
     def converges(eps: float) -> bool:
         return run(replace(cfg, channel=cfg.channel.with_epsilon(eps))).converged
 

@@ -56,6 +56,8 @@ def run_trials(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
     if graph is None:
         if n is None or d_v is None or d_c is None:
             raise ValueError("give a graph or all of n, d_v, d_c")

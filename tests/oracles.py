@@ -5,8 +5,9 @@ never calls into the package code paths it is used to check.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
-from math import comb
+from math import comb, lcm, prod
 
 from pecldpc import GF
 
@@ -177,6 +178,66 @@ def bec_threshold(d_v: int, d_c: int, tol: float = 1e-6) -> float:
         else:
             hi = mid
     return lo
+
+
+def exact_de_trajectory(
+    field: GF, M: int, eps: Fraction, lam: dict, rho: dict, iters: int
+) -> list[float]:
+    """Density evolution in exact rational arithmetic: P(variable-to-check
+    size > 1) after 0..iters iterations, each rounded once to float, for
+    edge-perspective degree fractions ``lam``/``rho`` (degree -> Fraction).
+
+    Every incoming size tuple is enumerated in order; the check half
+    weights it by the brute-force sumset-size law, the variable half by
+    the brute-force intersection law of sets sharing the sent symbol,
+    with the channel's M-set.  A vector is kept as integer numerators
+    over one common denominator and never reduced: reducing rationals of
+    ~10^5 bits by gcd would cost far more than the recursion itself.
+    """
+    q = field.q
+
+    def half(fracs, max_size, law):
+        """Coefficient numerators of fracs[d] * law(sorted t) over one
+        common denominator, for every degree d and ordered tuple t."""
+        coef = {
+            t: [frac * p for p in law(tuple(sorted(t)))]
+            for d, frac in fracs.items()
+            for t in product(range(1, max_size + 1), repeat=d - 1)
+        }
+        den = lcm(*(c.denominator for cs in coef.values() for c in cs))
+        return {t: [int(c * den) for c in cs] for t, cs in coef.items()}, den
+
+    check = half(rho, M, cache(lambda t: brute_sumset_dist(t, field)))
+    var = half(
+        {d: eps * f for d, f in lam.items()},
+        q,
+        cache(lambda t: brute_common_member_dist(t + (M,), q)[1:]),
+    )
+
+    def mix(nums, den, coef_den):
+        """sum over ordered t of prod(nums[t] / den) * coef[t], as
+        (numerators, denominator)."""
+        coef, cden = coef_den
+        top = max(map(len, coef))
+        out = [0] * q
+        for t, cs in coef.items():
+            weight = den ** (top - len(t)) * prod(nums[s - 1] for s in t)
+            for m, c in enumerate(cs):
+                out[m] += weight * c
+        return out, cden * den**top
+
+    e, E = eps.numerator, eps.denominator
+    nums, den = [E - e] + [0] * (q - 1), E
+    nums[M - 1] += e
+    out = [(den - nums[0]) / den]
+    for _ in range(iters):
+        nums, den = mix(*mix(nums, den, check), var)
+        # plus 1 - eps on size 1: the symbols the channel left clean
+        nums = [x * E for x in nums]
+        nums[0] += (E - e) * den
+        den *= E
+        out.append((den - nums[0]) / den)
+    return out
 
 
 def occupancy_exact(n_balls: int, q: int) -> list[Fraction]:

@@ -71,6 +71,23 @@ def test_threshold_rejects_unusable_tolerance(capsys):
         assert "tolerance" in capsys.readouterr().err
 
 
+def test_iteration_limits_rejected(tmp_path, capsys):
+    threshold = [
+        "threshold", "--q", "4", "--M", "2", "--dv", "3", "--dc", "6", "--model", "exact",
+    ]
+    for iters in ("0", "-3"):
+        assert main(threshold + ["--max-iters", iters]) == 2
+        assert "max_iters" in capsys.readouterr().err
+    simulate = [
+        "simulate", "--q", "4", "--M", "2", "--n", "12", "--dv", "3", "--dc", "6",
+        "--eps", "0.5", "--trials", "2",
+    ]
+    assert main(simulate + ["--max-iters", "-1"]) == 2
+    assert "max_iters" in capsys.readouterr().err
+    code, text = run_cli(simulate + ["--max-iters", "0"], tmp_path)
+    assert code == 0 and rows_of(text)[1][9] == "0"  # avg_iterations
+
+
 # ---------------------------------------------------------
 # pm-table
 # ---------------------------------------------------------

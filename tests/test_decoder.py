@@ -164,6 +164,19 @@ def test_received_mask_outside_field_rejected(q, bad):
             decode(g, np.array(masks, dtype=np.int64))
 
 
+def test_iteration_limit():
+    g = small_graph(4)
+    received = PartialErasureChannel(g.field, 2, 0.5).transmit_zero_word(
+        g.n, np.random.default_rng(3)
+    )
+    with pytest.raises(ValueError, match="max_iters"):
+        decode(g, received, max_iters=-1)
+    # zero iterations: the posterior is the channel output
+    res = decode(g, received, max_iters=0)
+    assert res.iterations == 0
+    assert [s.mask for s in res.estimate] == [int(m) for m in received]
+
+
 def test_received_masks_must_be_integers():
     g = small_graph(4)
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -21,8 +22,9 @@ from pecldpc import (
     variable_update,
 )
 from pecldpc.combinatorics import common_member_intersection_dist
+from pecldpc.symbol_sets import set_layout
 
-from oracles import bec_threshold, bec_trajectory
+from oracles import bec_threshold, bec_trajectory, exact_de_trajectory
 
 
 def bec_cfg(q, eps, **kw):
@@ -138,24 +140,29 @@ def test_multiset_equals_ordered(q, M, d):
 # Check update vs a decoder-semantics Monte Carlo
 # ---------------------------------------------------------
 def test_check_update_matches_decoder_monte_carlo():
-    # one q=4, M=2, d_c=3 check node: sample incoming sets containing 0
-    # with random nonzero labels and push them through ctv_message
+    # one q=4, M=2, d_c=3 check node: incoming sets contain 0 and have
+    # size 2 with probability z[1]; edge labels are random nonzero
+    # elements; all samples go through the decoder's set layout at once
     f = GF(4)
     z = np.array([0.5, 0.5, 0.0, 0.0])
     w = check_update(z, 3, SumsetSizeModel.exact(), f, 2)
     rng = np.random.default_rng(2024)
     samples = 120_000
-    counts = np.zeros(5)
-    for _ in range(samples):
-        incoming = []
-        for _ in range(2):
-            size = 1 if rng.random() < z[0] else 2
-            mask = 1
-            if size == 2:
-                mask |= 1 << int(rng.integers(1, 4))
-            incoming.append((SymbolSet.from_mask(f, mask), int(rng.integers(1, 4))))
-        out = ctv_message(incoming, int(rng.integers(1, 4)), f)
-        counts[len(out)] += 1
+    pairs = rng.random((samples, 2)) >= z[0]
+    masks = np.where(pairs, 1 | 1 << rng.integers(1, 4, (samples, 2)), 1)
+    labels = rng.integers(1, 4, (samples, 2))
+    out_labels = rng.integers(1, 4, samples)
+    # the check rule: scale each set by -label, sumset, scale by 1/out_label
+    sets = set_layout(f)
+    a, b = (sets.scaled(sets.encode(masks[:, j]), f.neg_table[labels[:, j]]) for j in (0, 1))
+    out = sets.scaled(sets.sumsets(a, b), f.inv_table[out_labels])
+    out_masks = sets.to_masks(out).tolist()
+    for i in range(1_000):
+        incoming = [
+            (SymbolSet.from_mask(f, int(masks[i, j])), int(labels[i, j])) for j in (0, 1)
+        ]
+        assert ctv_message(incoming, int(out_labels[i]), f).mask == out_masks[i]
+    counts = np.bincount(sets.sizes(out), minlength=5)
     emp = counts[1:] / samples
     for m in range(4):
         sigma = math.sqrt(max(w[m] * (1 - w[m]), 1e-12) / samples)
@@ -228,6 +235,55 @@ def test_irregular_mixture_matches_hand_mix():
     assert mixed.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+ORACLE_ENSEMBLES = {  # (lambda, rho), exact in binary floating point
+    "regular-3-6": ({3: Fraction(1)}, {6: Fraction(1)}),
+    "mixture": (
+        {2: Fraction(1, 4), 3: Fraction(3, 4)},
+        {4: Fraction(1, 2), 6: Fraction(1, 2)},
+    ),
+}
+
+
+@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("ensemble", ORACLE_ENSEMBLES)
+def test_run_matches_exact_rational_oracle(q, ensemble):
+    # bounds the float path's drift: five iterations with renormalisation
+    # against exact rational density evolution over ordered size tuples
+    lam, rho = ORACLE_ENSEMBLES[ensemble]
+    M, eps = 2, Fraction(1, 2)
+    deg = DegreeDistribution(*({d: float(f) for d, f in c.items()} for c in (lam, rho)))
+    ch = PartialErasureChannel(GF(q), M, float(eps))
+    cfg = DeConfig(
+        ch, deg, SumsetSizeModel.exact(), max_iters=5, convergence_tol=0.0, fixed_point_tol=0.0
+    )
+    got = [pe for _, pe in run(cfg).trajectory]
+    want = exact_de_trajectory(GF(q), M, eps, lam, rho, 5)
+    assert len(got) == len(want) == 6
+    assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
+
+
+def test_de_matrices_built_once_and_read_only():
+    import pecldpc.density_evolution as de_mod
+
+    f, model = GF(4), SumsetSizeModel.exact()
+    tuples, counts, multinom = de_mod._weight_tables(2, 5)
+    assert isinstance(tuples, tuple)
+    assert de_mod._check_matrices(f, 2, 6, model) is de_mod._check_matrices(f, 2, 6, model)
+    assert de_mod._variable_matrices(f, 2, 3) is de_mod._variable_matrices(f, 2, 3)
+    mats = (*de_mod._check_matrices(f, 2, 6, model), *de_mod._variable_matrices(f, 2, 3))
+    for arr in (counts, multinom, *mats):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    # another model instance gets its own check matrices
+    assert de_mod._check_matrices(f, 2, 6, SumsetSizeModel.exact()) is not (
+        de_mod._check_matrices(f, 2, 6, model)
+    )
+    # the public updates hand out fresh arrays
+    w = check_update(np.array([0.5, 0.5, 0, 0]), 6, model, f, 2)
+    w[0] = 0.0
+    assert check_update(np.array([0.5, 0.5, 0, 0]), 6, model, f, 2)[0] > 0.0
+
+
 # ---------------------------------------------------------
 # Threshold search
 # ---------------------------------------------------------
@@ -264,6 +320,78 @@ def test_threshold_model_ordering_single_cell():
     assert ths["exact"] <= ths["union"] + 2e-4
     assert ths["union"] <= ths["balls"] + 2e-4
     assert ths["balls"] <= ths["bound-lower"] + 2e-4
+
+
+@pytest.mark.parametrize("q,M", [(8, 3), (8, 4), (9, 3), (16, 3), (16, 4)])
+def test_threshold_model_ordering_large_fields(q, M):
+    # criterion 7's chain beyond q=5; at q=16, M>=3 the exact law
+    # exceeds the enumeration budget, so the chain skips it there
+    order = ("bound-upper", "exact", "union", "balls", "bound-lower")
+    if q == 16:
+        order = tuple(k for k in order if k != "exact")
+    deg = DegreeDistribution.regular(3, 6)
+    ch = PartialErasureChannel(GF(q), M, 0.0)
+    ths = {k: threshold_search(DeConfig(ch, deg, SumsetSizeModel(k))) for k in order}
+    chain = [ths[k] for k in order]
+    for a, b in zip(chain, chain[1:]):
+        assert a <= b + 2e-4, (q, M, ths)
+
+
+# thresholds of `pecldpc threshold --q 4 --M 2,3,4 --dv 3 --dc 6` (the CLI
+# defaults: tol 1e-4, 2000 iterations, monotone grid on); a change to the
+# DE arithmetic must keep them bit for bit
+Q4_GRID_THRESHOLDS = {
+    (2, "exact"): "0x1.a458000000000p-1",
+    (2, "bound-lower"): "0x1.0000000000000p+0",
+    (2, "bound-upper"): "0x1.55d8000000000p-1",
+    (2, "balls"): "0x1.ccf8000000000p-1",
+    (2, "union"): "0x1.b3a8000000000p-1",
+    (3, "exact"): "0x1.0a88000000000p-1",
+    (3, "bound-lower"): "0x1.1950000000000p-1",
+    (3, "bound-upper"): "0x1.04a0000000000p-1",
+    (3, "balls"): "0x1.0ef0000000000p-1",
+    (3, "union"): "0x1.0c58000000000p-1",
+    (4, "exact"): "0x1.b7b0000000000p-2",
+    (4, "bound-lower"): "0x1.b7b0000000000p-2",
+    (4, "bound-upper"): "0x1.b7b0000000000p-2",
+    (4, "balls"): "0x1.b7b0000000000p-2",
+    (4, "union"): "0x1.b7b0000000000p-2",
+}
+
+
+def test_threshold_q4_grid_pinned():
+    deg = DegreeDistribution.regular(3, 6)
+    got = {}
+    for M, kind in Q4_GRID_THRESHOLDS:
+        cfg = DeConfig(PartialErasureChannel(GF(4), M, 0.0), deg, SumsetSizeModel(kind))
+        got[M, kind] = threshold_search(cfg, tol_eps=1e-4, check_monotone=True).hex()
+    assert got == Q4_GRID_THRESHOLDS
+
+
+def test_threshold_probes_each_epsilon_once(monkeypatch):
+    import pecldpc.density_evolution as de_mod
+
+    real_run, probed = de_mod.run, []
+
+    def counting_run(cfg):
+        probed.append(cfg.channel.epsilon)
+        return real_run(cfg)
+
+    monkeypatch.setattr(de_mod, "run", counting_run)
+    th = de_mod.threshold_search(bec_cfg(2, 0.0), check_monotone=True)
+    assert len(probed) == len(set(probed))
+    # the 17-point grid holds 1.0 and the first four bisection points,
+    # so only the last 10 of the 14 bisection steps need a new run
+    assert len(probed) == 17 + 10
+    probed.clear()
+    assert de_mod.threshold_search(bec_cfg(2, 0.0)) == th
+    assert len(probed) == 1 + 14
+
+
+def test_threshold_rejects_iteration_limits_below_one():
+    for max_iters in (0, -3):
+        with pytest.raises(ValueError, match="max_iters"):
+            threshold_search(bec_cfg(4, 0.0, max_iters=max_iters))
 
 
 def test_threshold_monotone_check_runs_clean():

@@ -75,6 +75,11 @@ def test_argument_validation():
         run_trials(channel(4, 2, 0.1), trials=3, max_iters=5, seed=0)
     with pytest.raises(ValueError):
         run_trials(channel(4, 2, 0.1), n=10, d_v=3, trials=0, max_iters=5, seed=0, d_c=6)
+    with pytest.raises(ValueError, match="max_iters"):
+        run_trials(channel(4, 2, 0.1), n=12, d_v=3, d_c=6, trials=2, max_iters=-1, seed=0)
+    # zero iterations is legal: only the channel output is counted
+    rep = run_trials(channel(4, 2, 0.0), n=12, d_v=3, d_c=6, trials=2, max_iters=0, seed=0)
+    assert rep.successes == 2 and rep.avg_iterations == 0.0
 
 
 @pytest.mark.parametrize("q", [64, 128])
