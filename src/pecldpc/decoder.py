@@ -9,9 +9,15 @@ a singleton or stalls at a fixed point.
 
 One flooding loop serves every field: it runs on whole arrays of edge
 messages in the set layout of ``symbol_sets.set_layout`` (uint16 masks
-with table lookups for small q, bool planes above), computing each
-node's leave-one-out sumsets and intersections as prefix/suffix folds
-over the edges sorted by node.
+with table lookups for small q, bool planes above).  Each node's edges
+form one padded column of a (max degree, nodes) slot array; the pad is
+a sentinel edge slot holding the identity of the node's operation ({0}
+for sumsets, the full set for intersections), so the leave-one-out
+sumsets and intersections are prefix and suffix folds down the rows,
+whatever the degrees.  A node's outputs depend only on its inputs, so
+after the first iteration a pass runs only the nodes with an input that
+changed in the pass before; the others keep their outputs, and the
+decode is the same as a full flooding pass.
 """
 
 from __future__ import annotations
@@ -70,19 +76,27 @@ class DecodeResult:
 
     ``status`` is 'success' when every posterior set (channel info
     intersected with all incoming check messages) is a singleton, else
-    'stalled'.  ``vtc_resolved`` additionally reports whether every
-    edge message reached size 1.  ``vtc_size_history[l][s]`` counts
-    edge messages of size s after iteration l.  ``message_history`` is
-    populated only on request with (ctv, vtc) mask sequences per
+    'stalled'.  ``posterior`` holds those sets as one mask per variable,
+    in the dtype of ``mask_dtype(field.q)``; the ``estimate`` property
+    gives them as SymbolSets.  ``vtc_resolved`` additionally reports
+    whether every edge message reached size 1.  ``vtc_size_history[l][s]``
+    counts edge messages of size s after iteration l.  ``message_history``
+    is populated only on request with (ctv, vtc) mask sequences per
     iteration (ctv is None at iteration 0).
     """
 
     status: str
-    estimate: list[SymbolSet]
+    posterior: np.ndarray
+    field: GF
     iterations: int
     vtc_resolved: bool
     vtc_size_history: list[np.ndarray]
     message_history: list | None = None
+
+    @property
+    def estimate(self) -> list[SymbolSet]:
+        """The posterior sets as SymbolSets, built on each access."""
+        return [SymbolSet.from_mask(self.field, m) for m in self.posterior.tolist()]
 
     def size_history_rows(self) -> list[tuple[int, int, int]]:
         """(iteration, size, count) rows of the edge-message size
@@ -95,43 +109,33 @@ class DecodeResult:
         return rows
 
 
-class _GraphIndex:
-    """Sorted edge views plus fold-step index arrays for one graph."""
-
-    def __init__(self, graph: TannerGraph):
-        f = graph.field
-        labels = graph.edge_label
-
-        self.by_chk = np.argsort(graph.edge_chk, kind="stable")
-        self.by_var = np.argsort(graph.edge_var, kind="stable")
-        self.sfac = f.neg_table[labels[self.by_chk]].astype(np.int64)
-        self.ofac = f.inv_table[labels[self.by_chk]].astype(np.int64)
-        self.var_sorted = graph.edge_var[self.by_var]
-
-        self.pre_c, self.suf_c = _fold_steps(graph.chk_degrees)
-        self.pre_v, self.suf_v = _fold_steps(graph.var_degrees)
-
-        deg_v = graph.var_degrees
-        off_v = np.concatenate(([0], np.cumsum(deg_v)))
-        has = deg_v > 0
-        self.last_pos_v = (off_v[:-1] + deg_v - 1)[has]
-        self.last_vars = np.flatnonzero(has)
+def _padded_slots(node_of_edge: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """(max(1, max degree), nodes) array whose column v lists node v's
+    edge ids in increasing order, padded with the sentinel slot E (the
+    number of edges)."""
+    n_nodes, n_edges = degrees.size, node_of_edge.size
+    # sorting the distinct keys node * E + edge is a stable sort by node,
+    # several times faster than argsort(kind="stable") on int64
+    keys = np.sort(node_of_edge * n_edges + np.arange(n_edges))
+    nodes = keys // n_edges
+    rank = np.arange(n_edges) - np.repeat(np.cumsum(degrees) - degrees, degrees)
+    slots = np.full((max(1, int(degrees.max(initial=0))), n_nodes), n_edges, dtype=np.intp)
+    slots.ravel()[rank * n_nodes + nodes] = keys - nodes * n_edges
+    return slots
 
 
-def _fold_steps(degrees: np.ndarray):
-    """(prefix, suffix) step lists; each step is (targets, sources) in
-    the sorted-edge coordinate system."""
-    off = np.concatenate(([0], np.cumsum(degrees)))[:-1]
-    maxdeg = int(degrees.max()) if degrees.size else 0
-    pre = []
-    for p in range(1, maxdeg):
-        tgt = off[degrees > p] + p
-        pre.append((tgt, tgt - 1))
-    suf = []
-    for p in range(maxdeg - 2, -1, -1):
-        tgt = off[degrees > p + 1] + p
-        suf.append((tgt, tgt + 1))
-    return pre, suf
+def _differs(new: np.ndarray, old: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Flag per entry of ``index``: do the sets it addresses in ``new``
+    and ``old`` differ?  (Bool planes carry one more axis than masks.)"""
+    differ = new != old
+    return differ.any(axis=-1) if differ.ndim > index.ndim else differ
+
+
+def _nodes_of(edges: np.ndarray, node_of_edge: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Sorted distinct nodes the given edges attach to."""
+    mark = np.zeros(n_nodes, dtype=bool)
+    mark[node_of_edge[edges]] = True
+    return np.flatnonzero(mark)
 
 
 def decode(
@@ -152,69 +156,101 @@ def decode(
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
-    sets = set_layout(graph.field)
-    gi = _GraphIndex(graph)
+    field = graph.field
+    sets = set_layout(field)
     n_edges = graph.n_edges
+    chk_slots = _padded_slots(graph.edge_chk, graph.chk_degrees)
+    var_slots = _padded_slots(graph.edge_var, graph.var_degrees)
+    labels = np.append(graph.edge_label, 1)  # any nonzero label for the sentinel
+    sfac = field.neg_table[labels].astype(np.intp)
+    ofac = field.inv_table[labels].astype(np.intp)
 
     chan = sets.encode(_received_masks(graph, received))
-    vtc = chan[graph.edge_var]
-    vtc_sizes = sets.sizes(vtc)
-    posterior = chan
-    post_sizes = sets.sizes(posterior)
-    history = [np.bincount(vtc_sizes, minlength=graph.field.q + 1)]
-    msgs = [(None, sets.to_masks(vtc).tolist())] if record_messages else None
+    # edge message arrays end in the sentinel slot: {0}, the sumset
+    # identity, in vtc and in y (vtc scaled by the negated labels);
+    # the full set, the intersection identity, in ctv
+    vtc = np.concatenate([chan[graph.edge_var], sets.zero_sets(1)])
+    y = sets.scaled(vtc, sfac)
+    ctv = sets.full_sets(n_edges + 1)  # no check heard yet
+    posterior = chan.copy()
+    unresolved = int(np.count_nonzero(sets.sizes(chan) != 1))
+    hist = np.bincount(sets.sizes(vtc[:n_edges]), minlength=field.q + 1)
+    history = [hist.copy()]
+    msgs = [(None, sets.to_masks(vtc[:n_edges]).tolist())] if record_messages else None
 
+    # A node's outputs depend on its inputs alone, so after the first
+    # pass only nodes with a changed input run; the others keep theirs.
+    active_chk = np.arange(graph.m)
     iterations = 0
-    while iterations < max_iters and not bool((post_sizes == 1).all()):
+    while iterations < max_iters and unresolved:
         iterations += 1
-        # check pass: leave-one-out sumsets of the negated-label scaled sets
-        y = sets.scaled(vtc[gi.by_chk], gi.sfac)
-        pre = sets.zero_sets(n_edges)
-        for tgt, src in gi.pre_c:
-            pre[tgt] = sets.sumsets(pre[src], y[src])
-        suf = sets.zero_sets(n_edges)
-        for tgt, src in gi.suf_c:
-            suf[tgt] = sets.sumsets(suf[src], y[src])
-        ctv = np.empty_like(vtc)
-        ctv[gi.by_chk] = sets.scaled(sets.sumsets(pre, suf), gi.ofac)
+        # check pass: leave-one-out sumsets of the scaled inputs
+        slots = np.take(chk_slots, active_chk, axis=1)
+        ys = y[slots]
+        deg = len(ys)
+        pre = np.empty_like(ys)
+        suf = np.empty_like(ys)
+        pre[0] = suf[-1] = sets.zero_sets(slots.shape[1])
+        for j in range(1, deg):
+            pre[j] = sets.sumsets(pre[j - 1], ys[j - 1])
+            suf[-1 - j] = sets.sumsets(suf[-j], ys[-j])
+        # row j leaves input j out: prefix + suffix, where the first row
+        # is its suffix alone and the last row its prefix alone
+        for j in range(1, deg - 1):
+            pre[j] = sets.sumsets(pre[j], suf[j])
+        pre[0] = suf[0]
+        out = sets.scaled(pre, ofac[slots])
+        hit = _differs(out, ctv[slots], slots) & (slots < n_edges)
+        edges = slots[hit]
+        ctv[edges] = out[hit]
+        active_var = _nodes_of(edges, graph.edge_var, graph.n)
 
         # variable pass: leave-one-out intersections with the channel set
-        c = ctv[gi.by_var]
-        pre = sets.full_sets(n_edges)
-        for tgt, src in gi.pre_v:
-            pre[tgt] = pre[src] & c[src]
-        suf = sets.full_sets(n_edges)
-        for tgt, src in gi.suf_v:
-            suf[tgt] = suf[src] & c[src]
-        new_vtc = np.empty_like(vtc)
-        new_vtc[gi.by_var] = chan[gi.var_sorted] & pre & suf
-
-        posterior = chan.copy()
-        posterior[gi.last_vars] = (
-            chan[gi.last_vars] & pre[gi.last_pos_v] & c[gi.last_pos_v]
-        )
-
-        new_sizes = sets.sizes(new_vtc)
-        post_sizes = sets.sizes(posterior)
+        slots = np.take(var_slots, active_var, axis=1)
+        cs = ctv[slots]
+        deg = len(cs)
+        pre = np.empty_like(cs)
+        suf = np.empty_like(cs)
+        pre[0] = chan[active_var]
+        suf[-1] = sets.full_sets(slots.shape[1])
+        for j in range(1, deg):
+            pre[j] = pre[j - 1] & cs[j - 1]
+            suf[-1 - j] = suf[-j] & cs[-j]
+        post = pre[-1] & cs[-1]
+        out = pre & suf
+        hit = _differs(out, vtc[slots], slots) & (slots < n_edges)
+        edges = slots[hit]
+        new = out[hit]
+        new_sizes = sets.sizes(new)
+        moved = _differs(post, posterior[active_var], active_var)
+        moved_vars = active_var[moved]
+        post_sizes = sets.sizes(post[moved])
         if not (new_sizes.all() and post_sizes.all()):
             raise DecodingInconsistency("received sets admit no common codeword")
+        unresolved += int(np.count_nonzero(post_sizes != 1))
+        unresolved -= int(np.count_nonzero(sets.sizes(posterior[moved_vars]) != 1))
+        posterior[moved_vars] = post[moved]
 
-        history.append(np.bincount(new_sizes, minlength=graph.field.q + 1))
+        hist -= np.bincount(sets.sizes(vtc[edges]), minlength=field.q + 1)
+        hist += np.bincount(new_sizes, minlength=field.q + 1)
+        history.append(hist.copy())
+        vtc[edges] = new
+        y[edges] = sets.scaled(new, sfac[edges])
         if record_messages:
-            msgs.append((sets.to_masks(ctv).tolist(), sets.to_masks(new_vtc).tolist()))
+            msgs.append(
+                (sets.to_masks(ctv[:n_edges]).tolist(), sets.to_masks(vtc[:n_edges]).tolist())
+            )
 
-        if np.array_equal(new_vtc, vtc):
+        if not edges.size:  # no vtc message changed: a fixed point
             break
-        vtc, vtc_sizes = new_vtc, new_sizes
+        active_chk = _nodes_of(edges, graph.edge_chk, graph.m)
 
-    resolved = bool((post_sizes == 1).all())
     return DecodeResult(
-        status=STATUS_SUCCESS if resolved else STATUS_STALLED,
-        estimate=[
-            SymbolSet.from_mask(graph.field, m) for m in sets.to_masks(posterior).tolist()
-        ],
+        status=STATUS_STALLED if unresolved else STATUS_SUCCESS,
+        posterior=sets.to_masks(posterior),
+        field=field,
         iterations=iterations,
-        vtc_resolved=bool((vtc_sizes == 1).all()),
+        vtc_resolved=bool(hist[1] == n_edges),
         vtc_size_history=history,
         message_history=msgs,
     )

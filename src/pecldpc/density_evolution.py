@@ -10,12 +10,14 @@ channel's M-set joining the intersection on an erasure event).
 
 Each half is a degree-weighted mix of (weights @ matrix) terms whose
 matrix rows are the per-size-multiset output distributions; a matrix
-depends only on (field, M, degree, model) and is built once per process.
+depends only on (field, M, degree, model) and is built once per process,
+or, for the check matrices, once per model for as long as it lives.
 """
 
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass, replace
 from functools import cache
 from itertools import combinations_with_replacement
@@ -53,12 +55,20 @@ def _weight_tables(max_size: int, k: int):
     return tuples, counts, multinom
 
 
-@cache  # keys the model by identity; it caches its own distributions
+# model -> {(field, M, d_c): check matrices}; held weakly, so a model
+# (and its own distribution cache) is freed once its caller drops it
+_CHECK_MATRICES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _check_matrices(field: GF, M: int, d_c: int, model: SumsetSizeModel):
-    tuples, counts, multinom = _weight_tables(M, d_c - 1)
-    pmat = np.stack([model.distribution(t, field) for t in tuples])
-    pmat.setflags(write=False)
-    return counts, multinom, pmat
+    built = _CHECK_MATRICES.setdefault(model, {})
+    key = (field, M, d_c)
+    if key not in built:
+        tuples, counts, multinom = _weight_tables(M, d_c - 1)
+        pmat = np.stack([model.distribution(t, field) for t in tuples])
+        pmat.setflags(write=False)
+        built[key] = counts, multinom, pmat
+    return built[key]
 
 
 @cache

@@ -75,7 +75,8 @@ def run_trials(
         if result.status == STATUS_SUCCESS:
             successes += 1
         total_iters += result.iterations
-        unresolved += sum(1 for s in result.estimate if len(s) > 1)
+        post = result.posterior
+        unresolved += int(np.count_nonzero(post & (post - 1)))  # masks of 2+ elements
 
     return TrialReport(
         n=n,

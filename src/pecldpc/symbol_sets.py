@@ -205,11 +205,13 @@ class MaskTables:
     def full_sets(self, n: int) -> np.ndarray:
         return np.full(n, self.full_mask, dtype=np.uint16)
 
+    # both lookups index the flattened table: one gather at (row << q) | col
+    # takes half the time of indexing the 2-d table with two index arrays
     def scaled(self, sets: np.ndarray, factors: np.ndarray) -> np.ndarray:
-        return self.scale[factors, sets]
+        return self.scale.ravel()[(np.asarray(factors, dtype=np.intp) << self.q) | sets]
 
     def sumsets(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.pair_sum[a, b]
+        return self.pair_sum.ravel()[(a.astype(np.intp) << self.q) | b]
 
     def sizes(self, sets: np.ndarray) -> np.ndarray:
         return self.popcount[sets]
@@ -248,7 +250,7 @@ class SetPlanes:
         return np.ones((n, self.q), dtype=bool)
 
     def scaled(self, sets: np.ndarray, factors: np.ndarray) -> np.ndarray:
-        return np.take_along_axis(sets, self._div[factors], axis=1)
+        return np.take_along_axis(sets, self._div[factors], axis=-1)
 
     def sumsets(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         out = np.zeros_like(a)

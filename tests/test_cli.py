@@ -189,6 +189,41 @@ def test_byte_identical_reruns(tmp_path):
         assert a == b and a
 
 
+@pytest.mark.parametrize(
+    "args, rows",
+    [
+        (
+            "--q 4 --M 2 --n 600 --eps-grid 0.7:0.85:0.05",
+            [
+                "4,2,3,6,600,0.7,20,20,1,8.15,0",
+                "4,2,3,6,600,0.75,20,20,1,11.3,0",
+                "4,2,3,6,600,0.8,20,15,0.75,20.7,0.136083333333",
+                "4,2,3,6,600,0.85,20,0,0,11.15,0.680833333333",
+            ],
+        ),
+        (
+            "--q 16 --M 4 --n 240 --eps-grid 0.5:0.7:0.1",
+            [
+                "16,4,3,6,240,0.5,20,20,1,3.45,0",
+                "16,4,3,6,240,0.6,20,20,1,5.4,0",
+                "16,4,3,6,240,0.7,20,16,0.8,10.6,0.13",
+            ],
+        ),
+    ],
+    ids=["q4", "q16"],
+)
+def test_simulate_pinned_output(tmp_path, args, rows):
+    # seeded output recorded when every decoder pass ran every node;
+    # a decode that drifts from full flooding shows up here
+    code, text = run_cli(
+        ["simulate", *args.split(), "--dv", "3", "--dc", "6", "--trials", "20", "--seed", "3"],
+        tmp_path,
+    )
+    assert code == 0
+    data = [ln for ln in text.splitlines() if not ln.startswith("#")]
+    assert data[1:] == rows
+
+
 def test_validation_exit_code(tmp_path, capsys):
     assert main(["capacity", "--q", "6", "--M", "2", "--eps", "0.5"]) == 2
     assert "prime power" in capsys.readouterr().err

@@ -165,6 +165,52 @@ def test_planes_layout_agrees_with_reference(q):
 
 
 # ---------------------------------------------------------
+# decode() vs the reference on random irregular graphs
+# ---------------------------------------------------------
+def random_tanner_graph(field, rng, edgeless=False):
+    """A graph with mixed degrees: a random share of the variables gets
+    two edges, and further edges join uniform random ends, so degree-0
+    and degree-1 variables, edgeless and degree-1 checks and parallel
+    edges all occur."""
+    n = int(rng.integers(1, 20))
+    m = int(rng.integers(1, n + 1))
+    core = np.repeat(np.arange(int(rng.integers(0, n + 1))), 2)
+    extra = rng.integers(0, n, int(rng.integers(0, 2 * n + 1)))
+    edge_var = np.zeros(0, int) if edgeless else np.concatenate([core, extra])
+    n_edges = edge_var.size
+    return TannerGraph(
+        field, edge_var, rng.integers(0, m, n_edges), rng.integers(1, field.q, n_edges),
+        n=n, m=m,
+    )
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 13, 16, 67])
+def test_irregular_graphs_agree_with_reference(q):
+    rng = np.random.default_rng(1000 + q)
+    f = GF(q)
+    seen = set()
+    for k in range(12):
+        g = random_tanner_graph(f, rng, edgeless=k == 0)
+        ch = PartialErasureChannel(f, int(rng.integers(2, min(q, 4) + 1)),
+                                   float(rng.uniform(0.1, 0.9)))
+        received = [SymbolSet.from_mask(f, int(m)) for m in ch.transmit_zero_word(g.n, rng)]
+        res = assert_decode_matches_reference(g, received, int(rng.integers(0, 20)))
+        pairs = list(zip(g.edge_var.tolist(), g.edge_chk.tolist()))
+        for name, present in [
+            ("no edges", g.n_edges == 0),
+            ("degree-0 variable", (g.var_degrees == 0).any()),
+            ("mixed variable degrees", len(set(g.var_degrees.tolist())) > 2),
+            ("edgeless check", (g.chk_degrees == 0).any()),
+            ("degree-1 check", (g.chk_degrees == 1).any()),
+            ("parallel edges", len(set(pairs)) < len(pairs)),
+            ("two or more iterations", res.iterations >= 2),
+        ]:
+            if present:
+                seen.add(name)
+    assert len(seen) == 7, seen
+
+
+# ---------------------------------------------------------
 # parallel edges are legitimate ensemble members
 # ---------------------------------------------------------
 def test_parallel_edges_decode():

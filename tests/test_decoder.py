@@ -12,6 +12,8 @@ from pecldpc import (
     decode,
     vtc_message,
 )
+from pecldpc.symbol_sets import mask_dtype
+
 from oracles import brute_ctv
 from test_cross_validation import assert_decode_matches_reference
 
@@ -198,6 +200,19 @@ def test_received_mask_array_dtypes_agree():
         assert [s.mask for s in got] == want
     with pytest.raises(DecodingInconsistency):
         decode(g, np.zeros(g.n, dtype=np.uint32))
+
+
+@pytest.mark.parametrize("q", [4, 16, 128])
+def test_posterior_is_a_mask_array(q):
+    g = small_graph(q)
+    received = PartialErasureChannel(g.field, 3, 0.5).transmit_zero_word(
+        g.n, np.random.default_rng(4)
+    )
+    res = decode(g, received, max_iters=10)
+    assert res.posterior.dtype == mask_dtype(q)
+    assert res.posterior.shape == (g.n,)
+    assert [s.mask for s in res.estimate] == res.posterior.tolist()
+    assert all(s.field == g.field for s in res.estimate)
 
 
 # ---------------------------------------------------------

@@ -1,5 +1,7 @@
+import gc
 import math
 import warnings
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -282,6 +284,18 @@ def test_de_matrices_built_once_and_read_only():
     w = check_update(np.array([0.5, 0.5, 0, 0]), 6, model, f, 2)
     w[0] = 0.0
     assert check_update(np.array([0.5, 0.5, 0, 0]), 6, model, f, 2)[0] > 0.0
+
+
+def test_de_model_freed_after_run():
+    # the check-matrix memo holds models weakly: once the caller drops a
+    # model, it and its distribution cache can be collected
+    model = SumsetSizeModel.exact()
+    cfg = DeConfig(PartialErasureChannel(GF(4), 2, 0.5), DegreeDistribution.regular(3, 6), model)
+    assert run(cfg).iterations > 0
+    gone = weakref.ref(model)
+    del model, cfg
+    gc.collect()
+    assert gone() is None
 
 
 # ---------------------------------------------------------

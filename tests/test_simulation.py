@@ -37,6 +37,23 @@ def test_deterministic_under_seed():
     assert a == b
 
 
+@pytest.mark.parametrize("q, M, eps", [(4, 2, 0.85), (128, 4, 1.0)])
+def test_residual_rate_counts_unresolved_posteriors(q, M, eps):
+    # run_trials counts the masks with two or more elements (uint64 masks
+    # at q=4, Python ints at q=128); replaying its trials and counting the
+    # estimate sets gives the same rate
+    ch, kw = channel(q, M, eps), dict(n=120, d_v=3, d_c=6, max_iters=40)
+    rep = run_trials(ch, trials=6, seed=5, **kw)
+    unresolved = 0
+    for t in range(6):
+        rng = np.random.default_rng([5, t])
+        g = build_regular(kw["n"], 3, 6, ch.field, rng)
+        res = decode(g, ch.transmit_zero_word(g.n, rng), max_iters=kw["max_iters"])
+        unresolved += sum(1 for s in res.estimate if len(s) > 1)
+    assert unresolved > 0
+    assert rep.residual_symbol_error_rate == unresolved / (6 * kw["n"])
+
+
 def test_subcritical_vs_supercritical():
     # q=4, M=2, (3,6): threshold is approximately 0.82
     low = run_trials(
