@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 
 from .channel import PartialErasureChannel
@@ -30,6 +31,9 @@ from .sumset_models import (
     SumsetSizeModel,
 )
 from .symbol_sets import SymbolSet
+
+
+MAX_EPS_POINTS = 10**6
 
 
 class CliError(ValueError):
@@ -52,8 +56,14 @@ def _parse_eps(args) -> list[float]:
             start, stop, step = (float(tok) for tok in args.eps_grid.split(":"))
         except ValueError:
             raise CliError(f"bad --eps-grid {args.eps_grid!r}") from None
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise CliError("eps grid bounds and step must be finite")
         if step <= 0 or stop < start:
             raise CliError("eps grid needs step > 0 and stop >= start")
+        # the grid has about (stop - start) / step + 1 points (inf when
+        # step is subnormal); count them before building the list
+        if not (stop - start) / step < MAX_EPS_POINTS:
+            raise CliError(f"eps grid would exceed {MAX_EPS_POINTS} points")
         grid = []
         k = 0
         while True:

@@ -13,8 +13,9 @@ with table lookups for small q, bool planes above).  Each node's edges
 form one padded column of a (max degree, nodes) slot array; the pad is
 a sentinel edge slot holding the identity of the node's operation ({0}
 for sumsets, the full set for intersections), so the leave-one-out
-sumsets and intersections are prefix and suffix folds down the rows,
-whatever the degrees.  A node's outputs depend only on its inputs, so
+sumsets (one ``leave_one_out_sumsets`` call of the layout) and
+intersections (prefix and suffix folds down the rows) need no case for
+the degrees.  A node's outputs depend only on its inputs, so
 after the first iteration a pass runs only the nodes with an input that
 changed in the pass before; the others keep their outputs, and the
 decode is the same as a full flooding pass.
@@ -186,20 +187,7 @@ def decode(
         iterations += 1
         # check pass: leave-one-out sumsets of the scaled inputs
         slots = np.take(chk_slots, active_chk, axis=1)
-        ys = y[slots]
-        deg = len(ys)
-        pre = np.empty_like(ys)
-        suf = np.empty_like(ys)
-        pre[0] = suf[-1] = sets.zero_sets(slots.shape[1])
-        for j in range(1, deg):
-            pre[j] = sets.sumsets(pre[j - 1], ys[j - 1])
-            suf[-1 - j] = sets.sumsets(suf[-j], ys[-j])
-        # row j leaves input j out: prefix + suffix, where the first row
-        # is its suffix alone and the last row its prefix alone
-        for j in range(1, deg - 1):
-            pre[j] = sets.sumsets(pre[j], suf[j])
-        pre[0] = suf[0]
-        out = sets.scaled(pre, ofac[slots])
+        out = sets.scaled(sets.leave_one_out_sumsets(y[slots]), ofac[slots])
         hit = _differs(out, ctv[slots], slots) & (slots < n_edges)
         edges = slots[hit]
         ctv[edges] = out[hit]

@@ -37,6 +37,8 @@ class TannerGraph:
         self.edge_label = el
         self.n = int(n) if n is not None else int(ev.max()) + 1 if ev.size else 0
         self.m = int(m) if m is not None else int(ec.max()) + 1 if ec.size else 0
+        if self.n < 0 or self.m < 0:
+            raise ValueError(f"graph sizes must be nonnegative, got n={self.n}, m={self.m}")
         if ev.size and (ev.min() < 0 or ev.max() >= self.n):
             raise ValueError("variable index out of range")
         if ec.size and (ec.min() < 0 or ec.max() >= self.m):

@@ -38,9 +38,11 @@ from .symbol_sets import index_masks, set_layout
 
 DEFAULT_WORK_CAP = 10**8
 DEFAULT_MC_SAMPLES = 10**6
-# (state, subset) pairs the exact fold expands at once; keeps each of
-# its temporaries well under 1 MB in either set layout
+# (state, subset) pairs the exact fold expands at once, and samples the
+# Monte Carlo law draws at once; keeps each of their temporaries at a few
+# MB in either set layout
 _FOLD_BLOCK = 1 << 14
+_MC_CHUNK = 1 << 14
 
 MODEL_KINDS = ("exact", "bound-lower", "bound-upper", "balls", "union")
 
@@ -194,12 +196,15 @@ def _monte_carlo_dist(
     if q > 64:
         raise ValueError("monte_carlo sampling supports q <= 64")
     sets = set_layout(field)
-    acc = None
+    acc = sets.zero_sets(samples)  # {0}, the sumset identity
     for s in sizes:
-        # uniform size-s subsets via the first s slots of random permutations
-        picks = rng.random((samples, q)).argsort(axis=1)[:, :s]
-        drawn = sets.encode(index_masks(picks, q))
-        acc = drawn if acc is None else sets.sumsets(acc, drawn)
+        # draws in row chunks: consecutive rng.random calls continue one
+        # stream, so the samples are those of a single (samples, q) call
+        for lo in range(0, samples, _MC_CHUNK):
+            hi = min(lo + _MC_CHUNK, samples)
+            # uniform size-s subsets via the first s slots of random permutations
+            picks = rng.random((hi - lo, q)).argsort(axis=1)[:, :s]
+            acc[lo:hi] = sets.sumsets(acc[lo:hi], sets.encode(index_masks(picks, q)))
     hist = np.bincount(sets.sizes(acc), minlength=q + 1)[1:]
     return hist / samples
 

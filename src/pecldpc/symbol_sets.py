@@ -6,10 +6,12 @@ field-aware operations, scaling by a nonzero element and the sumset,
 exist only in the set-array layout :func:`set_layout` picks for the
 field: uint16 masks with table lookups (:class:`MaskTables`) for
 q <= MASK_TABLE_MAX_Q, and (n, q) bool planes (:class:`SetPlanes`)
-above.  Both offer the same operations (encode, zero_sets, full_sets,
-scaled, sumsets, sizes, to_masks) and intersect with ``&``, so the
-decoder, the exact and Monte Carlo sumset laws and the SymbolSet
-operations all run the same code on either.
+above, whose sumsets are products of additive-character spectra (the
+transform of the FFT-BP check node).  Both offer the same operations
+(encode, zero_sets, full_sets, scaled, sumsets, leave_one_out_sumsets,
+sizes, to_masks) and intersect with ``&``, so the decoder's check pass,
+the exact and Monte Carlo sumset laws and the SymbolSet operations all
+run the same code on either.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from .gf import GF
 
 # pairwise sumset table is 4**q entries; 12 keeps it at 32 MB of uint16
 MASK_TABLE_MAX_Q = 12
+# bound on beta * q for every product of spectra SetPlanes maps back
+_SPECTRAL_BOUND = 2**36
 
 
 def mask_dtype(q: int):
@@ -213,6 +217,23 @@ class MaskTables:
     def sumsets(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.pair_sum.ravel()[(a.astype(np.intp) << self.q) | b]
 
+    def leave_one_out_sumsets(self, ys: np.ndarray) -> np.ndarray:
+        """(D, n) masks whose row j holds, per column, the sumset of
+        every row of ``ys`` but row j, from prefix and suffix folds."""
+        deg = len(ys)
+        pre = np.empty_like(ys)
+        suf = np.empty_like(ys)
+        pre[0] = suf[-1] = self.zero_sets(ys.shape[1])
+        for j in range(1, deg):
+            pre[j] = self.sumsets(pre[j - 1], ys[j - 1])
+            suf[-1 - j] = self.sumsets(suf[-j], ys[-j])
+        # row j is prefix + suffix, where the first row is its suffix
+        # alone and the last row its prefix alone
+        for j in range(1, deg - 1):
+            pre[j] = self.sumsets(pre[j], suf[j])
+        pre[0] = suf[0]
+        return pre
+
     def sizes(self, sets: np.ndarray) -> np.ndarray:
         return self.popcount[sets]
 
@@ -224,18 +245,55 @@ class SetPlanes:
     """Set-array layout for q > MASK_TABLE_MAX_Q: n sets are an (n, q)
     bool array whose row r has column x set iff x is in set r.
 
-    A sumset ORs, over the members x of the left sets, the right sets
-    translated by x; scaling gathers columns through a q x q table.
+    Scaling gathers columns through a q x q table.  Sumsets go through
+    the characters of the additive group of GF(p^s), which is Z_p^s in
+    the base-p digits of the element indices: character c maps x to
+    w**<c, x>, with w = exp(2 pi i / p) and <c, x> the digit dot product
+    mod p.  Their q x q matrix W is the real +-1 Walsh-Hadamard matrix
+    for p = 2 and complex otherwise.  For sets A_1..A_k as bool rows,
+    the spectra A_i @ W multiply elementwise, and the product mapped
+    back by conj(W) / q gives, for each z, the number N(z) of tuples in
+    A_1 x ... x A_k that sum to z.  So the sumset is {z : N(z) > 1/2}.
+
+    Exactness.  Every count and spectrum entry is at most
+    B = prod |A_i|; the layout bounds it by beta = prod max(|A_i|, 2),
+    which also bounds the number of factors k by log2(beta).  A product
+    goes back through conj(W) / q only while beta * q <= 2**36
+    (_SPECTRAL_BOUND).  A longer fold re-thresholds between groups of
+    factors: it maps the running product back, takes > 1/2 and
+    transforms again, which yields the exact set and restarts the error.
+    - p = 2: the spectra and their products are integers, and the
+      partial sums of the inverse multiples of 1/q, all at most beta in
+      magnitude.  As beta * q <= 2**36 < 2**53, float64 holds every one
+      exactly, and N(z) comes out exact.
+    - odd p: each spectrum entry errs by at most q * 2**-52 * |A_i|, the
+      product of k of them (with its k roundings) by k * q * 2**-51 * B,
+      and the inverse adds q * 2**-52 * B.  With k <= 35, each N(z) is
+      off by at most (k + 1) * q * 2**-51 * beta <= 36 * 2**-15 < 2**-9,
+      far below 1/2.
+    Pairwise sumsets (beta * q <= q**3) never need the re-threshold.
     """
 
     def __init__(self, field: GF):
-        self.q = field.q
-        # _minus[x, z] = z - x: member z of x + B is member z - x of B
-        self._minus = field.add_table[:, field.neg_table].T.astype(np.intp)
+        q, p = field.q, field.p
+        self.q = q
         # _div[a, z] = z / a: member z of a * B is member z / a of B
         self._div = field.mul_table[field.inv_table].astype(np.intp)
         # _bits[x] = mask of {x}
-        self._bits = np.array([1 << x for x in range(self.q)], dtype=mask_dtype(self.q))
+        self._bits = np.array([1 << x for x in range(q)], dtype=mask_dtype(q))
+        digits = np.arange(q)[:, None] // p ** np.arange(field.s) % p
+        phase = digits @ digits.T % p
+        if p == 2:
+            self._chars = 1.0 - 2.0 * phase
+        else:
+            self._chars = np.exp(2j * np.pi * np.arange(p) / p)[phase]
+        self._inverse = self._chars.conj() / q
+        self._unit = self._chars[0]  # spectrum of {0}: all ones
+        # products mapped back keep beta <= _limit; a running fold keeps
+        # beta <= _fold_limit, so times one set, or times another fold
+        # after one side is re-thresholded to beta <= q, it meets _limit
+        self._limit = _SPECTRAL_BOUND // q
+        self._fold_limit = self._limit // q
 
     def encode(self, masks: np.ndarray) -> np.ndarray:
         """Planes of valid masks given in the dtype of ``mask_dtype(q)``."""
@@ -250,16 +308,57 @@ class SetPlanes:
         return np.ones((n, self.q), dtype=bool)
 
     def scaled(self, sets: np.ndarray, factors: np.ndarray) -> np.ndarray:
-        return np.take_along_axis(sets, self._div[factors], axis=-1)
+        # one flat gather: the set of factors[i] starts at offset i * q,
+        # ~2x faster than take_along_axis on the decoder's stacks
+        offsets = np.arange(0, np.size(factors) * self.q, self.q)
+        return np.take(sets, self._div[factors] + offsets.reshape(np.shape(factors) + (1,)))
 
     def sumsets(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(a)
-        for x in np.flatnonzero(a.any(axis=0)):
-            out |= a[:, x, None] & b[:, self._minus[x]]
-        return out
+        return self._sets((a @ self._chars) * (b @ self._chars))
+
+    def leave_one_out_sumsets(self, ys: np.ndarray) -> np.ndarray:
+        """(D, n, q) planes whose row j holds, per column, the sumset of
+        every row of ``ys`` but row j: prefix and suffix products of the
+        spectra, one product and one inverse transform per output row."""
+        deg = len(ys)
+        spectra = ys @ self._chars
+        # beta factor of each input row: its largest set size, at least 2
+        bounds = np.maximum(spectra[..., 0].real.max(axis=1, initial=0), 2).tolist()
+
+        def running(order):
+            # products of the spectra before each position of ``order``
+            acc, beta = self._unit, 1.0
+            out = [(acc, beta)]
+            for j in order[:-1]:
+                if beta * bounds[j] > self._fold_limit:
+                    acc, beta = self._rethreshold(acc)
+                acc, beta = acc * spectra[j], beta * bounds[j]
+                out.append((acc, beta))
+            return out
+
+        products = np.empty_like(spectra)
+        pre, suf = running(range(deg)), running(range(deg - 1, -1, -1))[::-1]
+        for j, ((a, beta_a), (b, beta_b)) in enumerate(zip(pre, suf)):
+            if beta_a * beta_b > self._limit:
+                if beta_a >= beta_b:
+                    a, _ = self._rethreshold(a)
+                else:
+                    b, _ = self._rethreshold(b)
+            np.multiply(a, b, out=products[j])
+        return self._sets(products)
+
+    def _sets(self, spectra: np.ndarray) -> np.ndarray:
+        """The sets whose tuple counts ``spectra`` hold: N(z) > 1/2."""
+        return (spectra @ self._inverse).real > 0.5
+
+    def _rethreshold(self, spectra: np.ndarray):
+        """The exact sets behind a product of spectra, transformed
+        again, with their beta."""
+        spectra = self._sets(spectra) @ self._chars
+        return spectra, max(2.0, spectra[:, 0].real.max(initial=0))
 
     def sizes(self, sets: np.ndarray) -> np.ndarray:
-        return np.count_nonzero(sets, axis=1)
+        return sets.sum(axis=-1)
 
     def to_masks(self, sets: np.ndarray) -> np.ndarray:
         """Masks of the sets, in the dtype of ``mask_dtype(q)``."""

@@ -1,4 +1,5 @@
 import csv
+import time
 
 import pytest
 
@@ -235,6 +236,26 @@ def test_validation_exit_code(tmp_path, capsys):
         pm = ["pm-table", "--q", "16", "--sizes", "8,8,8", "--model", "exact"]
         assert main(pm + ["--mc-samples", samples]) == 2
     assert main(["bogus-command"]) == 2
+
+
+def test_oversized_eps_grid_refused(capsys):
+    # 10**12 points: refused from the grid length, before any is built
+    start = time.perf_counter()
+    assert main(["capacity", "--q", "4", "--M", "2", "--eps-grid", "0:1:1e-12"]) == 2
+    assert time.perf_counter() - start < 5
+    assert "eps grid would exceed" in capsys.readouterr().err
+    for grid in ("0:1:5e-324", "0:inf:0.1", "0:1:nan"):
+        assert main(["capacity", "--q", "4", "--M", "2", "--eps-grid", grid]) == 2
+
+
+def test_negative_graph_size_exit_code(tmp_path, capsys):
+    graph = tmp_path / "graph.txt"
+    graph.write_text("4 -3 1\n")
+    received = tmp_path / "received.txt"
+    received.write_text("0,1\n")
+    args = ["decode-trace", "--graph", str(graph), "--received", str(received)]
+    assert main(args) == 2
+    assert "graph sizes must be nonnegative" in capsys.readouterr().err
 
 
 def test_budget_exit_code(tmp_path, capsys):

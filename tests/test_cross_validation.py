@@ -20,6 +20,7 @@ from pecldpc import (
     run,
     vtc_message,
 )
+from pecldpc.symbol_sets import SetPlanes
 
 
 # ---------------------------------------------------------
@@ -162,6 +163,46 @@ def test_planes_layout_agrees_with_reference(q):
         ch = PartialErasureChannel(f, int(rng.integers(2, 6)), float(rng.uniform(0.4, 0.9)))
         received = [ch.transmit(0, rng) for _ in range(g.n)]
         assert_decode_matches_reference(g, received, 15)
+
+
+# ---------------------------------------------------------
+# one high-degree check: long products of spectra must stay exact
+# ---------------------------------------------------------
+@pytest.mark.parametrize(
+    "q, d_c, received_mask, ctv_mask",
+    [
+        # labels 1 and inputs {0,1}: the sumset of the other d_c - 1 inputs
+        # is the prime subfield {0..p-1}, p elements
+        (25, 80, 0b11, 0b11111),
+        (49, 60, 0b11, 0b1111111),
+        (125, 60, 0b11, 0b11111),
+        # characteristic 2, inputs {0,1,2}: the sumset is {0,1,2,3}
+        (256, 60, 0b111, 0b1111),
+        # the plain product of the d_c - 1 spectra, mapped back once,
+        # reads 11, 28, 7 and 8 elements in these four cases
+    ],
+)
+def test_high_degree_check_agrees_with_reference(monkeypatch, q, d_c, received_mask, ctv_mask):
+    f = GF(q)
+    g = TannerGraph(f, np.arange(d_c), np.zeros(d_c, int), np.ones(d_c, int))
+    received = [SymbolSet.from_mask(f, received_mask)] * d_c
+    # spies: count the re-thresholds, and record the largest tuple count
+    # prod |A_i| (the spectrum at character 0) of each product mapped back
+    calls, counts = [], []
+    rethreshold, to_sets = SetPlanes._rethreshold, SetPlanes._sets
+    monkeypatch.setattr(
+        SetPlanes, "_rethreshold", lambda self, s: calls.append(1) or rethreshold(self, s)
+    )
+    monkeypatch.setattr(
+        SetPlanes, "_sets",
+        lambda self, s: counts.append(s[..., 0].real.max(initial=0)) or to_sets(self, s),
+    )
+    res = assert_decode_matches_reference(g, received, 5)
+    assert calls  # the fold was long enough to re-threshold
+    assert max(counts) * q <= 2**36  # the bound of the SetPlanes exactness argument
+    ctv, _ = res.message_history[1]
+    assert [int(m) for m in ctv] == [ctv_mask] * d_c
+    assert res.status == "stalled" and res.iterations == 1
 
 
 # ---------------------------------------------------------

@@ -110,6 +110,12 @@ def test_from_text_rejects_garbage():
         TannerGraph.from_text("5 2 1\n0 0\n")
 
 
+@pytest.mark.parametrize("text", ["4 -3 1\n", "4 3 -1\n", "4 -1 -1\n"])
+def test_negative_graph_sizes_rejected(text):
+    with pytest.raises(ValueError, match="graph sizes must be nonnegative"):
+        TannerGraph.from_text(text)
+
+
 # ---------------------------------------------------------
 # Degree distributions
 # ---------------------------------------------------------

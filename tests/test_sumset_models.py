@@ -133,6 +133,17 @@ def test_monte_carlo_close_to_exact():
     assert mc.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_monte_carlo_draws_pinned():
+    # recorded before the draws were chunked: 40,000 samples span three
+    # chunks, whose consecutive draws must reproduce one large draw
+    mc = exact_dist(
+        (2, 3, 3), GF(16), method="monte_carlo", samples=40_000,
+        rng=np.random.default_rng(2024),
+    )
+    counts = [0, 0, 0, 220, 0, 0, 0, 10604, 0, 0, 0, 7431, 0, 21745, 0, 0]
+    assert mc.tolist() == [c / 40_000 for c in counts]
+
+
 def test_monte_carlo_needs_samples():
     f = GF(4)
     for samples in (0, -3):

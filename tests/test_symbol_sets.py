@@ -168,7 +168,7 @@ def test_sumset_fold_associative_commutative():
 # ---------------------------------------------------------
 # Both set-array layouts agree with the oracles
 # ---------------------------------------------------------
-@pytest.mark.parametrize("q", [2, 4, 5, 8, 9, 13, 16, 67])
+@pytest.mark.parametrize("q", [2, 4, 5, 8, 9, 13, 16, 25, 27, 49, 67, 128, 243, 256])
 def test_layouts_match_oracles(q):
     f = GF(q)
     rng = np.random.default_rng(q)
@@ -195,3 +195,28 @@ def test_layouts_match_oracles(q):
             assert mask_elements(sums[k]) == gf_sumset(f, sa, sb)
             assert mask_elements(scaled[k]) == gf_scale(f, sa, int(factors[k]))
             assert sizes[k] == len(sa)
+
+
+@pytest.mark.parametrize("q", [2, 4, 5, 9, 13, 16, 25, 27, 128])
+def test_leave_one_out_sumsets_match_oracle_folds(q):
+    f = GF(q)
+    rng = np.random.default_rng(100 + q)
+    layouts = [SetPlanes(f)] + ([MaskTables(f)] if q <= MASK_TABLE_MAX_Q else [])
+    for deg in (1, 2, 3, 7):
+        # column r holds deg sets of r-dependent density, so small and
+        # large sets both occur
+        density = np.linspace(0.05, 0.6, 12)
+        members = rng.random((deg, 12, q)) < density[:, None]
+        members[..., 0] |= ~members.any(axis=-1)
+        masks = [[sum(1 << int(x) for x in np.flatnonzero(row)) for row in layer] for layer in members]
+        for sets in layouts:
+            ys = np.stack([sets.encode(np.array(layer, dtype=mask_dtype(q))) for layer in masks])
+            got = sets.leave_one_out_sumsets(ys).reshape(-1, *ys.shape[2:])
+            got = sets.to_masks(got).reshape(deg, 12).tolist()
+            for j in range(deg):
+                for r in range(12):
+                    expect = frozenset({0})
+                    for k in range(deg):
+                        if k != j:
+                            expect = gf_sumset(f, expect, mask_elements(masks[k][r]))
+                    assert mask_elements(got[j][r]) == expect
