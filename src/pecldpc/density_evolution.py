@@ -8,10 +8,18 @@ multiset of incoming sizes by a sumset-size model) and back through the
 variable nodes (weighting by the exact intersection-size law, with the
 channel's M-set joining the intersection on an erasure event).
 
-Each half is a degree-weighted mix of (weights @ matrix) terms whose
-matrix rows are the per-size-multiset output distributions; a matrix
-depends only on (field, M, degree, model) and is built once per process,
-or, for the check matrices, once per model for as long as it lives.
+Each half is a draw-index kernel.  A node of degree d draws d-1 incoming
+sizes; the T size multisets of those draws are stored as a (T, d-1)
+array of size indices, so a multiset's probability weight is
+``dist[draws].prod(axis=1)``: one gather and one product, no powers.
+Row t of the half's (T, q) matrix is multiset t's output size law times
+its multinomial coefficient (the number of ordered draws behind it), so
+one matmul turns the weights into the output law.  The matrices depend
+only on (field, M, degree, model) and are built once per process, or,
+for the check matrices, once per model for as long as it lives; ``run``
+folds the degree fractions (and, on the variable half, eps) into copies
+of them once per call.  A half is thus one gather, one product and one
+matmul per degree term.
 """
 
 from __future__ import annotations
@@ -44,15 +52,26 @@ def initial_vtc_dist(channel: PartialErasureChannel) -> np.ndarray:
 
 @cache
 def _weight_tables(max_size: int, k: int):
-    """Exponent matrix and multinomial coefficients for all size
-    multisets of k draws from 1..max_size."""
-    sizes = range(1, max_size + 1)
-    tuples = tuple(combinations_with_replacement(sizes, k))
-    counts = np.array([[t.count(s) for s in sizes] for t in tuples], dtype=np.int64)
-    multinom = np.array([factorial(k) // prod(map(factorial, c)) for c in counts], float)
-    counts.setflags(write=False)
+    """All size multisets of k draws from 1..max_size: the tuples, their
+    (T, k) draw indices into a size vector, and their multinomial
+    coefficients (the number of ordered tuples behind each multiset)."""
+    tuples = tuple(combinations_with_replacement(range(1, max_size + 1), k))
+    draws = np.array(tuples, dtype=np.intp) - 1
+    multinom = np.array(
+        [factorial(k) // prod(factorial(t.count(s)) for s in set(t)) for t in tuples], float
+    )
+    draws.setflags(write=False)
     multinom.setflags(write=False)
-    return tuples, counts, multinom
+    return tuples, draws, multinom
+
+
+def _weighted_rows(table, rows: np.ndarray):
+    """(draws, matrix) of one half from its ``_weight_tables`` entry and
+    each multiset's output law: row t is scaled by its multinomial."""
+    _, draws, multinom = table
+    mat = multinom[:, None] * rows
+    mat.setflags(write=False)
+    return draws, mat
 
 
 # model -> {(field, M, d_c): check matrices}; held weakly, so a model
@@ -64,61 +83,81 @@ def _check_matrices(field: GF, M: int, d_c: int, model: SumsetSizeModel):
     built = _CHECK_MATRICES.setdefault(model, {})
     key = (field, M, d_c)
     if key not in built:
-        tuples, counts, multinom = _weight_tables(M, d_c - 1)
-        pmat = np.stack([model.distribution(t, field) for t in tuples])
-        pmat.setflags(write=False)
-        built[key] = counts, multinom, pmat
+        table = _weight_tables(M, d_c - 1)
+        pmat = np.stack([model.distribution(t, field) for t in table[0]])
+        built[key] = _weighted_rows(table, pmat)
     return built[key]
 
 
 @cache
 def _variable_matrices(field: GF, M: int, d_v: int):
-    tuples, counts, multinom = _weight_tables(field.q, d_v - 1)
-    qmat = np.zeros((len(tuples), field.q))
-    for r, t in enumerate(tuples):
+    table = _weight_tables(field.q, d_v - 1)
+    qmat = np.zeros((len(table[0]), field.q))
+    for r, t in enumerate(table[0]):
         dist = common_member_intersection_dist(sorted(t + (M,)), field.q)
         qmat[r, : len(dist) - 1] = dist[1:]
-    qmat.setflags(write=False)
-    return counts, multinom, qmat
+    return _weighted_rows(table, qmat)
 
 
 def _mix(dist: np.ndarray, terms) -> np.ndarray:
-    """Sum over (degree fraction, matrices) terms of fraction * (weights @ matrix)."""
-    out = 0.0
-    for frac, (counts, multinom, mat) in terms:
-        weights = multinom * np.prod(dist[None, : counts.shape[1]] ** counts, axis=1)
-        out = out + frac * (weights @ mat)
+    """Sum over (draws, matrix) terms of weights @ matrix, where a
+    multiset's weight is the product of ``dist`` over its draws."""
+    (draws, mat), *rest = terms
+    out = dist[draws].prod(axis=1) @ mat
+    for draws, mat in rest:
+        out += dist[draws].prod(axis=1) @ mat
     return out
 
 
-def _variable_output(w: np.ndarray, terms, eps: float, q: int) -> np.ndarray:
-    """(1-eps) on size 1 plus eps times the mixed intersection law."""
-    z = np.zeros(q)
-    z[0] = 1.0 - eps
-    if eps > 0.0:
-        z += eps * _mix(w, terms)
+def _scaled(pairs) -> list:
+    """(draws, scale * matrix) for each (scale, (draws, matrix)) pair: a
+    half's degree fraction (and, for the variable half, eps) folded into
+    its matrices once per run."""
+    return [(draws, scale * mat) for scale, (draws, mat) in pairs]
+
+
+def _variable_output(w: np.ndarray, terms, eps: float) -> np.ndarray:
+    """(1-eps) on size 1 plus the mixed intersection law, whose matrices
+    already carry the factor eps."""
+    z = _mix(w, terms)
+    z[0] += 1.0 - eps
     return z
+
+
+def _size_vector(v, q: int, name: str) -> np.ndarray:
+    """``v`` as a float size distribution over 1..q, or ValueError."""
+    arr = np.asarray(v)
+    if arr.dtype.kind not in "biuf" or arr.shape != (q,):
+        raise ValueError(f"{name} must be a 1-D real array of length q={q}, got shape {arr.shape}")
+    arr = arr.astype(float)
+    if not np.isfinite(arr).all() or (arr < 0).any():
+        raise ValueError(f"{name} entries must be finite and nonnegative")
+    return arr
 
 
 def check_update(
     z: np.ndarray, d_c: int, model: SumsetSizeModel, field: GF, M: int
 ) -> np.ndarray:
     """Size distribution of a check output given the incoming edge-size
-    distribution z (supported on 1..M)."""
+    distribution z (length q, supported on 1..M)."""
     if d_c < 2:
         raise ValueError("check degree must be at least 2")
+    if not 1 <= M <= field.q:
+        raise ValueError(f"M must lie in 1..q={field.q}, got {M}")
+    z = _size_vector(z, field.q, "z")
     if z[M:].any():
         raise ValueError("variable-to-check sizes cannot exceed M")
-    return _mix(z, [(1.0, _check_matrices(field, M, d_c, model))])
+    return _mix(z, [_check_matrices(field, M, d_c, model)])
 
 
 def variable_update(w: np.ndarray, d_v: int, channel: PartialErasureChannel) -> np.ndarray:
     """Size distribution of a variable output given the incoming
-    check-size distribution w."""
+    check-size distribution w (length q)."""
     if d_v < 2:
         raise ValueError("variable degree must be at least 2")
     field, M, eps = channel.field, channel.M, channel.epsilon
-    return _variable_output(w, [(1.0, _variable_matrices(field, M, d_v))], eps, field.q)
+    w = _size_vector(w, field.q, "w")
+    return _variable_output(w, _scaled([(eps, _variable_matrices(field, M, d_v))]), eps)
 
 
 @dataclass
@@ -135,13 +174,16 @@ class DeConfig:
 @dataclass
 class DeResult:
     """``trajectory`` records (iteration, failure probability = P(size
-    of a variable-to-check message > 1)).  ``monotone`` and ``mass_ok``
-    flag the runtime sanity checks (warned about, never silently
-    dropped)."""
+    of a variable-to-check message > 1)).  ``stop_reason`` says which
+    stop rule ended the run: ``"converged"``, ``"fixed_point"`` (a
+    stable non-trivial fixed point) or ``"max_iters"`` (the iteration
+    budget ran out first).  ``monotone`` and ``mass_ok`` flag the runtime
+    sanity checks (warned about, never silently dropped)."""
 
     converged: bool
     iterations: int
     trajectory: list[tuple[int, float]]
+    stop_reason: str
     monotone: bool = True
     mass_ok: bool = True
 
@@ -154,8 +196,8 @@ def run(cfg: DeConfig) -> DeResult:
     field, M, eps = ch.field, ch.M, ch.epsilon
 
     rho, lam = cfg.degrees.rho_coeffs, cfg.degrees.lambda_coeffs
-    chk = [(rho[d], _check_matrices(field, M, d, cfg.size_model)) for d in sorted(rho)]
-    var = [(lam[d], _variable_matrices(field, M, d)) for d in sorted(lam)]
+    chk = _scaled((rho[d], _check_matrices(field, M, d, cfg.size_model)) for d in sorted(rho))
+    var = _scaled((eps * lam[d], _variable_matrices(field, M, d)) for d in sorted(lam))
 
     z = initial_vtc_dist(ch)
     pe = 1.0 - z[0]
@@ -164,6 +206,7 @@ def run(cfg: DeConfig) -> DeResult:
     monotone = True
     mass_ok = True
     iterations = 0
+    stop_reason = "max_iters"
 
     for it in range(1, cfg.max_iters + 1):
         if converged:
@@ -175,7 +218,7 @@ def run(cfg: DeConfig) -> DeResult:
         if abs(w_sum - 1.0) > 1e-9:
             mass_ok = False
         w /= w_sum
-        z = _variable_output(w, var, eps, field.q)
+        z = _variable_output(w, var, eps)
         z_sum = z.sum()
         if abs(z_sum - 1.0) > 1e-9:
             mass_ok = False
@@ -189,9 +232,12 @@ def run(cfg: DeConfig) -> DeResult:
         if new_pe < cfg.convergence_tol:
             converged = True
         elif cfg.fixed_point_tol > 0 and abs(new_pe - pe) < cfg.fixed_point_tol:
+            stop_reason = "fixed_point"
             break
         pe = new_pe
 
+    if converged:
+        stop_reason = "converged"
     if not mass_ok:
         warnings.warn("density evolution lost probability mass beyond 1e-9")
     if not monotone:
@@ -200,6 +246,7 @@ def run(cfg: DeConfig) -> DeResult:
         converged=converged,
         iterations=iterations,
         trajectory=trajectory,
+        stop_reason=stop_reason,
         monotone=monotone,
         mass_ok=mass_ok,
     )

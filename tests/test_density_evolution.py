@@ -11,6 +11,7 @@ import pytest
 
 from pecldpc import (
     GF,
+    MODEL_KINDS,
     DeConfig,
     DegreeDistribution,
     PartialErasureChannel,
@@ -91,6 +92,47 @@ def test_variable_update_qec_reduction():
         assert z.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_public_updates_validate_input():
+    # each malformed size vector used to give a silent wrong answer (a
+    # short z broadcast over the sizes, a long w truncated, negative or
+    # non-finite entries passed through) or a raw AttributeError (a list)
+    f = GF(4)
+    union = SumsetSizeModel("union")
+    ch = PartialErasureChannel(f, 2, 0.5)
+    z, w = np.array([0.6, 0.4, 0.0, 0.0]), np.array([0.1, 0.2, 0.3, 0.4])
+    bad_z = (
+        np.array([0.7]),
+        np.array([0.6, 0.4, 0.0]),
+        np.array([1.2, -0.2, 0.0, 0.0]),
+        np.array([np.nan, 0.4, 0.0, 0.0]),
+        np.array([np.inf, 0.4, 0.0, 0.0]),
+        z.reshape(1, 4),
+        np.array(["a", "b", "c", "d"]),
+    )
+    for bad in bad_z:
+        with pytest.raises(ValueError):
+            check_update(bad, 6, union, f, 2)
+    bad_w = (
+        np.array([0.1, 0.2, 0.3, 0.2, 0.2]),
+        np.array([0.1, 0.2]),
+        np.array([0.5, -0.1, 0.3, 0.3]),
+        np.array([0.1, np.nan, 0.3, 0.4]),
+        np.array([0.1, 0.2, np.inf, 0.4]),
+        w.reshape(4, 1),
+    )
+    for bad in bad_w:
+        with pytest.raises(ValueError):
+            variable_update(bad, 3, ch)
+    for M in (0, 5):
+        with pytest.raises(ValueError, match="M must"):
+            check_update(z, 6, union, f, M)
+    # a plain list is a size vector like any other
+    assert check_update(z.tolist(), 6, union, f, 2).tolist() == (
+        check_update(z, 6, union, f, 2).tolist()
+    )
+    assert variable_update(w.tolist(), 3, ch).tolist() == variable_update(w, 3, ch).tolist()
+
+
 # ---------------------------------------------------------
 # Multiset enumeration equals ordered-tuple enumeration
 # ---------------------------------------------------------
@@ -136,6 +178,61 @@ def test_multiset_equals_ordered(q, M, d):
         got = variable_update(w, d, ch)
         want = ordered_variable_update(w, d, ch)
         assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("q", [4, 8, 16])
+@pytest.mark.parametrize("M", [2, 3, 4])
+def test_check_update_matches_float_reference(q, M):
+    # every model (the exact law where its enumeration fits, q <= 8)
+    # against the ordered-tuple sum, which never forms a multiset
+    f = GF(q)
+    kinds = [k for k in MODEL_KINDS if k != "exact" or q <= 8]
+    rng = np.random.default_rng([q, M])
+    z = np.zeros(q)
+    z[:M] = rng.random(M) + 0.05
+    z /= z.sum()
+    for kind in kinds:
+        model = SumsetSizeModel(kind)
+        for d_c in (3, 6):
+            got = check_update(z, d_c, model, f, M)
+            want = ordered_check_update(z, d_c, model, f, M)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0, err_msg=f"{kind} {d_c}")
+
+
+@pytest.mark.parametrize("q", [4, 8, 16])
+@pytest.mark.parametrize("M", [2, 3, 4])
+def test_variable_update_matches_float_reference(q, M):
+    ch = PartialErasureChannel(GF(q), M, 0.55)
+    rng = np.random.default_rng([q, M, 1])
+    w = rng.random(q) + 0.05
+    w /= w.sum()
+    for d_v in (2, 3, 4):
+        got = variable_update(w, d_v, ch)
+        want = ordered_variable_update(w, d_v, ch)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0, err_msg=f"d_v={d_v}")
+
+
+def test_mixture_iterations_match_float_reference():
+    # two-degree mixtures on both sides at q=16: two full iterations of
+    # run against the ordered-tuple halves mixed by hand
+    f, M, eps = GF(16), 3, 0.6
+    lam, rho = {2: 0.25, 3: 0.75}, {4: 0.5, 6: 0.5}
+    model = SumsetSizeModel("balls")
+    ch = PartialErasureChannel(f, M, eps)
+    cfg = DeConfig(
+        ch, DegreeDistribution(lam, rho), model,
+        max_iters=2, convergence_tol=0.0, fixed_point_tol=0.0,
+    )
+    got = [pe for _, pe in run(cfg).trajectory]
+    z = initial_vtc_dist(ch)
+    want = [1.0 - z[0]]
+    for _ in range(2):
+        w = sum(frac * ordered_check_update(z, d, model, f, M) for d, frac in rho.items())
+        w /= w.sum()
+        z = sum(frac * ordered_variable_update(w, d, ch) for d, frac in lam.items())
+        z /= z.sum()
+        want.append(1.0 - z[0])
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 # ---------------------------------------------------------
@@ -191,6 +288,22 @@ def test_run_flags_clean_on_benign_input():
         warnings.simplefilter("error")
         r = run(bec_cfg(5, 0.4))
     assert r.monotone and r.mass_ok and r.converged
+
+
+def test_run_stop_reasons():
+    assert run(bec_cfg(4, 0.0)).stop_reason == "converged"
+    r = run(bec_cfg(4, 0.3))
+    assert r.converged and r.stop_reason == "converged"
+    # above the BEC threshold 0.4294 the failure probability settles
+    r = run(bec_cfg(4, 0.6))
+    assert not r.converged and r.stop_reason == "fixed_point"
+    assert r.iterations < 2000
+    for cfg in (bec_cfg(4, 0.6, max_iters=5), bec_cfg(4, 0.6, fixed_point_tol=0.0, max_iters=300)):
+        r = run(cfg)
+        assert not r.converged and r.stop_reason == "max_iters"
+        assert r.iterations == cfg.max_iters
+    # a run that would converge, but needs more than the budget
+    assert run(bec_cfg(4, 0.42, max_iters=10)).stop_reason == "max_iters"
 
 
 def test_bec_reduction_termwise():
@@ -382,6 +495,50 @@ def test_threshold_q4_grid_pinned():
     assert got == Q4_GRID_THRESHOLDS
 
 
+# de-sweep's searches beyond q=4 with the same settings: q=8 (M=2,3,4)
+# and q=9 (M=3) with every model, q=16 (M=3,4) without the exact law
+LARGE_FIELD_THRESHOLDS = {
+    (8, 2, "exact"): "0x1.0000000000000p+0",
+    (8, 2, "bound-lower"): "0x1.0000000000000p+0",
+    (8, 2, "bound-upper"): "0x1.b5c0000000000p-1",
+    (8, 2, "balls"): "0x1.0000000000000p+0",
+    (8, 2, "union"): "0x1.0000000000000p+0",
+    (8, 3, "exact"): "0x1.7540000000000p-1",
+    (8, 3, "bound-lower"): "0x1.0000000000000p+0",
+    (8, 3, "bound-upper"): "0x1.51e8000000000p-1",
+    (8, 3, "balls"): "0x1.8c00000000000p-1",
+    (8, 3, "union"): "0x1.7d98000000000p-1",
+    (8, 4, "exact"): "0x1.3278000000000p-1",
+    (8, 4, "bound-lower"): "0x1.0000000000000p+0",
+    (8, 4, "bound-upper"): "0x1.22a0000000000p-1",
+    (8, 4, "balls"): "0x1.4758000000000p-1",
+    (8, 4, "union"): "0x1.3930000000000p-1",
+    (9, 3, "exact"): "0x1.7e10000000000p-1",
+    (9, 3, "bound-lower"): "0x1.0000000000000p+0",
+    (9, 3, "bound-upper"): "0x1.5a90000000000p-1",
+    (9, 3, "balls"): "0x1.97b8000000000p-1",
+    (9, 3, "union"): "0x1.8b68000000000p-1",
+    (16, 3, "bound-lower"): "0x1.0000000000000p+0",
+    (16, 3, "bound-upper"): "0x1.98f8000000000p-1",
+    (16, 3, "balls"): "0x1.c8d0000000000p-1",
+    (16, 3, "union"): "0x1.c380000000000p-1",
+    (16, 4, "bound-lower"): "0x1.0000000000000p+0",
+    (16, 4, "bound-upper"): "0x1.5bf8000000000p-1",
+    (16, 4, "balls"): "0x1.87b8000000000p-1",
+    (16, 4, "union"): "0x1.8020000000000p-1",
+}
+
+
+def test_threshold_large_fields_pinned():
+    deg = DegreeDistribution.regular(3, 6)
+    fields = {q: GF(q) for q in (8, 9, 16)}
+    got = {}
+    for q, M, kind in LARGE_FIELD_THRESHOLDS:
+        cfg = DeConfig(PartialErasureChannel(fields[q], M, 0.0), deg, SumsetSizeModel(kind))
+        got[q, M, kind] = threshold_search(cfg, tol_eps=1e-4, check_monotone=True).hex()
+    assert got == LARGE_FIELD_THRESHOLDS
+
+
 def test_threshold_probes_each_epsilon_once(monkeypatch):
     import pecldpc.density_evolution as de_mod
 
@@ -424,7 +581,12 @@ def test_threshold_warns_on_non_monotone_convergence(monkeypatch):
         eps = cfg.channel.epsilon
         # converges on a weird island above a failing stretch
         ok = eps < 0.2 or 0.6 < eps < 0.7
-        return DeResult(converged=ok, iterations=1, trajectory=[(0, eps)])
+        return DeResult(
+            converged=ok,
+            iterations=1,
+            trajectory=[(0, eps)],
+            stop_reason="converged" if ok else "max_iters",
+        )
 
     monkeypatch.setattr(de_mod, "run", fake_run)
     with pytest.warns(UserWarning, match="not monotone"):
