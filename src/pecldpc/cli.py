@@ -102,15 +102,18 @@ def _make_model(kind: str, args) -> SumsetSizeModel:
 
 
 def _emit(args, invocation: list[str], header: list[str], rows) -> None:
-    # record what was computed, not where it was written
+    # record what was computed, not where it was written: drop --out in
+    # every spelling argparse accepts (--out PATH, --out=PATH and any
+    # unambiguous prefix such as --ou PATH)
     echo = []
     skip = False
     for tok in invocation:
         if skip:
             skip = False
             continue
-        if tok == "--out":
-            skip = True
+        name, eq, _ = tok.partition("=")
+        if len(name) > 2 and "--out".startswith(name):
+            skip = not eq
             continue
         echo.append(tok)
     buf = io.StringIO()
@@ -255,11 +258,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, seed=True, out=True):
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
-        if out:
-            p.add_argument("--out", type=str, default=None, help="output CSV path")
+    def common(p):
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", type=str, default=None, help="output CSV path")
 
     p = sub.add_parser("capacity", help="closed-form capacity over an epsilon grid")
     p.add_argument("--q", type=int, required=True)

@@ -29,7 +29,7 @@ import weakref
 from dataclasses import dataclass, replace
 from functools import cache
 from itertools import combinations_with_replacement
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -40,6 +40,11 @@ from .ldpc import DegreeDistribution
 from .sumset_models import SumsetSizeModel
 
 FIXED_POINT_TOL = 1e-13
+# size multisets one DE half may enumerate, each a row of q floats in a
+# matrix cached for the life of the process: 2**16 admits the variable
+# half of every d_v = 3 ensemble up to q = 256 (C(257, 2) = 32,896 rows)
+# and d_v = 4 at every q <= 71, and keeps a matrix at most 128 MiB
+MAX_SIZE_MULTISETS = 2**16
 
 
 def initial_vtc_dist(channel: PartialErasureChannel) -> np.ndarray:
@@ -55,6 +60,13 @@ def _weight_tables(max_size: int, k: int):
     """All size multisets of k draws from 1..max_size: the tuples, their
     (T, k) draw indices into a size vector, and their multinomial
     coefficients (the number of ordered tuples behind each multiset)."""
+    count = comb(max_size + k - 1, k)
+    if count > MAX_SIZE_MULTISETS:
+        raise ValueError(
+            f"density evolution would enumerate {count} size multisets of {k} "
+            f"draws from 1..{max_size}, over the cap of {MAX_SIZE_MULTISETS}; "
+            "use a smaller field, M or node degree"
+        )
     tuples = tuple(combinations_with_replacement(range(1, max_size + 1), k))
     draws = np.array(tuples, dtype=np.intp) - 1
     multinom = np.array(
@@ -196,8 +208,10 @@ def run(cfg: DeConfig) -> DeResult:
     field, M, eps = ch.field, ch.M, ch.epsilon
 
     rho, lam = cfg.degrees.rho_coeffs, cfg.degrees.lambda_coeffs
-    chk = _scaled((rho[d], _check_matrices(field, M, d, cfg.size_model)) for d in sorted(rho))
+    # the variable half first: its tables grow with q, so an oversized
+    # one is refused before any sumset law of the check half is computed
     var = _scaled((eps * lam[d], _variable_matrices(field, M, d)) for d in sorted(lam))
+    chk = _scaled((rho[d], _check_matrices(field, M, d, cfg.size_model)) for d in sorted(rho))
 
     z = initial_vtc_dist(ch)
     pe = 1.0 - z[0]

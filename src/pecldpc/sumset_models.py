@@ -38,9 +38,10 @@ from .symbol_sets import index_masks, set_layout
 
 DEFAULT_WORK_CAP = 10**8
 DEFAULT_MC_SAMPLES = 10**6
-# (state, subset) pairs the exact fold expands at once, and samples the
-# Monte Carlo law draws at once; keeps each of their temporaries at a few
-# MB in either set layout
+# bound on (state, subset) pairs the exact fold expands at once (block
+# rows times subsets, at least one row), and samples the Monte Carlo law
+# draws at once; keeps each of their temporaries at a few MB in either
+# set layout
 _FOLD_BLOCK = 1 << 14
 _MC_CHUNK = 1 << 14
 
@@ -123,20 +124,21 @@ def _exact_dist_rational(sizes: tuple[int, ...], field: GF) -> tuple[Fraction, .
     # a count never exceeds total, so int64 is exact below 2**63
     ctype = np.int64 if total < 2**63 else object
     # live sumset masks with their assignment counts; fold one operand
-    # at a time, merging each block of (state, subset) pairs into the
-    # next live states, so memory stays O(2**q + block)
+    # at a time, expanding each block of live states against every
+    # subset by broadcasting and merging the sums into the next live
+    # states, so memory stays O(2**q + block)
     keys = _subset_masks(q, sizes[0])
     counts = np.ones(len(keys), dtype=ctype)
     for s in sizes[1:]:
         states, weights = sets.encode(keys), counts
         subsets = sets.encode(_subset_masks(q, s))
-        pairs = len(states) * len(subsets)
+        rows = max(1, _FOLD_BLOCK // len(subsets))
         keys, counts = keys[:0], counts[:0]
-        for lo in range(0, pairs, _FOLD_BLOCK):
-            i, j = np.divmod(np.arange(lo, min(lo + _FOLD_BLOCK, pairs)), len(subsets))
-            sums = sets.to_masks(sets.sumsets(states[i], subsets[j]))
+        for lo in range(0, len(states), rows):
+            sums = sets.to_masks(sets.sumsets(states[lo : lo + rows, None], subsets[None]))
+            block = np.broadcast_to(weights[lo : lo + rows, None], sums.shape)
             keys, counts = _merge_counts(
-                np.concatenate([keys, sums]), np.concatenate([counts, weights[i]])
+                np.concatenate([keys, sums.ravel()]), np.concatenate([counts, block.ravel()])
             )
     by_size = np.zeros(q + 1, dtype=ctype)
     np.add.at(by_size, sets.sizes(sets.encode(keys)), counts)
@@ -193,8 +195,6 @@ def _monte_carlo_dist(
     sizes: tuple[int, ...], field: GF, samples: int, rng: np.random.Generator
 ) -> np.ndarray:
     q = field.q
-    if q > 64:
-        raise ValueError("monte_carlo sampling supports q <= 64")
     sets = set_layout(field)
     acc = sets.zero_sets(samples)  # {0}, the sumset identity
     for s in sizes:

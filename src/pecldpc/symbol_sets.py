@@ -248,12 +248,13 @@ class SetPlanes:
     Scaling gathers columns through a q x q table.  Sumsets go through
     the characters of the additive group of GF(p^s), which is Z_p^s in
     the base-p digits of the element indices: character c maps x to
-    w**<c, x>, with w = exp(2 pi i / p) and <c, x> the digit dot product
-    mod p.  Their q x q matrix W is the real +-1 Walsh-Hadamard matrix
-    for p = 2 and complex otherwise.  For sets A_1..A_k as bool rows,
-    the spectra A_i @ W multiply elementwise, and the product mapped
-    back by conj(W) / q gives, for each z, the number N(z) of tuples in
-    A_1 x ... x A_k that sum to z.  So the sumset is {z : N(z) > 1/2}.
+    w**<c, x>, with w = exp(2 pi i / p) and <c, x> the dot product mod p
+    of rows c and x of ``field.digits``.  Their q x q matrix W is the
+    real +-1 Walsh-Hadamard matrix for p = 2 and complex otherwise.  For
+    sets A_1..A_k as bool rows, the spectra A_i @ W multiply
+    elementwise, and the product mapped back by conj(W) / q gives, for
+    each z, the number N(z) of tuples in A_1 x ... x A_k that sum to z.
+    So the sumset is {z : N(z) > 1/2}.
 
     Exactness.  Every count and spectrum entry is at most
     B = prod |A_i|; the layout bounds it by beta = prod max(|A_i|, 2),
@@ -281,8 +282,7 @@ class SetPlanes:
         self._div = field.mul_table[field.inv_table].astype(np.intp)
         # _bits[x] = mask of {x}
         self._bits = np.array([1 << x for x in range(q)], dtype=mask_dtype(q))
-        digits = np.arange(q)[:, None] // p ** np.arange(field.s) % p
-        phase = digits @ digits.T % p
+        phase = field.digits @ field.digits.T % p
         if p == 2:
             self._chars = 1.0 - 2.0 * phase
         else:

@@ -3,7 +3,9 @@ import time
 
 import pytest
 
+from pecldpc import GF
 from pecldpc.cli import main
+from pecldpc.sumset_models import sumset_bounds
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -105,6 +107,19 @@ def test_pm_table_exact_anchor(tmp_path):
     assert rows[1][1] == "2+2"
 
 
+def test_pm_table_monte_carlo_above_q64(tmp_path):
+    # the exhaustive law is over budget at q=128, so --mc-samples samples it
+    code, text = run_cli(
+        ["pm-table", "--q", "128", "--sizes", "2,2", "--model", "exact", "--mc-samples", "1000"],
+        tmp_path,
+    )
+    assert code == 0
+    probs = {int(r[2]): float(r[3]) for r in rows_of(text)[1:]}
+    assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
+    b = sumset_bounds((2, 2), GF(128))
+    assert all(b.lower <= m <= b.upper for m, p in probs.items() if p > 0)
+
+
 def test_pm_table_all_models(tmp_path):
     code, text = run_cli(["pm-table", "--q", "5", "--sizes", "2,2"], tmp_path)
     assert code == 0
@@ -190,6 +205,17 @@ def test_byte_identical_reruns(tmp_path):
         assert a == b and a
 
 
+def test_out_spellings_write_identical_files(tmp_path):
+    args = ["capacity", "--q", "4", "--M", "2", "--eps", "0.5"]
+    paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
+    spellings = [["--out", str(paths[0])], [f"--out={paths[1]}"], ["--ou", str(paths[2])]]
+    for path, out in zip(paths, spellings):
+        assert main(args + out) == 0
+    texts = [path.read_bytes() for path in paths]
+    assert texts[0] == texts[1] == texts[2]
+    assert b"--o" not in texts[0] and b".csv" not in texts[0]
+
+
 @pytest.mark.parametrize(
     "args, rows",
     [
@@ -246,6 +272,15 @@ def test_oversized_eps_grid_refused(capsys):
     assert "eps grid would exceed" in capsys.readouterr().err
     for grid in ("0:1:5e-324", "0:inf:0.1", "0:1:nan"):
         assert main(["capacity", "--q", "4", "--M", "2", "--eps-grid", grid]) == 2
+
+
+def test_oversized_de_tables_refused(capsys):
+    # d_v=4 at q=256 would need 2,829,056 size multisets (~5.8 GB of
+    # matrix rows): refused from their count, before any is built
+    start = time.perf_counter()
+    assert main(["threshold", "--q", "256", "--M", "2", "--dv", "4", "--dc", "6"]) == 2
+    assert time.perf_counter() - start < 5
+    assert "size multisets" in capsys.readouterr().err
 
 
 def test_negative_graph_size_exit_code(tmp_path, capsys):

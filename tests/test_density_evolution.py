@@ -377,6 +377,20 @@ def test_run_matches_exact_rational_oracle(q, ensemble):
     assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
 
 
+def test_size_multiset_cap():
+    import pecldpc.density_evolution as de_mod
+
+    # d_v = 3 at q = 256 stays admitted: C(257, 2) = 32,896 multisets
+    tuples, draws, _ = de_mod._weight_tables(256, 2)
+    assert len(tuples) == draws.shape[0] == math.comb(257, 2) <= de_mod.MAX_SIZE_MULTISETS
+    # d_v = 4 at q = 256 is refused from the count, on both public halves
+    ch = PartialErasureChannel(GF(256), 2, 0.5)
+    with pytest.raises(ValueError, match="size multisets"):
+        variable_update(np.full(256, 1 / 256), 4, ch)
+    with pytest.raises(ValueError, match="size multisets"):
+        check_update(np.full(64, 1 / 64), 30, SumsetSizeModel("union"), GF(64), 64)
+
+
 def test_de_matrices_built_once_and_read_only():
     import pecldpc.density_evolution as de_mod
 

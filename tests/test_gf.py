@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from pecldpc import GF
+from pecldpc import GF, gf
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -37,6 +39,77 @@ def test_tables_deterministic():
     a, b = GF(9), GF(9)
     assert np.array_equal(a.mul_table, b.mul_table)
     assert a == b and hash(a) == hash(b)
+
+
+# sha256 prefix of (add, mul, neg, inv tables with dtype and shape, and
+# reduction_poly) for every prime power 2..256, recorded from the
+# element-by-element polynomial construction the digit tables replaced
+TABLE_DIGESTS = {
+    2: "60fce7418440c880", 3: "f7039827731b299b", 4: "b1b898ee77719245",
+    5: "91d526a2b48f95c8", 7: "a157f7e81d4283f0", 8: "b2e72598e2e9d9e1",
+    9: "c604126fb73bde4c", 11: "d7e9bbecf37d2555", 13: "1669250cfa247957",
+    16: "dc3a532f6e5577b9", 17: "655e9bdff0182675", 19: "49fdbb9f39fa2348",
+    23: "cf62c74b752f010a", 25: "102588934ef083f5", 27: "78249b87cdbbe1c7",
+    29: "4108730748142b32", 31: "2efcab030018f838", 32: "e0cd5f933f314cd3",
+    37: "627ec966d77f2eb8", 41: "dbca7e3929065eea", 43: "5de8dfcbdaceef8a",
+    47: "1c801dc7ad7f452e", 49: "b12dd16253128168", 53: "ff6a69d70888727c",
+    59: "2c60b49864972361", 61: "88587c8c68591a99", 64: "5fd573d3673a5ea7",
+    67: "451713ec7d2541e2", 71: "c569abc514781757", 73: "bf9e87fc42d84fba",
+    79: "5aba87d90f70242e", 81: "87c302883c48c5e6", 83: "66bcb304e7219daa",
+    89: "07983a0ee665cb46", 97: "1eaa866a86a680ca", 101: "e3e7481c4a95ac71",
+    103: "23a0aa9e5a6756b5", 107: "1b9544447d4fa571", 109: "8e3de12a3548b3c7",
+    113: "02ab5fd4512204a7", 121: "41d963f59241e54d", 125: "8da78b8befda9d04",
+    127: "6a2b2d189aea7bbc", 128: "11660f193ea66e74", 131: "40754c9f131dbc06",
+    137: "9134f736d8699817", 139: "bf5a0e80d65a5146", 149: "f493e22bef91f1db",
+    151: "d5b2bc3d2be8dbe6", 157: "203e8962f7e39abc", 163: "c4ff61e9e875966e",
+    167: "5e226acaf29a833a", 169: "43bf9fc0aa791ae7", 173: "7871b624d2d4103a",
+    179: "804f2d913c663758", 181: "71409436d91e51d3", 191: "51c9e7c132916334",
+    193: "a7d6a16018b906cf", 197: "91a7d1a4dabcac2f", 199: "95711ad796ae3664",
+    211: "ddf8593dbe419697", 223: "0fa8be58ea996c3e", 227: "20cf1754a7d71d4f",
+    229: "2d523cb6eaad8c16", 233: "2936deaad7d5983c", 239: "5d66e968304f319b",
+    241: "45daf931c1077faa", 243: "628784ccc66364d3", 251: "68379b3ba695cbc8",
+    256: "1e76dac9256a91cd",
+}
+
+
+def _table_digest(f):
+    h = hashlib.sha256()
+    for t in (f.add_table, f.mul_table, f.neg_table, f.inv_table):
+        h.update(t.dtype.str.encode())
+        h.update(repr(t.shape).encode())
+        h.update(t.tobytes())
+    h.update(repr(f.reduction_poly).encode())
+    return h.hexdigest()[:16]
+
+
+def _is_prime_power(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+def test_tables_pinned_for_every_supported_field():
+    orders = [q for q in range(2, gf.MAX_Q + 1) if _is_prime_power(q)]
+    assert orders == sorted(TABLE_DIGESTS)
+    for q in orders:
+        assert _table_digest(GF(q)) == TABLE_DIGESTS[q], q
+
+
+@pytest.mark.parametrize("q", [2, 9, 16, 125, 256])
+def test_digits_are_base_p_coefficients(q):
+    f = GF(q)
+    assert f.digits.shape == (q, f.s) and not f.digits.flags.writeable
+    for a in (0, 1, q // 3, q - 1):
+        assert sum(int(d) * f.p**k for k, d in enumerate(f.digits[a])) == a
+        assert all(0 <= d < f.p for d in f.digits[a])
+
+
+def test_reducible_polynomial_rejected(monkeypatch):
+    # x^2 + 1 = (x + 1)^2 over GF(2): x + 1 has no inverse modulo it
+    monkeypatch.setattr(gf, "_find_reduction_poly", lambda p, s: (1, 0, 1))
+    with pytest.raises(RuntimeError, match="no unique inverse"):
+        GF(4)
 
 
 # ---------------------------------------------------------
