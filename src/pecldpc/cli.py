@@ -30,10 +30,17 @@ from .sumset_models import (
     EnumerationBudgetError,
     SumsetSizeModel,
 )
-from .symbol_sets import SymbolSet
+from .symbol_sets import SymbolSet, set_bytes
 
 
 MAX_EPS_POINTS = 10**6
+# bytes of one edge-message array the decoder may hold: n * d_v sets of
+# 2 bytes (uint16 masks) or q bytes (bool planes).  A decode peaks at
+# 45-95 times this (graph arrays, the other message arrays, the pass
+# temporaries and, for planes, the complex spectra), so 16 MiB keeps a
+# simulate run near or below 1.5 GB while allowing n ~ 2.8e6 at q=4 and
+# n ~ 21,800 at q=256 for d_v=3
+MAX_SIM_MESSAGE_BYTES = 2**24
 
 
 class CliError(ValueError):
@@ -164,6 +171,12 @@ def _cmd_threshold(args, argv):
 
 def _cmd_simulate(args, argv):
     field = GF(args.q)
+    message_bytes = max(args.n, 0) * max(args.dv, 0) * set_bytes(args.q)
+    if message_bytes > MAX_SIM_MESSAGE_BYTES:
+        raise CliError(
+            f"--n {args.n} with --dv {args.dv} needs {message_bytes} bytes per edge-message "
+            f"array at q={args.q}, above the limit of {MAX_SIM_MESSAGE_BYTES}"
+        )
     rows = []
     for m in _parse_int_list(args.M, "--M"):
         for eps in _parse_eps(args):

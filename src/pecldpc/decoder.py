@@ -10,15 +10,18 @@ a singleton or stalls at a fixed point.
 One flooding loop serves every field: it runs on whole arrays of edge
 messages in the set layout of ``symbol_sets.set_layout`` (uint16 masks
 with table lookups for small q, bool planes above).  Each node's edges
-form one padded column of a (max degree, nodes) slot array; the pad is
-a sentinel edge slot holding the identity of the node's operation ({0}
+form one padded column of a (max degree, nodes) slot array, which the
+graph builds once and keeps (``TannerGraph.slots``); the pad is a
+sentinel edge slot holding the identity of the node's operation ({0}
 for sumsets, the full set for intersections), so the leave-one-out
 sumsets (one ``leave_one_out_sumsets`` call of the layout) and
 intersections (prefix and suffix folds down the rows) need no case for
 the degrees.  A node's outputs depend only on its inputs, so
 after the first iteration a pass runs only the nodes with an input that
 changed in the pass before; the others keep their outputs, and the
-decode is the same as a full flooding pass.
+decode is the same as a full flooding pass.  Each pass finds the real
+edge slots whose output changed as flat indices into its slot block,
+and gathers their edge ids and new sets through those indices alone.
 """
 
 from __future__ import annotations
@@ -110,26 +113,16 @@ class DecodeResult:
         return rows
 
 
-def _padded_slots(node_of_edge: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """(max(1, max degree), nodes) array whose column v lists node v's
-    edge ids in increasing order, padded with the sentinel slot E (the
-    number of edges)."""
-    n_nodes, n_edges = degrees.size, node_of_edge.size
-    # sorting the distinct keys node * E + edge is a stable sort by node,
-    # several times faster than argsort(kind="stable") on int64
-    keys = np.sort(node_of_edge * n_edges + np.arange(n_edges))
-    nodes = keys // n_edges
-    rank = np.arange(n_edges) - np.repeat(np.cumsum(degrees) - degrees, degrees)
-    slots = np.full((max(1, int(degrees.max(initial=0))), n_nodes), n_edges, dtype=np.intp)
-    slots.ravel()[rank * n_nodes + nodes] = keys - nodes * n_edges
-    return slots
-
-
 def _differs(new: np.ndarray, old: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Flag per entry of ``index``: do the sets it addresses in ``new``
     and ``old`` differ?  (Bool planes carry one more axis than masks.)"""
     differ = new != old
     return differ.any(axis=-1) if differ.ndim > index.ndim else differ
+
+
+def _rows(sets: np.ndarray) -> np.ndarray:
+    """A (D, n) block of sets as one run of D * n sets."""
+    return sets.reshape((-1,) + sets.shape[2:])
 
 
 def _nodes_of(edges: np.ndarray, node_of_edge: np.ndarray, n_nodes: int) -> np.ndarray:
@@ -160,8 +153,7 @@ def decode(
     field = graph.field
     sets = set_layout(field)
     n_edges = graph.n_edges
-    chk_slots = _padded_slots(graph.edge_chk, graph.chk_degrees)
-    var_slots = _padded_slots(graph.edge_var, graph.var_degrees)
+    chk_slots, var_slots = graph.slots
     labels = np.append(graph.edge_label, 1)  # any nonzero label for the sentinel
     sfac = field.neg_table[labels].astype(np.intp)
     ofac = field.inv_table[labels].astype(np.intp)
@@ -188,9 +180,10 @@ def decode(
         # check pass: leave-one-out sumsets of the scaled inputs
         slots = np.take(chk_slots, active_chk, axis=1)
         out = sets.scaled(sets.leave_one_out_sumsets(y[slots]), ofac[slots])
-        hit = _differs(out, ctv[slots], slots) & (slots < n_edges)
-        edges = slots[hit]
-        ctv[edges] = out[hit]
+        # flat indices of the real slots whose message changed
+        hit = np.flatnonzero(_differs(out, ctv[slots], slots) & (slots < n_edges))
+        edges = slots.reshape(-1)[hit]
+        ctv[edges] = _rows(out)[hit]
         active_var = _nodes_of(edges, graph.edge_var, graph.n)
 
         # variable pass: leave-one-out intersections with the channel set
@@ -206,18 +199,20 @@ def decode(
             suf[-1 - j] = suf[-j] & cs[-j]
         post = pre[-1] & cs[-1]
         out = pre & suf
-        hit = _differs(out, vtc[slots], slots) & (slots < n_edges)
-        edges = slots[hit]
-        new = out[hit]
+        hit = np.flatnonzero(_differs(out, vtc[slots], slots) & (slots < n_edges))
+        edges = slots.reshape(-1)[hit]
+        new = _rows(out)[hit]
         new_sizes = sets.sizes(new)
         moved = _differs(post, posterior[active_var], active_var)
         moved_vars = active_var[moved]
-        post_sizes = sets.sizes(post[moved])
+        post = post[moved]
+        post_sizes = sets.sizes(post)
         if not (new_sizes.all() and post_sizes.all()):
             raise DecodingInconsistency("received sets admit no common codeword")
-        unresolved += int(np.count_nonzero(post_sizes != 1))
-        unresolved -= int(np.count_nonzero(sets.sizes(posterior[moved_vars]) != 1))
-        posterior[moved_vars] = post[moved]
+        # posteriors only shrink, and one of size 1 cannot move without
+        # emptying, so every moved posterior had 2+ members before
+        unresolved -= int(np.count_nonzero(post_sizes == 1))
+        posterior[moved_vars] = post
 
         hist -= np.bincount(sets.sizes(vtc[edges]), minlength=field.q + 1)
         hist += np.bincount(new_sizes, minlength=field.q + 1)

@@ -4,6 +4,13 @@ Graphs come from the configuration model: variable and check sockets
 are matched by a uniform random permutation and every edge carries an
 independent uniform nonzero label.  Parallel edges are kept, as the
 ensemble defines them.
+
+Each graph also owns the decoder's view of its edges: ``slots`` gives
+(check slots, variable slots), padded (max degree, nodes) arrays whose
+column v lists node v's edge ids.  They are built once per graph and
+are read-only: ``build_regular`` derives them in O(E) from its socket
+permutation, so its graphs never sort; any other graph sorts its edges
+once, on first use.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ class TannerGraph:
 
     Edge arrays are index-aligned: edge e connects variable
     ``edge_var[e]`` to check ``edge_chk[e]`` with label ``edge_label[e]``.
+    Do not change them after construction: the degrees and slot arrays
+    derived from them are kept.
     """
 
     def __init__(self, field: GF, edge_var, edge_chk, edge_label, n=None, m=None):
@@ -45,10 +54,29 @@ class TannerGraph:
             raise ValueError("check index out of range")
         self.var_degrees = np.bincount(ev, minlength=self.n)
         self.chk_degrees = np.bincount(ec, minlength=self.m)
+        self._slots = None
 
     @property
     def n_edges(self) -> int:
         return self.edge_var.size
+
+    @property
+    def slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """(check slots, variable slots): (max(1, max degree), nodes)
+        read-only arrays whose column v lists node v's edge ids, padded
+        with the sentinel slot E (the number of edges).  The order of
+        the ids within a column is unspecified."""
+        if self._slots is None:
+            self._set_slots(
+                _padded_slots(self.edge_chk, self.chk_degrees),
+                _padded_slots(self.edge_var, self.var_degrees),
+            )
+        return self._slots
+
+    def _set_slots(self, chk_slots: np.ndarray, var_slots: np.ndarray) -> None:
+        for slots in (chk_slots, var_slots):
+            slots.flags.writeable = False
+        self._slots = (chk_slots, var_slots)
 
     def edges_of_check(self, j: int) -> np.ndarray:
         return np.flatnonzero(self.edge_chk == j)
@@ -101,6 +129,21 @@ class TannerGraph:
         )
 
 
+def _padded_slots(node_of_edge: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """(max(1, max degree), nodes) array whose column v lists node v's
+    edge ids in increasing order, padded with the sentinel slot E (the
+    number of edges)."""
+    n_nodes, n_edges = degrees.size, node_of_edge.size
+    # sorting the distinct keys node * E + edge is a stable sort by node,
+    # several times faster than argsort(kind="stable") on int64
+    keys = np.sort(node_of_edge * n_edges + np.arange(n_edges))
+    nodes = keys // n_edges
+    rank = np.arange(n_edges) - np.repeat(np.cumsum(degrees) - degrees, degrees)
+    slots = np.full((max(1, int(degrees.max(initial=0))), n_nodes), n_edges, dtype=np.intp)
+    slots.ravel()[rank * n_nodes + nodes] = keys - nodes * n_edges
+    return slots
+
+
 def build_regular(
     n: int, d_v: int, d_c: int, field: GF, rng: np.random.Generator
 ) -> TannerGraph:
@@ -108,7 +151,8 @@ def build_regular(
 
     Requires n*d_v divisible by d_c.  Variable sockets are laid out in
     variable order and matched to a random permutation of check
-    sockets; labels are uniform over the nonzero field elements.
+    sockets; labels are uniform over the nonzero field elements.  The
+    slot arrays come from the same permutation, without a sort.
     """
     if d_v < 2 or d_c < 2:
         raise ValueError("degrees must be at least 2")
@@ -117,10 +161,22 @@ def build_regular(
     m = n * d_v // d_c
     n_edges = n * d_v
     edge_var = np.repeat(np.arange(n), d_v)
-    chk_sockets = np.repeat(np.arange(m), d_c)
-    edge_chk = rng.permutation(chk_sockets)
+    # edge e takes check socket perm[e], which belongs to check
+    # perm[e] // d_c: the same draws and output as permuting the sockets
+    # np.repeat(np.arange(m), d_c) with rng.permutation
+    perm = rng.permutation(n_edges)
+    edge_chk = perm // d_c
     edge_label = rng.integers(1, field.q, size=n_edges)
-    return TannerGraph(field, edge_var, edge_chk, edge_label, n=n, m=m)
+    graph = TannerGraph(field, edge_var, edge_chk, edge_label, n=n, m=m)
+    # check c holds sockets c*d_c .. c*d_c + d_c - 1, so its edges are the
+    # inverse permutation there; variable v holds edges v*d_v .. v*d_v + d_v - 1
+    socket_edge = np.empty(n_edges, dtype=np.intp)
+    socket_edge[perm] = np.arange(n_edges)
+    graph._set_slots(
+        np.ascontiguousarray(socket_edge.reshape(m, d_c).T),
+        np.arange(0, n_edges, d_v, dtype=np.intp) + np.arange(d_v, dtype=np.intp)[:, None],
+    )
+    return graph
 
 
 @dataclass(frozen=True)

@@ -204,7 +204,7 @@ def _monte_carlo_dist(
             hi = min(lo + _MC_CHUNK, samples)
             # uniform size-s subsets via the first s slots of random permutations
             picks = rng.random((hi - lo, q)).argsort(axis=1)[:, :s]
-            acc[lo:hi] = sets.sumsets(acc[lo:hi], sets.encode(index_masks(picks, q)))
+            acc[lo:hi] = sets.sumsets(acc[lo:hi], sets.from_members(picks))
     hist = np.bincount(sets.sizes(acc), minlength=q + 1)[1:]
     return hist / samples
 

@@ -8,10 +8,10 @@ field: uint16 masks with table lookups (:class:`MaskTables`) for
 q <= MASK_TABLE_MAX_Q, and (n, q) bool planes (:class:`SetPlanes`)
 above, whose sumsets are products of additive-character spectra (the
 transform of the FFT-BP check node).  Both offer the same operations
-(encode, zero_sets, full_sets, scaled, sumsets, leave_one_out_sumsets,
-sizes, to_masks) and intersect with ``&``, so the decoder's check pass,
-the exact and Monte Carlo sumset laws and the SymbolSet operations all
-run the same code on either.
+(encode, from_members, zero_sets, full_sets, scaled, sumsets,
+leave_one_out_sumsets, sizes, to_masks) and intersect with ``&``, so
+the decoder's check pass, the exact and Monte Carlo sumset laws and the
+SymbolSet operations all run the same code on either.
 """
 
 from __future__ import annotations
@@ -33,6 +33,12 @@ def mask_dtype(q: int):
     """Dtype of the mask arrays layouts encode from and return: uint64
     for q <= 64, Python ints in an object array above."""
     return np.uint64 if q <= 64 else object
+
+
+def set_bytes(q: int) -> int:
+    """Bytes one set takes in the layout of ``set_layout`` for GF(q):
+    a uint16 mask up to MASK_TABLE_MAX_Q, a row of q bools above."""
+    return 2 if q <= MASK_TABLE_MAX_Q else q
 
 
 def index_masks(members: np.ndarray, q: int) -> np.ndarray:
@@ -203,6 +209,11 @@ class MaskTables:
     def encode(self, masks: np.ndarray) -> np.ndarray:
         return masks.astype(np.uint16)
 
+    def from_members(self, members: np.ndarray) -> np.ndarray:
+        """The sets whose members are the rows of distinct element
+        indices ``members``."""
+        return self.encode(index_masks(members, self.q))
+
     def zero_sets(self, n: int) -> np.ndarray:
         return np.ones(n, dtype=np.uint16)
 
@@ -298,6 +309,13 @@ class SetPlanes:
     def encode(self, masks: np.ndarray) -> np.ndarray:
         """Planes of valid masks given in the dtype of ``mask_dtype(q)``."""
         return (masks[:, None] & self._bits) != 0
+
+    def from_members(self, members: np.ndarray) -> np.ndarray:
+        """The sets whose members are the rows of distinct element
+        indices ``members``."""
+        sets = np.zeros((len(members), self.q), dtype=bool)
+        np.put_along_axis(sets, members, True, axis=1)
+        return sets
 
     def zero_sets(self, n: int) -> np.ndarray:
         sets = np.zeros((n, self.q), dtype=bool)

@@ -1,8 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import pecldpc
 from pecldpc import GF
 from pecldpc.cli import main
 from pecldpc.sumset_models import sumset_bounds
@@ -281,6 +286,38 @@ def test_oversized_de_tables_refused(capsys):
     assert main(["threshold", "--q", "256", "--M", "2", "--dv", "4", "--dc", "6"]) == 2
     assert time.perf_counter() - start < 5
     assert "size multisets" in capsys.readouterr().err
+
+
+# the CLI in a child process whose address space is capped at 1 GiB
+_LIMITED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from pecldpc.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "q, n",
+    [(4, 10**9), (4, 3 * 10**6), (256, 10**5)],
+    ids=["q4-1e9", "q4-3e6", "q256-1e5"],
+)
+def test_oversized_simulate_refused(q, n):
+    # refused from the decoder's message bytes (n * d_v sets of 2 or q
+    # bytes) before a graph is built; unchecked, each of these dies of
+    # MemoryError under the limit, with a traceback and exit 1
+    src = Path(pecldpc.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    args = ["simulate", "--q", str(q), "--M", "2", "--dv", "3", "--dc", "6",
+            "--n", str(n), "--eps", "0.5", "--trials", "1"]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED_CLI, *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 2, proc.stderr
+    assert "edge-message array" in proc.stderr
 
 
 def test_negative_graph_size_exit_code(tmp_path, capsys):

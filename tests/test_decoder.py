@@ -12,6 +12,7 @@ from pecldpc import (
     decode,
     vtc_message,
 )
+import pecldpc.ldpc as ldpc
 from pecldpc.symbol_sets import mask_dtype
 
 from oracles import brute_ctv
@@ -277,6 +278,67 @@ def test_stall_is_fixed_point():
     if res.status == "stalled" and res.iterations < 50:
         last, prev = res.message_history[-1][1], res.message_history[-2][1]
         assert [int(x) for x in last] == [int(x) for x in prev]
+
+
+# ---------------------------------------------------------
+# Slot layout
+# ---------------------------------------------------------
+def assert_same_result(a, b):
+    assert (a.status, a.iterations, a.vtc_resolved) == (b.status, b.iterations, b.vtc_resolved)
+    assert a.posterior.dtype == b.posterior.dtype
+    assert a.posterior.tolist() == b.posterior.tolist()
+    assert [h.tolist() for h in a.vtc_size_history] == [h.tolist() for h in b.vtc_size_history]
+    assert a.message_history == b.message_history
+
+
+def irregular_graph(field, rng):
+    # variable degrees 2, 3 and 5, checks of degree 6-8 and one check
+    # with no edges, so both slot arrays hold sentinel pads
+    var_deg = rng.choice([2, 3, 5], size=60)
+    n_edges = int(var_deg.sum())
+    chk_deg = np.full(30, n_edges // 30)
+    chk_deg[: n_edges - chk_deg.sum()] += 1
+    return TannerGraph(
+        field,
+        np.repeat(np.arange(60), var_deg),
+        rng.permutation(np.repeat(np.arange(30), chk_deg)),
+        rng.integers(1, field.q, size=n_edges),
+        n=60,
+        m=31,
+    )
+
+
+@pytest.mark.parametrize("q", [4, 5, 16, 27])
+def test_decode_ignores_slot_order(q):
+    # the order of a node's edges (and pads) within its slot column
+    # must not change any part of the result
+    rng = np.random.default_rng(q)
+    f = GF(q)
+    for g in (build_regular(60, 3, 6, f, rng), irregular_graph(f, rng)):
+        received = PartialErasureChannel(f, min(3, q), 0.5).transmit_zero_word(g.n, rng)
+        want = decode(g, received, max_iters=30, record_messages=True)
+        shuffled = TannerGraph(f, g.edge_var, g.edge_chk, g.edge_label, n=g.n, m=g.m)
+        shuffled._set_slots(*(rng.permuted(a, axis=0) for a in g.slots))
+        assert_same_result(decode(shuffled, received, max_iters=30, record_messages=True), want)
+
+
+def test_decode_sorts_each_graph_at_most_once(monkeypatch):
+    calls = []
+    real = ldpc._padded_slots
+    monkeypatch.setattr(
+        ldpc, "_padded_slots", lambda *args: calls.append(1) or real(*args)
+    )
+    f = GF(4)
+    rng = np.random.default_rng(8)
+    g = build_regular(60, 3, 6, f, rng)
+    received = PartialErasureChannel(f, 2, 0.6).transmit_zero_word(g.n, rng)
+    for _ in range(2):
+        decode(g, received)
+    assert calls == []  # a build_regular graph never sorts
+    g = TannerGraph(f, g.edge_var, g.edge_chk, g.edge_label, n=g.n, m=g.m)
+    for _ in range(2):
+        decode(g, received)
+    assert len(calls) == 2  # one sort per slot array, on the first decode
 
 
 # ---------------------------------------------------------

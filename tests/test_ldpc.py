@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from pecldpc import GF, DegreeDistribution, TannerGraph, build_regular
+from pecldpc.ldpc import _padded_slots
 
 
 # ---------------------------------------------------------
@@ -47,6 +49,60 @@ def test_socket_matching_is_permutation():
     g = build_regular(60, 3, 6, GF(4), np.random.default_rng(4))
     assert (np.bincount(g.edge_chk, minlength=g.m) == 6).all()
     assert (np.bincount(g.edge_var, minlength=g.n) == 3).all()
+
+
+@pytest.mark.parametrize(
+    "n, d_v, d_c, q, seed, digest",
+    [
+        (12, 3, 6, 4, 0, "3961a3920e94a797"),
+        (60, 3, 6, 5, 7, "5fc03f815e5c7750"),
+        (10_000, 3, 6, 4, 11, "e54f0bb89c4ea730"),
+        (30, 2, 5, 13, 3, "046ab0ac65458256"),
+        (64, 4, 8, 256, 21, "f4e6dac3a501a65c"),
+    ],
+)
+def test_build_regular_draws_pinned(n, d_v, d_c, q, seed, digest):
+    # recorded when the check sockets were drawn by
+    # rng.permutation(chk_sockets): the edge arrays and the generator
+    # state after the build must not move
+    rng = np.random.default_rng(seed)
+    g = build_regular(n, d_v, d_c, GF(q), rng)
+    h = hashlib.sha256()
+    for a in (g.edge_var, g.edge_chk, g.edge_label):
+        h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    h.update(rng.random().hex().encode())
+    assert h.hexdigest()[:16] == digest
+
+
+# ---------------------------------------------------------
+# Slot layout
+# ---------------------------------------------------------
+@pytest.mark.parametrize("n, d_v, d_c, seed", [(12, 3, 6, 0), (60, 3, 4, 1), (500, 2, 5, 2)])
+def test_regular_slots_match_sorted_layout(n, d_v, d_c, seed):
+    g = build_regular(n, d_v, d_c, GF(4), np.random.default_rng(seed))
+    chk_slots, var_slots = g.slots
+    assert np.array_equal(np.sort(chk_slots, axis=0), _padded_slots(g.edge_chk, g.chk_degrees))
+    assert np.array_equal(np.sort(var_slots, axis=0), _padded_slots(g.edge_var, g.var_degrees))
+
+
+def test_irregular_slots_are_padded():
+    # node 2 and check 1 have no edges; the pad is the sentinel E = 5
+    g = TannerGraph(GF(4), [0, 1, 1, 3, 0], [0, 2, 0, 0, 2], [1, 2, 3, 1, 2], n=4, m=3)
+    chk_slots, var_slots = g.slots
+    assert chk_slots.tolist() == [[0, 5, 1], [2, 5, 4], [3, 5, 5]]
+    assert var_slots.tolist() == [[0, 1, 5, 3], [4, 2, 5, 5]]
+
+
+def test_slots_read_only_and_built_once():
+    for g in (
+        build_regular(12, 3, 6, GF(4), np.random.default_rng(0)),
+        TannerGraph(GF(5), [0, 1, 2], [0, 0, 0], [2, 4, 3]),
+    ):
+        slots = g.slots
+        assert g.slots is slots
+        for a in slots:
+            with pytest.raises(ValueError):
+                a[0, 0] = 0
 
 
 # ---------------------------------------------------------

@@ -195,6 +195,9 @@ def test_layouts_match_oracles(q):
             assert mask_elements(sums[k]) == gf_sumset(f, sa, sb)
             assert mask_elements(scaled[k]) == gf_scale(f, sa, int(factors[k]))
             assert sizes[k] == len(sa)
+        members = rng.random((20, q)).argsort(axis=1)[:, : max(1, q // 3)]
+        got = sets.to_masks(sets.from_members(members)).tolist()
+        assert [mask_elements(m) for m in got] == [set(row) for row in members.tolist()]
 
 
 @pytest.mark.parametrize("q", [2, 4, 5, 9, 13, 16, 25, 27, 128])
