@@ -61,8 +61,10 @@ class PartialErasureChannel:
         """Channel outputs for an all-zero codeword as a bitmask array,
         in the dtype of ``mask_dtype(q)``.
 
-        Vectorized companion draw; the per-row argsort makes every
-        (M-1)-subset of the nonzero symbols equally likely.
+        Vectorized companion draw: the M-1 smallest of q-1 uniform keys
+        per erased row pick the companions, so every (M-1)-subset of the
+        nonzero symbols is equally likely.  Only which keys are smallest
+        matters, not their order, so a partial selection suffices.
         """
         q = self.field.q
         masks = np.ones(n, dtype=mask_dtype(q))
@@ -73,7 +75,11 @@ class PartialErasureChannel:
         if self.M == q:
             masks[erased] = (1 << q) - 1
             return masks
-        picks = rng.random((k, q - 1)).argsort(axis=1)[:, : self.M - 1] + 1
+        keys = rng.random((k, q - 1))
+        if self.M == 2:
+            picks = keys.argmin(axis=1)[:, None] + 1
+        else:
+            picks = keys.argpartition(self.M - 2, axis=1)[:, : self.M - 1] + 1
         masks[erased] |= index_masks(picks, q)
         return masks
 

@@ -9,17 +9,20 @@ variable nodes (weighting by the exact intersection-size law, with the
 channel's M-set joining the intersection on an erasure event).
 
 Each half is a draw-index kernel.  A node of degree d draws d-1 incoming
-sizes; the T size multisets of those draws are stored as a (T, d-1)
-array of size indices, so a multiset's probability weight is
-``dist[draws].prod(axis=1)``: one gather and one product, no powers.
-Row t of the half's (T, q) matrix is multiset t's output size law times
-its multinomial coefficient (the number of ordered draws behind it), so
-one matmul turns the weights into the output law.  The matrices depend
-only on (field, M, degree, model) and are built once per process, or,
-for the check matrices, once per model for as long as it lives; ``run``
-folds the degree fractions (and, on the variable half, eps) into copies
-of them once per call.  A half is thus one gather, one product and one
-matmul per degree term.
+sizes; the T size multisets of those draws are stored as a (d-1, T)
+array of size indices, row j holding every multiset's j-th draw, so the
+multisets' probability weights are
+``np.multiply.reduce(dist[draws], axis=0)``: one gather and one product,
+taken left to right over the draws, no powers.  Row t of the half's
+(T, q) matrix is multiset t's output size law times its multinomial
+coefficient (the number of ordered draws behind it), so one matmul turns
+the weights into the output law.  The matrices depend only on (field, M,
+degree, model) and are built once per process, or, for the check
+matrices, once per model for as long as it lives; ``run`` folds the
+degree fractions (and, on the variable half, eps) into copies of them
+once per call.  A half is thus one gather, one product and one matmul
+per degree term, and an iteration adds only the two sums it
+renormalises by.
 """
 
 from __future__ import annotations
@@ -58,8 +61,9 @@ def initial_vtc_dist(channel: PartialErasureChannel) -> np.ndarray:
 @cache
 def _weight_tables(max_size: int, k: int):
     """All size multisets of k draws from 1..max_size: the tuples, their
-    (T, k) draw indices into a size vector, and their multinomial
-    coefficients (the number of ordered tuples behind each multiset)."""
+    (k, T) draw indices into a size vector (column t is tuple t), and
+    their multinomial coefficients (the number of ordered tuples behind
+    each multiset)."""
     count = comb(max_size + k - 1, k)
     if count > MAX_SIZE_MULTISETS:
         raise ValueError(
@@ -68,7 +72,7 @@ def _weight_tables(max_size: int, k: int):
             "use a smaller field, M or node degree"
         )
     tuples = tuple(combinations_with_replacement(range(1, max_size + 1), k))
-    draws = np.array(tuples, dtype=np.intp) - 1
+    draws = np.ascontiguousarray(np.array(tuples, dtype=np.intp).T - 1)
     multinom = np.array(
         [factorial(k) // prod(factorial(t.count(s)) for s in set(t)) for t in tuples], float
     )
@@ -114,10 +118,13 @@ def _variable_matrices(field: GF, M: int, d_v: int):
 def _mix(dist: np.ndarray, terms) -> np.ndarray:
     """Sum over (draws, matrix) terms of weights @ matrix, where a
     multiset's weight is the product of ``dist`` over its draws."""
-    (draws, mat), *rest = terms
-    out = dist[draws].prod(axis=1) @ mat
-    for draws, mat in rest:
-        out += dist[draws].prod(axis=1) @ mat
+    out = None
+    for draws, mat in terms:
+        part = np.multiply.reduce(dist[draws], axis=0) @ mat
+        if out is None:
+            out = part
+        else:
+            out += part
     return out
 
 
@@ -190,7 +197,9 @@ class DeResult:
     stop rule ended the run: ``"converged"``, ``"fixed_point"`` (a
     stable non-trivial fixed point) or ``"max_iters"`` (the iteration
     budget ran out first).  ``monotone`` and ``mass_ok`` flag the runtime
-    sanity checks (warned about, never silently dropped)."""
+    sanity checks (warned about, never silently dropped); ``mass_drift``
+    is the largest |sum - 1| of either half's output before it was
+    renormalised, and ``mass_ok`` is ``mass_drift <= 1e-9``."""
 
     converged: bool
     iterations: int
@@ -198,6 +207,7 @@ class DeResult:
     stop_reason: str
     monotone: bool = True
     mass_ok: bool = True
+    mass_drift: float = 0.0
 
 
 def run(cfg: DeConfig) -> DeResult:
@@ -214,13 +224,13 @@ def run(cfg: DeConfig) -> DeResult:
     chk = _scaled((rho[d], _check_matrices(field, M, d, cfg.size_model)) for d in sorted(rho))
 
     z = initial_vtc_dist(ch)
-    pe = 1.0 - z[0]
+    pe = 1.0 - z.item(0)
     trajectory = [(0, pe)]
     converged = pe < cfg.convergence_tol
     monotone = True
-    mass_ok = True
-    iterations = 0
+    drift = 0.0
     stop_reason = "max_iters"
+    conv_tol, fp_tol = cfg.convergence_tol, cfg.fixed_point_tol
 
     for it in range(1, cfg.max_iters + 1):
         if converged:
@@ -228,41 +238,39 @@ def run(cfg: DeConfig) -> DeResult:
         w = _mix(z, chk)
         # renormalize: mass is conserved exactly in exact arithmetic, but
         # the per-multiset products amplify float drift exponentially
-        w_sum = w.sum()
-        if abs(w_sum - 1.0) > 1e-9:
-            mass_ok = False
+        w_sum = float(np.add.reduce(w))
         w /= w_sum
         z = _variable_output(w, var, eps)
-        z_sum = z.sum()
-        if abs(z_sum - 1.0) > 1e-9:
-            mass_ok = False
+        z_sum = float(np.add.reduce(z))
         z /= z_sum
+        drift = max(drift, abs(w_sum - 1.0), abs(z_sum - 1.0))
 
-        new_pe = 1.0 - z[0]
+        new_pe = 1.0 - z.item(0)
         trajectory.append((it, new_pe))
-        iterations = it
         if new_pe > pe + 1e-12:
             monotone = False
-        if new_pe < cfg.convergence_tol:
+        if new_pe < conv_tol:
             converged = True
-        elif cfg.fixed_point_tol > 0 and abs(new_pe - pe) < cfg.fixed_point_tol:
+        elif fp_tol > 0 and abs(new_pe - pe) < fp_tol:
             stop_reason = "fixed_point"
             break
         pe = new_pe
 
     if converged:
         stop_reason = "converged"
+    mass_ok = drift <= 1e-9
     if not mass_ok:
         warnings.warn("density evolution lost probability mass beyond 1e-9")
     if not monotone:
         warnings.warn("failure probability increased across an iteration")
     return DeResult(
         converged=converged,
-        iterations=iterations,
+        iterations=len(trajectory) - 1,
         trajectory=trajectory,
         stop_reason=stop_reason,
         monotone=monotone,
         mass_ok=mass_ok,
+        mass_drift=drift,
     )
 
 

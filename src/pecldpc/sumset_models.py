@@ -39,11 +39,13 @@ from .symbol_sets import index_masks, set_layout
 DEFAULT_WORK_CAP = 10**8
 DEFAULT_MC_SAMPLES = 10**6
 # bound on (state, subset) pairs the exact fold expands at once (block
-# rows times subsets, at least one row), and samples the Monte Carlo law
-# draws at once; keeps each of their temporaries at a few MB in either
-# set layout
+# rows times subsets, at least one row); keeps each of its temporaries
+# at a few MB in either set layout
 _FOLD_BLOCK = 1 << 14
-_MC_CHUNK = 1 << 14
+# bound on the (sample, element) cells the Monte Carlo law draws at once
+# (chunk rows times q, at least one row): each of a chunk's temporaries
+# holds one float or complex per cell, a few MB at every q
+_MC_CELLS = 1 << 18
 
 MODEL_KINDS = ("exact", "bound-lower", "bound-upper", "balls", "union")
 
@@ -197,13 +199,15 @@ def _monte_carlo_dist(
     q = field.q
     sets = set_layout(field)
     acc = sets.zero_sets(samples)  # {0}, the sumset identity
+    rows = max(1, _MC_CELLS // q)
     for s in sizes:
         # draws in row chunks: consecutive rng.random calls continue one
         # stream, so the samples are those of a single (samples, q) call
-        for lo in range(0, samples, _MC_CHUNK):
-            hi = min(lo + _MC_CHUNK, samples)
-            # uniform size-s subsets via the first s slots of random permutations
-            picks = rng.random((hi - lo, q)).argsort(axis=1)[:, :s]
+        for lo in range(0, samples, rows):
+            hi = min(lo + rows, samples)
+            # uniform size-s subsets: the s smallest of q uniform keys, in
+            # any order (a partial selection, not a full sort)
+            picks = rng.random((hi - lo, q)).argpartition(s - 1, axis=1)[:, :s]
             acc[lo:hi] = sets.sumsets(acc[lo:hi], sets.from_members(picks))
     hist = np.bincount(sets.sizes(acc), minlength=q + 1)[1:]
     return hist / samples

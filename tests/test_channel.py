@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -149,6 +150,28 @@ def test_zero_word_sets_beyond_32_bits(q):
         assert all(int(m) & 1 for m in masks)
         assert all(int(m) >> q == 0 for m in masks)
         assert set(sizes) == {1, M}
+
+
+# sha256 prefixes of 5,000 zero-word outputs at eps 0.8, seeds 1-3, as
+# comma-separated mask integers
+ZERO_WORD_PINS = {
+    (4, 2): ("af11ac8ef396fe54", "73c98e4869c13047", "8f8c862ea2f9ce1e"),
+    (4, 3): ("82d814abd7136a62", "d0614d20182e87b7", "0148fd57322f4495"),
+    (8, 5): ("5f621799400614b0", "9e433649bda73b99", "0713e2b1e0ee92ff"),
+    (16, 4): ("a4d1d900778a7dc5", "a6ea09a7e0d1b09f", "f48f45b63f0e0af3"),
+    (32, 5): ("4651409e3bd7fc67", "db9ccb5d623a47a3", "0e8f2bec33fa649c"),
+}
+
+
+@pytest.mark.parametrize("q, M", list(ZERO_WORD_PINS))
+def test_zero_word_masks_pinned(q, M):
+    # seeded outputs are part of the simulate contract: how the M-1
+    # smallest keys are selected must not change which companions win
+    got = []
+    for seed in (1, 2, 3):
+        masks = make(q, M, 0.8).transmit_zero_word(5000, np.random.default_rng(seed))
+        got.append(hashlib.sha256(",".join(map(str, masks.tolist())).encode()).hexdigest()[:16])
+    assert tuple(got) == ZERO_WORD_PINS[q, M]
 
 
 def test_with_epsilon():

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import warnings
 import weakref
@@ -288,6 +289,23 @@ def test_run_flags_clean_on_benign_input():
         warnings.simplefilter("error")
         r = run(bec_cfg(5, 0.4))
     assert r.monotone and r.mass_ok and r.converged
+    assert 0.0 <= r.mass_drift < 1e-12
+
+
+def test_run_reports_mass_drift(monkeypatch):
+    import pecldpc.density_evolution as de_mod
+
+    built = de_mod._check_matrices
+
+    def leaky(*args):  # check laws that sum to 1.001
+        draws, mat = built(*args)
+        return draws, 1.001 * mat
+
+    monkeypatch.setattr(de_mod, "_check_matrices", leaky)
+    with pytest.warns(UserWarning, match="lost probability mass"):
+        r = run(bec_cfg(5, 0.4))
+    assert not r.mass_ok
+    assert r.mass_drift == pytest.approx(1e-3, rel=1e-6)
 
 
 def test_run_stop_reasons():
@@ -304,6 +322,36 @@ def test_run_stop_reasons():
         assert r.iterations == cfg.max_iters
     # a run that would converge, but needs more than the budget
     assert run(bec_cfg(4, 0.42, max_iters=10)).stop_reason == "max_iters"
+
+
+# (q, M, model, eps, lambda, rho) -> (iterations, stop reason, sha256 of
+# every failure probability's float.hex and the two); eps sit at or
+# just above recorded thresholds, so the runs are long plateaus where a
+# changed rounding in either half compounds
+TRAJECTORY_PINS = [
+    ((8, 4, "exact", 0.59857177734375, {3: 1.0}, {6: 1.0}),
+     (1076, "converged", "f6e934f3eb1a988f59100a8bd9821860a1a9e7da6efae277907427a7ea344cc7")),
+    ((16, 4, "balls", 0.76507568359375, {3: 1.0}, {6: 1.0}),
+     (353, "converged", "7a7ffed5c0ed1f55e1aaf7ba3f0fc4f8d8559ddc290c706d3c6bbe3d6313569e")),
+    ((4, 2, "union", 0.85089111328125 + 2**-14, {3: 1.0}, {6: 1.0}),
+     (1613, "fixed_point", "0abd91e43fda20c86e32d18f2aeb50b4771b858284eb09a3ce08dc98cef91f44")),
+    ((8, 3, "union", 0.6, {2: 0.3, 3: 0.7}, {5: 0.4, 6: 0.6}),
+     (20, "converged", "ce233b978a9a50567ddbd813f24dd9664ea1116a62ec9ecf23d6f2c752bf8e88")),
+]
+
+
+@pytest.mark.parametrize(
+    "case, want", TRAJECTORY_PINS, ids=["q8-exact", "q16-balls", "q4-union", "q8-irregular"]
+)
+def test_run_trajectory_pinned(case, want):
+    # thresholds only see each probe's converged flag; this pins every
+    # float of the trajectory, bit for bit
+    q, M, kind, eps, lam, rho = case
+    ch = PartialErasureChannel(GF(q), M, eps)
+    r = run(DeConfig(ch, DegreeDistribution(lam, rho), SumsetSizeModel(kind)))
+    text = " ".join(pe.hex() for _, pe in r.trajectory) + f"|{r.iterations}|{r.stop_reason}"
+    assert (r.iterations, r.stop_reason, hashlib.sha256(text.encode()).hexdigest()) == want
+    assert r.mass_ok and r.monotone
 
 
 def test_bec_reduction_termwise():
@@ -382,7 +430,7 @@ def test_size_multiset_cap():
 
     # d_v = 3 at q = 256 stays admitted: C(257, 2) = 32,896 multisets
     tuples, draws, _ = de_mod._weight_tables(256, 2)
-    assert len(tuples) == draws.shape[0] == math.comb(257, 2) <= de_mod.MAX_SIZE_MULTISETS
+    assert len(tuples) == draws.shape[1] == math.comb(257, 2) <= de_mod.MAX_SIZE_MULTISETS
     # d_v = 4 at q = 256 is refused from the count, on both public halves
     ch = PartialErasureChannel(GF(256), 2, 0.5)
     with pytest.raises(ValueError, match="size multisets"):

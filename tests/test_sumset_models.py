@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pecldpc
 from pecldpc import (
     GF,
     EnumerationBudgetError,
@@ -142,6 +147,35 @@ def test_monte_carlo_draws_pinned():
     )
     counts = [0, 0, 0, 220, 0, 0, 0, 10604, 0, 0, 0, 7431, 0, 21745, 0, 0]
     assert mc.tolist() == [c / 40_000 for c in counts]
+
+
+_MC_PEAK = """
+import resource
+import numpy as np
+from pecldpc import GF, exact_dist
+law = exact_dist((2, 2, 3), GF(256), method="monte_carlo", samples=20_000,
+                 rng=np.random.default_rng(5))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+print(*(law * 20_000).round().astype(int))
+"""
+
+
+def test_monte_carlo_memory_bounded():
+    # at GF(256) a chunk's float temporaries are rows * 256 wide; with
+    # 2**14 rows per chunk this law peaked at 209 MB, with 2**18 // q
+    # rows at 55 MB, of which the interpreter and numpy take 42 MB
+    # (x86-64 Linux, numpy 2.4).  The counts were recorded with the
+    # 2**14-row chunks: smaller chunks continue the same stream of draws
+    src = Path(pecldpc.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _MC_PEAK], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak_mb, counts = proc.stdout.splitlines()
+    assert int(peak_mb) < 120
+    want = dict.fromkeys(range(1, 257), 0) | {4: 2, 6: 68, 8: 685, 12: 19245}
+    assert list(map(int, counts.split())) == list(want.values())
 
 
 def test_monte_carlo_needs_samples():
