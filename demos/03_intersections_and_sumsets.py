@@ -75,5 +75,5 @@ print("occupancy models smooth right over that structure.")
 
 # The selector object caches one table per size tuple, which is how the
 # density evolution consumes these:
-model = SumsetSizeModel.union()
+model = SumsetSizeModel("union")
 print("\ncached union-model lookup:", model.distribution(sizes, f8).round(4))

@@ -27,7 +27,7 @@ field = GF(4)
 cfg = DeConfig(
     channel=PartialErasureChannel(field, M=2, epsilon=0.78),
     degrees=deg36,
-    size_model=SumsetSizeModel.exact(),
+    size_model=SumsetSizeModel("exact"),
 )
 r = run(cfg)
 print("q=4, M=2, (3,6), eps=0.78:")

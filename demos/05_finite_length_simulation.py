@@ -21,7 +21,7 @@ M = 2
 ch0 = PartialErasureChannel(field, M, 0.0)
 
 th = threshold_search(
-    DeConfig(ch0, DegreeDistribution.regular(3, 6), SumsetSizeModel.exact())
+    DeConfig(ch0, DegreeDistribution.regular(3, 6), SumsetSizeModel("exact"))
 )
 print(f"density-evolution threshold, q=4, M=2, (3,6): {th:.4f}")
 

@@ -48,6 +48,7 @@ from .sumset_models import (
     coverage_transition_matrix,
     exact_dist,
     exact_dist_rational,
+    monte_carlo_dist,
     occupancy_dist,
     sumset_bounds,
     union_model_dist,
@@ -82,6 +83,7 @@ __all__ = [
     "bound_dist",
     "exact_dist",
     "exact_dist_rational",
+    "monte_carlo_dist",
     "coverage_transition_matrix",
     "occupancy_dist",
     "balls_dist",

@@ -17,8 +17,8 @@ taken left to right over the draws, no powers.  Row t of the half's
 (T, q) matrix is multiset t's output size law times its multinomial
 coefficient (the number of ordered draws behind it), so one matmul turns
 the weights into the output law.  The matrices depend only on (field, M,
-degree, model) and are built once per process, or, for the check
-matrices, once per model for as long as it lives; ``run`` folds the
+degree, model) and are built once per process (a model is a value, so
+equal models share their check matrices); ``run`` folds the
 degree fractions (and, on the variable half, eps) into copies of them
 once per call.  A half is thus one gather, one product and one matmul
 per degree term, and an iteration adds only the two sums it
@@ -28,7 +28,6 @@ renormalises by.
 from __future__ import annotations
 
 import warnings
-import weakref
 from dataclasses import dataclass, replace
 from functools import cache
 from itertools import combinations_with_replacement
@@ -90,19 +89,11 @@ def _weighted_rows(table, rows: np.ndarray):
     return draws, mat
 
 
-# model -> {(field, M, d_c): check matrices}; held weakly, so a model
-# (and its own distribution cache) is freed once its caller drops it
-_CHECK_MATRICES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
+@cache
 def _check_matrices(field: GF, M: int, d_c: int, model: SumsetSizeModel):
-    built = _CHECK_MATRICES.setdefault(model, {})
-    key = (field, M, d_c)
-    if key not in built:
-        table = _weight_tables(M, d_c - 1)
-        pmat = np.stack([model.distribution(t, field) for t in table[0]])
-        built[key] = _weighted_rows(table, pmat)
-    return built[key]
+    table = _weight_tables(M, d_c - 1)
+    pmat = np.stack([model.distribution(t, field) for t in table[0]])
+    return _weighted_rows(table, pmat)
 
 
 @cache

@@ -17,6 +17,12 @@ from .channel import PartialErasureChannel
 from .decoder import STATUS_SUCCESS, decode
 from .ldpc import TannerGraph, build_regular
 
+# trials one run may ask for: a million resolve a frame error rate near
+# 1e-5 (ten failures) and take about four hours at q = 4, n = 10,000
+# (~14 ms a trial on one x86-64 core), so a larger count is refused
+# rather than left to run for days
+MAX_TRIALS = 10**6
+
 
 @dataclass
 class TrialReport:
@@ -56,6 +62,8 @@ def run_trials(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"{trials} trials exceed the limit of {MAX_TRIALS}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
     if graph is None:

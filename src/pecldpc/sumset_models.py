@@ -10,20 +10,21 @@ this module provides
 * the exact distribution by enumeration over subset assignments,
   folded one operand at a time over the distinct partial sumsets with
   integer counts (so exhaustive cost grows with 2**q instead of with
-  the raw assignment count) through the field's set layout,
+  the raw assignment count) through the field's set layout, and its
+  Monte Carlo estimate where enumeration is over budget,
 * two absorbing-Markov-chain approximations driven by the coverage
   transition matrix: a per-sum occupancy model ("balls") and a
   per-translate model ("union"),
 
-plus a `SumsetSizeModel` selector that caches one distribution per
-(field, sorted size tuple) the way the density evolution consumes them.
+plus `SumsetSizeModel`, a frozen value naming the law the density
+evolution uses.
 
 All distributions are length-q vectors indexed by size-1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .combinatorics import binom, intersection_dist
 from .gf import GF
-from .symbol_sets import index_masks, set_layout
+from .symbol_sets import index_masks, set_bytes, set_layout
 
 DEFAULT_WORK_CAP = 10**8
 DEFAULT_MC_SAMPLES = 10**6
@@ -46,6 +47,11 @@ _FOLD_BLOCK = 1 << 14
 # (chunk rows times q, at least one row): each of a chunk's temporaries
 # holds one float or complex per cell, a few MB at every q
 _MC_CELLS = 1 << 18
+# bytes of the (samples, q) set array a Monte Carlo law keeps (samples
+# times set_bytes(q)); 256 MiB admits DEFAULT_MC_SAMPLES at every
+# q <= 256 (244 MiB of bool rows at q = 256) and refuses counts whose
+# array could never be allocated
+MAX_MC_SET_BYTES = 2**28
 
 MODEL_KINDS = ("exact", "bound-lower", "bound-upper", "balls", "union")
 
@@ -160,47 +166,44 @@ def exact_dist_rational(sizes: Sequence[int], field: GF) -> tuple[Fraction, ...]
     return _exact_dist_rational(_norm_sizes(sizes, field.q), field)
 
 
-def exact_dist(
-    sizes: Sequence[int],
-    field: GF,
-    *,
-    method: str = "exhaustive",
-    samples: int = DEFAULT_MC_SAMPLES,
-    rng: np.random.Generator | None = None,
-    work_cap: int = DEFAULT_WORK_CAP,
-) -> np.ndarray:
+def exact_dist(sizes: Sequence[int], field: GF) -> np.ndarray:
     """Distribution of |sumset| when each operand is uniform among the
-    size-|S_j| subsets of GF(q).
+    size-|S_j| subsets of GF(q), by exhaustive enumeration.
 
-    method='exhaustive' enumerates exactly and raises
-    EnumerationBudgetError when the work estimate exceeds ``work_cap``;
-    method='monte_carlo' samples ``samples`` assignments from ``rng``.
+    Raises EnumerationBudgetError when the work estimate exceeds
+    ``DEFAULT_WORK_CAP``; ``monte_carlo_dist`` estimates such laws.
     """
     t = _norm_sizes(sizes, field.q)
-    if method == "exhaustive":
-        if exhaustive_work_estimate(t, field.q) > work_cap:
-            raise EnumerationBudgetError(
-                f"exhaustive enumeration for sizes {t} over GF({field.q}) "
-                f"exceeds the work cap ({work_cap}); use monte_carlo"
-            )
-        return np.array([float(p) for p in _exact_dist_rational(t, field)])
-    if method != "monte_carlo":
-        raise ValueError(f"unknown method {method!r}")
+    if exhaustive_work_estimate(t, field.q) > DEFAULT_WORK_CAP:
+        raise EnumerationBudgetError(
+            f"exhaustive enumeration for sizes {t} over GF({field.q}) "
+            f"exceeds the work cap ({DEFAULT_WORK_CAP}); use monte_carlo"
+        )
+    return np.array([float(p) for p in _exact_dist_rational(t, field)])
+
+
+def monte_carlo_dist(
+    sizes: Sequence[int], field: GF, samples: int, rng: np.random.Generator | None = None
+) -> np.ndarray:
+    """Estimate of ``exact_dist`` from ``samples`` random assignments
+    drawn from ``rng``; ValueError when their sets would take more than
+    MAX_MC_SET_BYTES."""
+    q = field.q
+    t = _norm_sizes(sizes, q)
     if samples < 1:
         raise ValueError(f"monte_carlo needs at least one sample, got {samples}")
+    need = samples * set_bytes(q)
+    if need > MAX_MC_SET_BYTES:
+        raise ValueError(
+            f"{samples} Monte Carlo samples need {need} bytes of sets "
+            f"over GF({q}), above the limit of {MAX_MC_SET_BYTES}"
+        )
     if rng is None:
         rng = np.random.default_rng()
-    return _monte_carlo_dist(t, field, samples, rng)
-
-
-def _monte_carlo_dist(
-    sizes: tuple[int, ...], field: GF, samples: int, rng: np.random.Generator
-) -> np.ndarray:
-    q = field.q
     sets = set_layout(field)
     acc = sets.zero_sets(samples)  # {0}, the sumset identity
     rows = max(1, _MC_CELLS // q)
-    for s in sizes:
+    for s in t:
         # draws in row chunks: consecutive rng.random calls continue one
         # stream, so the samples are those of a single (samples, q) call
         for lo in range(0, samples, rows):
@@ -297,74 +300,48 @@ def union_model_dist(sizes: Sequence[int], field: GF) -> np.ndarray:
 # -- model selector ----------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class SumsetSizeModel:
-    """Named strategy for the sumset-size distribution with a per-tuple
-    cache; `kind` is one of MODEL_KINDS."""
+    """Names one sumset-size law: `kind` is one of MODEL_KINDS.  With an
+    ``mc_seed``, the exact law falls back to ``mc_samples`` Monte Carlo
+    draws seeded by (mc_seed, q, sizes) where enumeration is over budget.
+    A model is a value: equal models give equal laws."""
 
-    def __init__(
-        self,
-        kind: str,
-        *,
-        work_cap: int = DEFAULT_WORK_CAP,
-        mc_samples: int = DEFAULT_MC_SAMPLES,
-        mc_seed: int | None = None,
-    ):
-        if kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {kind!r}; choose from {MODEL_KINDS}")
-        if mc_samples < 1:
-            raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
-        self.kind = kind
-        self.work_cap = work_cap
-        self.mc_samples = mc_samples
-        self.mc_seed = mc_seed
-        self._cache: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
+    kind: str
+    _: KW_ONLY
+    mc_samples: int = DEFAULT_MC_SAMPLES
+    mc_seed: int | None = None
 
-    @classmethod
-    def exact(cls, **kw) -> "SumsetSizeModel":
-        return cls("exact", **kw)
-
-    @classmethod
-    def bound_lower(cls) -> "SumsetSizeModel":
-        return cls("bound-lower")
-
-    @classmethod
-    def bound_upper(cls) -> "SumsetSizeModel":
-        return cls("bound-upper")
-
-    @classmethod
-    def balls(cls) -> "SumsetSizeModel":
-        return cls("balls")
-
-    @classmethod
-    def union(cls) -> "SumsetSizeModel":
-        return cls("union")
+    def __post_init__(self):
+        if self.kind not in MODEL_KINDS:
+            raise ValueError(f"unknown model kind {self.kind!r}; choose from {MODEL_KINDS}")
+        if self.mc_samples < 1:
+            raise ValueError(f"mc_samples must be at least 1, got {self.mc_samples}")
+        # no set takes fewer than set_bytes(2) bytes, so a count over
+        # this is refused by monte_carlo_dist at every field
+        if self.mc_samples * set_bytes(2) > MAX_MC_SET_BYTES:
+            raise ValueError(
+                f"mc_samples {self.mc_samples} exceeds the Monte Carlo limit of "
+                f"{MAX_MC_SET_BYTES} bytes of sets at every field"
+            )
 
     def distribution(self, sizes: Sequence[int], field: GF) -> np.ndarray:
+        """A fresh length-q law of the sumset size for ``sizes``."""
         t = _norm_sizes(sizes, field.q)
-        key = (field.q, t)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+        # each law through its module-level name, so a wrapper put there
+        # (a tracer, a test's counter) sees every call
         if self.kind == "exact":
             try:
-                dist = exact_dist(t, field, work_cap=self.work_cap)
+                return exact_dist(t, field)
             except EnumerationBudgetError:
                 if self.mc_seed is None:
                     raise
-                rng = np.random.default_rng([self.mc_seed, field.q, *t])
-                dist = exact_dist(
-                    t, field, method="monte_carlo", samples=self.mc_samples, rng=rng
-                )
-        elif self.kind == "bound-lower":
-            dist = bound_dist(t, field, "lower")
-        elif self.kind == "bound-upper":
-            dist = bound_dist(t, field, "upper")
-        elif self.kind == "balls":
-            dist = balls_dist(t, field)
-        else:
-            dist = union_model_dist(t, field)
-        self._cache[key] = dist
-        return dist
-
-    def __repr__(self) -> str:
-        return f"SumsetSizeModel({self.kind!r})"
+            rng = np.random.default_rng([self.mc_seed, field.q, *t])
+            return monte_carlo_dist(t, field, self.mc_samples, rng)
+        if self.kind == "bound-lower":
+            return bound_dist(t, field, "lower")
+        if self.kind == "bound-upper":
+            return bound_dist(t, field, "upper")
+        if self.kind == "balls":
+            return balls_dist(t, field)
+        return union_model_dist(t, field)

@@ -76,7 +76,7 @@ REGULAR_36 = DegreeDistribution.regular(3, 6)
 
 def de_config(q, M, eps, model=None, **kw):
     ch = PartialErasureChannel(GF(q), M, eps)
-    return DeConfig(ch, REGULAR_36, model or SumsetSizeModel.exact(), **kw)
+    return DeConfig(ch, REGULAR_36, model or SumsetSizeModel("exact"), **kw)
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,20 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+def _run_limited(args):
+    """Exit code and stderr of the CLI under the 1 GiB limit, which must
+    answer within 10 s."""
+    src = Path(pecldpc.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED_CLI, *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 10
+    return proc.returncode, proc.stderr
+
+
 @pytest.mark.parametrize(
     "q, n",
     [(4, 10**9), (4, 3 * 10**6), (256, 10**5)],
@@ -306,18 +320,35 @@ def test_oversized_simulate_refused(q, n):
     # refused from the decoder's message bytes (n * d_v sets of 2 or q
     # bytes) before a graph is built; unchecked, each of these dies of
     # MemoryError under the limit, with a traceback and exit 1
-    src = Path(pecldpc.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     args = ["simulate", "--q", str(q), "--M", "2", "--dv", "3", "--dc", "6",
             "--n", str(n), "--eps", "0.5", "--trials", "1"]
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-c", _LIMITED_CLI, *args],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert time.perf_counter() - start < 10
-    assert proc.returncode == 2, proc.stderr
-    assert "edge-message array" in proc.stderr
+    code, err = _run_limited(args)
+    assert code == 2, err
+    assert "edge-message array" in err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # over the sample cap at every field: refused by the model
+        ("pm-table --q 16 --sizes 3,3,3,3,3 --model exact --mc-samples 1000000000000",
+         "at every field"),
+        ("threshold --q 16 --M 3 --dv 3 --dc 6 --model exact --mc-samples 1000000000000",
+         "at every field"),
+        # 16-byte sets at GF(16): refused when the law is sampled
+        ("pm-table --q 16 --sizes 3,3,3,3,3 --model exact --mc-samples 100000000",
+         "above the limit"),
+        ("simulate --q 4 --M 2 --dv 3 --dc 6 --n 1200 --eps 0.5 --trials 1000000000000",
+         "trials exceed"),
+    ],
+    ids=["pm-table-mc", "threshold-mc", "pm-table-mc-q16", "simulate-trials"],
+)
+def test_oversized_monte_carlo_refused(args, message):
+    # unchecked, the sample counts die of MemoryError under the limit
+    # (exit 1 with a traceback) and the trial count runs for days
+    code, err = _run_limited(args.split())
+    assert code == 2, err
+    assert message in err
 
 
 def test_negative_graph_size_exit_code(tmp_path, capsys):

@@ -17,6 +17,7 @@ from pecldpc import (
     ctv_message,
     decode,
     exact_dist,
+    monte_carlo_dist,
     run,
     vtc_message,
 )
@@ -121,7 +122,7 @@ def test_irregular_bec_reduction_termwise():
     cfg = DeConfig(
         ch,
         DegreeDistribution(lam, rho),
-        SumsetSizeModel.exact(),
+        SumsetSizeModel("exact"),
         max_iters=150,
         convergence_tol=0.0,
         fixed_point_tol=0.0,
@@ -271,10 +272,7 @@ def test_parallel_edges_decode():
 def test_monte_carlo_large_field_matches_exact():
     f = GF(16)
     exact = exact_dist([2, 2], f)
-    mc = exact_dist(
-        [2, 2], f, method="monte_carlo", samples=60_000,
-        rng=np.random.default_rng(6),
-    )
+    mc = monte_carlo_dist([2, 2], f, 60_000, np.random.default_rng(6))
     assert np.abs(mc - exact).max() < 0.01
 
 
@@ -285,7 +283,7 @@ def test_failure_probability_monotone_over_grid():
     deg = DegreeDistribution.regular(3, 6)
     for q, M in [(4, 2), (4, 3), (5, 2)]:
         cfg = DeConfig(
-            PartialErasureChannel(GF(q), M, 0.0), deg, SumsetSizeModel.union()
+            PartialErasureChannel(GF(q), M, 0.0), deg, SumsetSizeModel("union")
         )
         for eps in np.linspace(0.05, 0.95, 7):
             r = run(replace(cfg, channel=cfg.channel.with_epsilon(float(eps))))

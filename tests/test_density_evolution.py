@@ -1,8 +1,6 @@
-import gc
 import hashlib
 import math
 import warnings
-import weakref
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -33,7 +31,7 @@ from oracles import bec_threshold, bec_trajectory, exact_de_trajectory
 
 def bec_cfg(q, eps, **kw):
     ch = PartialErasureChannel(GF(q), q, eps)
-    return DeConfig(ch, DegreeDistribution.regular(3, 6), SumsetSizeModel.exact(), **kw)
+    return DeConfig(ch, DegreeDistribution.regular(3, 6), SumsetSizeModel("exact"), **kw)
 
 
 # ---------------------------------------------------------
@@ -49,7 +47,7 @@ def test_initial_dist():
 def test_check_update_singletons():
     f = GF(4)
     z = np.array([1.0, 0, 0, 0])
-    w = check_update(z, 6, SumsetSizeModel.exact(), f, 2)
+    w = check_update(z, 6, SumsetSizeModel("exact"), f, 2)
     assert w.tolist() == [1, 0, 0, 0]
 
 
@@ -58,7 +56,7 @@ def test_check_update_qec_reduction():
     f = GF(4)
     z = np.array([0.6, 0, 0, 0.4])
     for d_c in (3, 6):
-        w = check_update(z, d_c, SumsetSizeModel.exact(), f, 4)
+        w = check_update(z, d_c, SumsetSizeModel("exact"), f, 4)
         assert w[0] == pytest.approx(0.6 ** (d_c - 1), abs=1e-15)
         assert w[1] == w[2] == 0.0
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
@@ -67,9 +65,9 @@ def test_check_update_qec_reduction():
 def test_check_update_validation():
     f = GF(4)
     with pytest.raises(ValueError):
-        check_update(np.array([0.5, 0.5, 0, 0]), 1, SumsetSizeModel.exact(), f, 2)
+        check_update(np.array([0.5, 0.5, 0, 0]), 1, SumsetSizeModel("exact"), f, 2)
     with pytest.raises(ValueError):
-        check_update(np.array([0.5, 0, 0.5, 0]), 3, SumsetSizeModel.exact(), f, 2)
+        check_update(np.array([0.5, 0, 0.5, 0]), 3, SumsetSizeModel("exact"), f, 2)
 
 
 def test_variable_update_trivial_cases():
@@ -165,7 +163,7 @@ def ordered_variable_update(w, d_v, channel):
 def test_multiset_equals_ordered(q, M, d):
     f = GF(q)
     rng = np.random.default_rng(q * 10 + M)
-    model = SumsetSizeModel.exact()
+    model = SumsetSizeModel("exact")
     ch = PartialErasureChannel(f, M, 0.55)
     for _ in range(5):
         z = np.zeros(q)
@@ -245,7 +243,7 @@ def test_check_update_matches_decoder_monte_carlo():
     # elements; all samples go through the decoder's set layout at once
     f = GF(4)
     z = np.array([0.5, 0.5, 0.0, 0.0])
-    w = check_update(z, 3, SumsetSizeModel.exact(), f, 2)
+    w = check_update(z, 3, SumsetSizeModel("exact"), f, 2)
     rng = np.random.default_rng(2024)
     samples = 120_000
     pairs = rng.random((samples, 2)) >= z[0]
@@ -369,7 +367,7 @@ def test_mixture_degrees_accepted():
     f = GF(4)
     ch = PartialErasureChannel(f, 2, 0.2)
     deg = DegreeDistribution({2: 0.3, 3: 0.7}, {5: 0.5, 6: 0.5})
-    cfg = DeConfig(ch, deg, SumsetSizeModel.exact())
+    cfg = DeConfig(ch, deg, SumsetSizeModel("exact"))
     r = run(cfg)
     assert r.converged and r.mass_ok
 
@@ -379,7 +377,7 @@ def test_irregular_mixture_matches_hand_mix():
     # combination of the single-degree updates
     f = GF(4)
     M = 2
-    model = SumsetSizeModel.exact()
+    model = SumsetSizeModel("exact")
     z = np.array([0.55, 0.45, 0.0, 0.0])
     mixed = 0.25 * check_update(z, 4, model, f, M) + 0.75 * check_update(
         z, 6, model, f, M
@@ -417,7 +415,7 @@ def test_run_matches_exact_rational_oracle(q, ensemble):
     deg = DegreeDistribution(*({d: float(f) for d, f in c.items()} for c in (lam, rho)))
     ch = PartialErasureChannel(GF(q), M, float(eps))
     cfg = DeConfig(
-        ch, deg, SumsetSizeModel.exact(), max_iters=5, convergence_tol=0.0, fixed_point_tol=0.0
+        ch, deg, SumsetSizeModel("exact"), max_iters=5, convergence_tol=0.0, fixed_point_tol=0.0
     )
     got = [pe for _, pe in run(cfg).trajectory]
     want = exact_de_trajectory(GF(q), M, eps, lam, rho, 5)
@@ -442,7 +440,7 @@ def test_size_multiset_cap():
 def test_de_matrices_built_once_and_read_only():
     import pecldpc.density_evolution as de_mod
 
-    f, model = GF(4), SumsetSizeModel.exact()
+    f, model = GF(4), SumsetSizeModel("exact")
     tuples, counts, multinom = de_mod._weight_tables(2, 5)
     assert isinstance(tuples, tuple)
     assert de_mod._check_matrices(f, 2, 6, model) is de_mod._check_matrices(f, 2, 6, model)
@@ -451,26 +449,18 @@ def test_de_matrices_built_once_and_read_only():
     for arr in (counts, multinom, *mats):
         with pytest.raises(ValueError):
             arr[0] = 0
-    # another model instance gets its own check matrices
-    assert de_mod._check_matrices(f, 2, 6, SumsetSizeModel.exact()) is not (
+    # the memo keys on the model's value: an equal model shares the check
+    # matrices, another kind gets its own
+    assert de_mod._check_matrices(f, 2, 6, SumsetSizeModel("exact")) is (
+        de_mod._check_matrices(f, 2, 6, model)
+    )
+    assert de_mod._check_matrices(f, 2, 6, SumsetSizeModel("union")) is not (
         de_mod._check_matrices(f, 2, 6, model)
     )
     # the public updates hand out fresh arrays
     w = check_update(np.array([0.5, 0.5, 0, 0]), 6, model, f, 2)
     w[0] = 0.0
     assert check_update(np.array([0.5, 0.5, 0, 0]), 6, model, f, 2)[0] > 0.0
-
-
-def test_de_model_freed_after_run():
-    # the check-matrix memo holds models weakly: once the caller drops a
-    # model, it and its distribution cache can be collected
-    model = SumsetSizeModel.exact()
-    cfg = DeConfig(PartialErasureChannel(GF(4), 2, 0.5), DegreeDistribution.regular(3, 6), model)
-    assert run(cfg).iterations > 0
-    gone = weakref.ref(model)
-    del model, cfg
-    gc.collect()
-    assert gone() is None
 
 
 # ---------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 import pecldpc
 from pecldpc import (
     GF,
+    MODEL_KINDS,
     EnumerationBudgetError,
     SumsetSizeModel,
     balls_dist,
@@ -18,10 +19,12 @@ from pecldpc import (
     coverage_transition_matrix,
     exact_dist,
     exact_dist_rational,
+    monte_carlo_dist,
     occupancy_dist,
     sumset_bounds,
     union_model_dist,
 )
+from pecldpc.symbol_sets import set_bytes
 
 from oracles import brute_sumset_dist, occupancy_exact
 
@@ -120,20 +123,16 @@ def test_exact_respects_bounds_and_forced_full():
                     assert support == [q]
 
 
-def test_exact_budget_cap():
-    with pytest.raises(EnumerationBudgetError):
-        exact_dist([4, 4, 4], GF(8), work_cap=10)
-    with pytest.raises(ValueError):
-        exact_dist([2, 2], GF(4), method="magic")
+def test_exact_budget_cap(monkeypatch):
+    monkeypatch.setattr(pecldpc.sumset_models, "DEFAULT_WORK_CAP", 10)
+    with pytest.raises(EnumerationBudgetError, match=r"work cap \(10\)"):
+        exact_dist([4, 4, 4], GF(8))
 
 
 def test_monte_carlo_close_to_exact():
     f = GF(5)
     exact = exact_dist([2, 3], f)
-    mc = exact_dist(
-        [2, 3], f, method="monte_carlo", samples=200_000,
-        rng=np.random.default_rng(17),
-    )
+    mc = monte_carlo_dist([2, 3], f, 200_000, np.random.default_rng(17))
     assert np.abs(mc - exact).max() < 0.005
     assert mc.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -141,10 +140,7 @@ def test_monte_carlo_close_to_exact():
 def test_monte_carlo_draws_pinned():
     # recorded before the draws were chunked: 40,000 samples span three
     # chunks, whose consecutive draws must reproduce one large draw
-    mc = exact_dist(
-        (2, 3, 3), GF(16), method="monte_carlo", samples=40_000,
-        rng=np.random.default_rng(2024),
-    )
+    mc = monte_carlo_dist((2, 3, 3), GF(16), 40_000, np.random.default_rng(2024))
     counts = [0, 0, 0, 220, 0, 0, 0, 10604, 0, 0, 0, 7431, 0, 21745, 0, 0]
     assert mc.tolist() == [c / 40_000 for c in counts]
 
@@ -152,9 +148,8 @@ def test_monte_carlo_draws_pinned():
 _MC_PEAK = """
 import resource
 import numpy as np
-from pecldpc import GF, exact_dist
-law = exact_dist((2, 2, 3), GF(256), method="monte_carlo", samples=20_000,
-                 rng=np.random.default_rng(5))
+from pecldpc import GF, monte_carlo_dist
+law = monte_carlo_dist((2, 2, 3), GF(256), 20_000, np.random.default_rng(5))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
 print(*(law * 20_000).round().astype(int))
 """
@@ -182,9 +177,22 @@ def test_monte_carlo_needs_samples():
     f = GF(4)
     for samples in (0, -3):
         with pytest.raises(ValueError):
-            exact_dist((2, 2), f, method="monte_carlo", samples=samples)
+            monte_carlo_dist((2, 2), f, samples)
         with pytest.raises(ValueError):
             SumsetSizeModel("exact", mc_samples=samples, mc_seed=1)
+
+
+def test_monte_carlo_samples_capped():
+    ss = pecldpc.sumset_models
+    # the default sample count fits at every field
+    assert ss.DEFAULT_MC_SAMPLES * set_bytes(256) <= ss.MAX_MC_SET_BYTES
+    # 10**8 samples of 16-byte sets: refused before any is drawn
+    with pytest.raises(ValueError, match="above the limit"):
+        monte_carlo_dist((2, 2), GF(16), 10**8)
+    # a count over the cap at the smallest set size is refused by the model
+    SumsetSizeModel("exact", mc_samples=ss.MAX_MC_SET_BYTES // 2)
+    with pytest.raises(ValueError, match="at every field"):
+        SumsetSizeModel("exact", mc_samples=ss.MAX_MC_SET_BYTES // 2 + 1)
 
 
 # ---------------------------------------------------------
@@ -275,29 +283,71 @@ def test_models_are_distributions():
 # ---------------------------------------------------------
 def test_model_selector_kinds():
     f = GF(4)
-    assert SumsetSizeModel.exact().distribution([2, 2], f)[1] == pytest.approx(1 / 3)
-    assert SumsetSizeModel.bound_upper().distribution([2, 2], f).tolist() == [0, 0, 0, 1]
-    assert SumsetSizeModel.bound_lower().distribution([2, 2], f).tolist() == [0, 1, 0, 0]
-    assert SumsetSizeModel.balls().distribution([2, 2], f).sum() == pytest.approx(1.0)
-    assert SumsetSizeModel.union().distribution([2, 2], f).sum() == pytest.approx(1.0)
+    assert SumsetSizeModel("exact").distribution([2, 2], f)[1] == pytest.approx(1 / 3)
+    assert SumsetSizeModel("bound-upper").distribution([2, 2], f).tolist() == [0, 0, 0, 1]
+    assert SumsetSizeModel("bound-lower").distribution([2, 2], f).tolist() == [0, 1, 0, 0]
+    assert SumsetSizeModel("balls").distribution([2, 2], f).sum() == pytest.approx(1.0)
+    assert SumsetSizeModel("union").distribution([2, 2], f).sum() == pytest.approx(1.0)
     with pytest.raises(ValueError):
         SumsetSizeModel("bogus")
 
 
-def test_model_cache_returns_same_array():
-    model = SumsetSizeModel.exact()
+def test_model_laws_are_fresh_values():
+    # an in-place edit of a returned law must not reach the next call
     f = GF(5)
-    a = model.distribution([3, 2], f)
-    b = model.distribution([2, 3], f)
-    assert a is b
+    for kind in MODEL_KINDS:
+        model = SumsetSizeModel(kind)
+        a = model.distribution([3, 2], f)
+        want = a.copy()
+        a[:] = 0.0
+        assert model.distribution([2, 3], f).tolist() == want.tolist()
 
 
-def test_exact_model_mc_fallback():
+def test_model_fields_frozen():
+    # a model is a value: its kind cannot change under a cache keyed on it
+    model = SumsetSizeModel("union")
+    for name, value in (("kind", "balls"), ("mc_samples", 10), ("mc_seed", 1)):
+        with pytest.raises(AttributeError):
+            setattr(model, name, value)
+    assert model == SumsetSizeModel("union")
+    assert hash(model) == hash(SumsetSizeModel("union"))
+    assert model != SumsetSizeModel("balls")
+    assert SumsetSizeModel("exact") != SumsetSizeModel("exact", mc_seed=1)
+
+
+def test_model_calls_module_level_laws(monkeypatch):
+    # distribution looks each law up by its module-level name at call
+    # time, so a wrapper put there (the bench tracer's spans) sees it
+    calls = []
+    ss = pecldpc.sumset_models
+    for name in ("exact_dist", "bound_dist", "balls_dist", "union_model_dist"):
+
+        def counted(*args, _name=name, _fn=getattr(ss, name)):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(ss, name, counted)
     f = GF(5)
-    strict = SumsetSizeModel("exact", work_cap=10)
-    with pytest.raises(EnumerationBudgetError):
-        strict.distribution([2, 2], f)
-    fallback = SumsetSizeModel("exact", work_cap=10, mc_samples=50_000, mc_seed=3)
-    d = fallback.distribution([2, 2], f)
+    want = {
+        "exact": ["exact_dist"],
+        "bound-lower": ["bound_dist"],
+        "bound-upper": ["bound_dist"],
+        "balls": ["balls_dist"],
+        "union": ["union_model_dist"],
+    }
+    for kind in MODEL_KINDS:
+        calls.clear()
+        SumsetSizeModel(kind).distribution([2, 2], f)
+        assert calls == want[kind], kind
+
+
+def test_exact_model_mc_fallback(monkeypatch):
+    f = GF(5)
+    # the reference law is computed under the default cap
     want = exact_dist([2, 2], f)
+    monkeypatch.setattr(pecldpc.sumset_models, "DEFAULT_WORK_CAP", 10)
+    with pytest.raises(EnumerationBudgetError):
+        SumsetSizeModel("exact").distribution([2, 2], f)
+    fallback = SumsetSizeModel("exact", mc_samples=50_000, mc_seed=3)
+    d = fallback.distribution([2, 2], f)
     assert np.abs(d - want).max() < 0.02
