@@ -24,7 +24,7 @@ from .decoder import decode
 from .density_evolution import DeConfig, threshold_search
 from .gf import GF
 from .ldpc import DegreeDistribution, TannerGraph
-from .simulation import run_trials
+from .simulation import MAX_TRIALS, run_trials
 from .sumset_models import (
     MODEL_KINDS,
     EnumerationBudgetError,
@@ -177,9 +177,17 @@ def _cmd_simulate(args, argv):
             f"--n {args.n} with --dv {args.dv} needs {message_bytes} bytes per edge-message "
             f"array at q={args.q}, above the limit of {MAX_SIM_MESSAGE_BYTES}"
         )
+    ms, grid = _parse_int_list(args.M, "--M"), _parse_eps(args)
+    # each (M, eps) point runs its own trials: cap the run, not each factor
+    total = len(ms) * len(grid) * args.trials
+    if total > MAX_TRIALS:
+        raise CliError(
+            f"{len(ms)} M values x {len(grid)} eps points x {args.trials} trials: "
+            f"{total} trials exceed the limit of {MAX_TRIALS} a run"
+        )
     rows = []
-    for m in _parse_int_list(args.M, "--M"):
-        for eps in _parse_eps(args):
+    for m in ms:
+        for eps in grid:
             report = run_trials(
                 PartialErasureChannel(field, m, eps),
                 n=args.n,

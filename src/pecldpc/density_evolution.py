@@ -1,28 +1,36 @@
 """Density evolution on message-size distributions.
 
 The asymptotic state of the set decoder is captured by two probability
-vectors over message sizes 1..q: one for check-to-variable messages,
-one for variable-to-check messages.  One iteration pushes the
-variable-to-check vector through the check nodes (weighting each
-multiset of incoming sizes by a sumset-size model) and back through the
-variable nodes (weighting by the exact intersection-size law, with the
-channel's M-set joining the intersection on an erasure event).
+vectors over message sizes: check-to-variable sizes 1..q, and
+variable-to-check sizes 1..M (a variable message lies inside the
+channel's set).  One iteration pushes the variable-to-check vector
+through the check nodes (weighting each multiset of incoming sizes by a
+sumset-size model) and back through the variable nodes (intersecting
+the channel's set with the incoming sets).
 
-Each half is a draw-index kernel.  A node of degree d draws d-1 incoming
-sizes; the T size multisets of those draws are stored as a (d-1, T)
-array of size indices, row j holding every multiset's j-th draw, so the
-multisets' probability weights are
+The check half is a draw-index kernel.  A check of degree d draws d-1
+incoming sizes; the T size multisets of those draws are stored as a
+(d-1, T) array of size indices, row j holding every multiset's j-th
+draw, so the multisets' probability weights are
 ``np.multiply.reduce(dist[draws], axis=0)``: one gather and one product,
-taken left to right over the draws, no powers.  Row t of the half's
-(T, q) matrix is multiset t's output size law times its multinomial
-coefficient (the number of ordered draws behind it), so one matmul turns
-the weights into the output law.  The matrices depend only on (field, M,
-degree, model) and are built once per process (a model is a value, so
-equal models share their check matrices); ``run`` folds the
-degree fractions (and, on the variable half, eps) into copies of them
-once per call.  A half is thus one gather, one product and one matmul
-per degree term, and an iteration adds only the two sums it
-renormalises by.
+taken left to right over the draws, no powers.  Row t of the (T, q)
+matrix is multiset t's sumset-size law times its multinomial
+coefficient (the number of ordered draws behind it), so one matmul
+turns the weights into the output law.
+
+The variable half is a Markov chain on the message size.  A size-i set
+holding the sent symbol, intersected with a size-s set uniform among
+those holding it, keeps j symbols with probability
+``common_member_intersection_dist((i, s), q)[j]``, and given its size
+the result is again uniform.  So with H(w) = sum_s w_s H_s, a degree-d
+variable's output is (1-eps) e_1 + eps e_M H(w)^(d-1): one matmul forms
+H(w) from the q matrices H_s, held as one (q, M*M) array, and d-1
+vector-matrix products carry the channel's M-set along it.  Sizes never
+exceed M, so nothing grows with q beyond that array.
+
+The matrices are built once per process (a model is a value, so equal
+models share their check matrices); ``run`` folds the degree fractions
+(and, on the variable half, eps) into copies of them once per call.
 """
 
 from __future__ import annotations
@@ -42,10 +50,10 @@ from .ldpc import DegreeDistribution
 from .sumset_models import SumsetSizeModel
 
 FIXED_POINT_TOL = 1e-13
-# size multisets one DE half may enumerate, each a row of q floats in a
-# matrix cached for the life of the process: 2**16 admits the variable
-# half of every d_v = 3 ensemble up to q = 256 (C(257, 2) = 32,896 rows)
-# and d_v = 4 at every q <= 71, and keeps a matrix at most 128 MiB
+# size multisets the check half may enumerate, C(M + d_c - 2, d_c - 1),
+# each a row of q floats in a matrix cached for the life of the process:
+# 2**16 admits d_c up to 72 at M = 4 and up to 13 at M = 8, and keeps a
+# matrix at most 128 MiB
 MAX_SIZE_MULTISETS = 2**16
 
 
@@ -68,7 +76,7 @@ def _weight_tables(max_size: int, k: int):
         raise ValueError(
             f"density evolution would enumerate {count} size multisets of {k} "
             f"draws from 1..{max_size}, over the cap of {MAX_SIZE_MULTISETS}; "
-            "use a smaller field, M or node degree"
+            "use a smaller M or check degree"
         )
     tuples = tuple(combinations_with_replacement(range(1, max_size + 1), k))
     draws = np.ascontiguousarray(np.array(tuples, dtype=np.intp).T - 1)
@@ -80,30 +88,28 @@ def _weight_tables(max_size: int, k: int):
     return tuples, draws, multinom
 
 
-def _weighted_rows(table, rows: np.ndarray):
-    """(draws, matrix) of one half from its ``_weight_tables`` entry and
-    each multiset's output law: row t is scaled by its multinomial."""
-    _, draws, multinom = table
-    mat = multinom[:, None] * rows
+@cache
+def _check_matrices(field: GF, M: int, d_c: int, model: SumsetSizeModel):
+    """(draws, matrix) of the check half: row t is the sumset-size law of
+    multiset t times its multinomial."""
+    tuples, draws, multinom = _weight_tables(M, d_c - 1)
+    mat = multinom[:, None] * np.stack([model.distribution(t, field) for t in tuples])
     mat.setflags(write=False)
     return draws, mat
 
 
 @cache
-def _check_matrices(field: GF, M: int, d_c: int, model: SumsetSizeModel):
-    table = _weight_tables(M, d_c - 1)
-    pmat = np.stack([model.distribution(t, field) for t in table[0]])
-    return _weighted_rows(table, pmat)
-
-
-@cache
-def _variable_matrices(field: GF, M: int, d_v: int):
-    table = _weight_tables(field.q, d_v - 1)
-    qmat = np.zeros((len(table[0]), field.q))
-    for r, t in enumerate(table[0]):
-        dist = common_member_intersection_dist(sorted(t + (M,)), field.q)
-        qmat[r, : len(dist) - 1] = dist[1:]
-    return _weighted_rows(table, qmat)
+def _size_chain(q: int, M: int) -> np.ndarray:
+    """H_1..H_q as one (q, M*M) array: entry (s-1, (i-1)*M + j-1) is the
+    chance that a size-i set holding the sent symbol, intersected with a
+    size-s set uniform among those holding it, keeps j symbols."""
+    chain = np.zeros((q, M * M))
+    for s in range(1, q + 1):
+        for i in range(1, M + 1):
+            law = common_member_intersection_dist((i, s), q)
+            chain[s - 1, (i - 1) * M :][: len(law) - 1] = law[1:]
+    chain.setflags(write=False)
+    return chain
 
 
 def _mix(dist: np.ndarray, terms) -> np.ndarray:
@@ -120,16 +126,31 @@ def _mix(dist: np.ndarray, terms) -> np.ndarray:
 
 
 def _scaled(pairs) -> list:
-    """(draws, scale * matrix) for each (scale, (draws, matrix)) pair: a
-    half's degree fraction (and, for the variable half, eps) folded into
-    its matrices once per run."""
+    """(draws, scale * matrix) for each (scale, (draws, matrix)) pair: the
+    check half's degree fractions folded into its matrices once per run."""
     return [(draws, scale * mat) for scale, (draws, mat) in pairs]
 
 
-def _variable_output(w: np.ndarray, terms, eps: float) -> np.ndarray:
-    """(1-eps) on size 1 plus the mixed intersection law, whose matrices
-    already carry the factor eps."""
-    z = _mix(w, terms)
+def _variable_terms(q: int, M: int, scales) -> tuple:
+    """The size chain, the shape of H(w) and, per (degree, scale) pair,
+    the degree's steps past the first and its first-step rows (the
+    chain's rows from size M) times scale: eps and the degree fraction
+    folded in once per run."""
+    chain = _size_chain(q, M)
+    return chain, (M, M), [(d - 2, scale * chain[:, M * (M - 1) :]) for d, scale in scales]
+
+
+def _variable_output(w: np.ndarray, var, eps: float) -> np.ndarray:
+    """(1-eps) on size 1 plus, per degree d, the channel's M-set carried
+    d-1 steps along H(w); the first step's rows already carry eps."""
+    chain, shape, terms = var
+    h = np.dot(w, chain).reshape(shape)
+    z = None
+    for steps, first in terms:
+        v = np.dot(w, first)
+        for _ in range(steps):
+            v = np.dot(v, h)
+        z = v if z is None else z + v
     z[0] += 1.0 - eps
     return z
 
@@ -165,9 +186,9 @@ def variable_update(w: np.ndarray, d_v: int, channel: PartialErasureChannel) -> 
     check-size distribution w (length q)."""
     if d_v < 2:
         raise ValueError("variable degree must be at least 2")
-    field, M, eps = channel.field, channel.M, channel.epsilon
-    w = _size_vector(w, field.q, "w")
-    return _variable_output(w, _scaled([(eps, _variable_matrices(field, M, d_v))]), eps)
+    q, M, eps = channel.field.q, channel.M, channel.epsilon
+    w = _size_vector(w, q, "w")
+    return np.pad(_variable_output(w, _variable_terms(q, M, [(d_v, eps)]), eps), (0, q - M))
 
 
 @dataclass
@@ -209,12 +230,10 @@ def run(cfg: DeConfig) -> DeResult:
     field, M, eps = ch.field, ch.M, ch.epsilon
 
     rho, lam = cfg.degrees.rho_coeffs, cfg.degrees.lambda_coeffs
-    # the variable half first: its tables grow with q, so an oversized
-    # one is refused before any sumset law of the check half is computed
-    var = _scaled((eps * lam[d], _variable_matrices(field, M, d)) for d in sorted(lam))
     chk = _scaled((rho[d], _check_matrices(field, M, d, cfg.size_model)) for d in sorted(rho))
+    var = _variable_terms(field.q, M, [(d, eps * lam[d]) for d in sorted(lam)])
 
-    z = initial_vtc_dist(ch)
+    z = initial_vtc_dist(ch)[:M]
     pe = 1.0 - z.item(0)
     trajectory = [(0, pe)]
     converged = pe < cfg.convergence_tol

@@ -20,7 +20,8 @@ from .ldpc import TannerGraph, build_regular
 # trials one run may ask for: a million resolve a frame error rate near
 # 1e-5 (ten failures) and take about four hours at q = 4, n = 10,000
 # (~14 ms a trial on one x86-64 core), so a larger count is refused
-# rather than left to run for days
+# rather than left to run for days; the CLI caps a simulate command's
+# trials summed over its (M, eps) points the same way
 MAX_TRIALS = 10**6
 
 

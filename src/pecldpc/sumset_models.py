@@ -29,6 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import prod
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -190,8 +191,8 @@ def monte_carlo_dist(
     MAX_MC_SET_BYTES."""
     q = field.q
     t = _norm_sizes(sizes, q)
-    if samples < 1:
-        raise ValueError(f"monte_carlo needs at least one sample, got {samples}")
+    if not isinstance(samples, Integral) or samples < 1:
+        raise ValueError(f"monte_carlo needs a whole number of samples, at least 1, got {samples!r}")
     need = samples * set_bytes(q)
     if need > MAX_MC_SET_BYTES:
         raise ValueError(
@@ -315,8 +316,12 @@ class SumsetSizeModel:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}; choose from {MODEL_KINDS}")
-        if self.mc_samples < 1:
-            raise ValueError(f"mc_samples must be at least 1, got {self.mc_samples}")
+        # numpy integers are Integral too; a float count or seed would
+        # fail deep inside the sampler
+        if not isinstance(self.mc_samples, Integral) or self.mc_samples < 1:
+            raise ValueError(f"mc_samples must be an integer of at least 1, got {self.mc_samples!r}")
+        if self.mc_seed is not None and not isinstance(self.mc_seed, Integral):
+            raise ValueError(f"mc_seed must be an integer or None, got {self.mc_seed!r}")
         # no set takes fewer than set_bytes(2) bytes, so a count over
         # this is refused by monte_carlo_dist at every field
         if self.mc_samples * set_bytes(2) > MAX_MC_SET_BYTES:

@@ -26,7 +26,7 @@ from pecldpc import (
 from pecldpc.combinatorics import common_member_intersection_dist
 from pecldpc.symbol_sets import set_layout
 
-from oracles import bec_threshold, bec_trajectory, exact_de_trajectory
+from oracles import bec_threshold, bec_trajectory, brute_common_member_dist, exact_de_trajectory
 
 
 def bec_cfg(q, eps, **kw):
@@ -211,11 +211,13 @@ def test_variable_update_matches_float_reference(q, M):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0, err_msg=f"d_v={d_v}")
 
 
-def test_mixture_iterations_match_float_reference():
+@pytest.mark.parametrize("lam", [{2: 0.25, 3: 0.75}, {3: 0.4, 5: 0.6}], ids=["2-3", "3-5"])
+def test_mixture_iterations_match_float_reference(lam):
     # two-degree mixtures on both sides at q=16: two full iterations of
-    # run against the ordered-tuple halves mixed by hand
+    # run against the ordered-tuple halves mixed by hand; the 3-5 mixture
+    # has a gap between its variable degrees
     f, M, eps = GF(16), 3, 0.6
-    lam, rho = {2: 0.25, 3: 0.75}, {4: 0.5, 6: 0.5}
+    rho = {4: 0.5, 6: 0.5}
     model = SumsetSizeModel("balls")
     ch = PartialErasureChannel(f, M, eps)
     cfg = DeConfig(
@@ -328,13 +330,13 @@ def test_run_stop_reasons():
 # changed rounding in either half compounds
 TRAJECTORY_PINS = [
     ((8, 4, "exact", 0.59857177734375, {3: 1.0}, {6: 1.0}),
-     (1076, "converged", "f6e934f3eb1a988f59100a8bd9821860a1a9e7da6efae277907427a7ea344cc7")),
+     (1076, "converged", "af1e66b6e7900df0ce36632e9c15378dd3af28f5d96a8f26c658ef3d2d3ebc97")),
     ((16, 4, "balls", 0.76507568359375, {3: 1.0}, {6: 1.0}),
-     (353, "converged", "7a7ffed5c0ed1f55e1aaf7ba3f0fc4f8d8559ddc290c706d3c6bbe3d6313569e")),
+     (353, "converged", "f0b64ddb88987907ed3f3ef68cdd01c5c35235dbad7e2c3ca6348ca9ab521dc3")),
     ((4, 2, "union", 0.85089111328125 + 2**-14, {3: 1.0}, {6: 1.0}),
-     (1613, "fixed_point", "0abd91e43fda20c86e32d18f2aeb50b4771b858284eb09a3ce08dc98cef91f44")),
+     (1613, "fixed_point", "e890f288c9979900936535dc7636a233887c9f33ab2fdc213f98d2a0f455f40b")),
     ((8, 3, "union", 0.6, {2: 0.3, 3: 0.7}, {5: 0.4, 6: 0.6}),
-     (20, "converged", "ce233b978a9a50567ddbd813f24dd9664ea1116a62ec9ecf23d6f2c752bf8e88")),
+     (20, "converged", "bba3371d8aedb9a4456472a5f0ced1ec238ffe8671636ff149fea5dfee4ed579")),
 ]
 
 
@@ -426,15 +428,32 @@ def test_run_matches_exact_rational_oracle(q, ensemble):
 def test_size_multiset_cap():
     import pecldpc.density_evolution as de_mod
 
-    # d_v = 3 at q = 256 stays admitted: C(257, 2) = 32,896 multisets
-    tuples, draws, _ = de_mod._weight_tables(256, 2)
-    assert len(tuples) == draws.shape[1] == math.comb(257, 2) <= de_mod.MAX_SIZE_MULTISETS
-    # d_v = 4 at q = 256 is refused from the count, on both public halves
+    # the variable half enumerates no multisets: d_v = 4 at q = 256 is a
+    # law on sizes 1..M
     ch = PartialErasureChannel(GF(256), 2, 0.5)
-    with pytest.raises(ValueError, match="size multisets"):
-        variable_update(np.full(256, 1 / 256), 4, ch)
+    z = variable_update(np.full(256, 1 / 256), 4, ch)
+    assert not z[2:].any() and z.sum() == pytest.approx(1.0, abs=1e-12)
+    # the check half is refused from its count, C(M + d_c - 2, d_c - 1)
+    tuples, draws, _ = de_mod._weight_tables(4, 5)
+    assert len(tuples) == draws.shape[1] == math.comb(8, 5)
     with pytest.raises(ValueError, match="size multisets"):
         check_update(np.full(64, 1 / 64), 30, SumsetSizeModel("union"), GF(64), 64)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_size_chain_matches_oracle(q):
+    # every H_s entry against brute enumeration of sets holding 0
+    import pecldpc.density_evolution as de_mod
+
+    for M in range(1, q + 1):
+        chain = de_mod._size_chain(q, M)
+        assert chain.shape == (q, M * M)
+        for s in range(1, q + 1):
+            for i in range(1, M + 1):
+                law = brute_common_member_dist((i, s), q)
+                for j in range(1, M + 1):
+                    want = float(law[j]) if j < len(law) else 0.0
+                    assert chain[s - 1, (i - 1) * M + j - 1] == want, (M, s, i, j)
 
 
 def test_de_matrices_built_once_and_read_only():
@@ -444,8 +463,9 @@ def test_de_matrices_built_once_and_read_only():
     tuples, counts, multinom = de_mod._weight_tables(2, 5)
     assert isinstance(tuples, tuple)
     assert de_mod._check_matrices(f, 2, 6, model) is de_mod._check_matrices(f, 2, 6, model)
-    assert de_mod._variable_matrices(f, 2, 3) is de_mod._variable_matrices(f, 2, 3)
-    mats = (*de_mod._check_matrices(f, 2, 6, model), *de_mod._variable_matrices(f, 2, 3))
+    assert de_mod._size_chain(4, 2) is de_mod._size_chain(4, 2)
+    assert de_mod._size_chain(4, 3) is not de_mod._size_chain(4, 2)
+    mats = (*de_mod._check_matrices(f, 2, 6, model), de_mod._size_chain(4, 2))
     for arr in (counts, multinom, *mats):
         with pytest.raises(ValueError):
             arr[0] = 0

@@ -175,11 +175,20 @@ def test_monte_carlo_memory_bounded():
 
 def test_monte_carlo_needs_samples():
     f = GF(4)
-    for samples in (0, -3):
+    for samples in (0, -3, 1e4, 2.5, "100"):
         with pytest.raises(ValueError):
             monte_carlo_dist((2, 2), f, samples)
         with pytest.raises(ValueError):
             SumsetSizeModel("exact", mc_samples=samples, mc_seed=1)
+    for seed in (1.5, 1.0, "1"):
+        with pytest.raises(ValueError, match="mc_seed"):
+            SumsetSizeModel("exact", mc_seed=seed)
+    # Python and numpy integers are counts and seeds alike
+    model = SumsetSizeModel("exact", mc_samples=np.int64(500), mc_seed=np.uint32(1))
+    assert model == SumsetSizeModel("exact", mc_samples=500, mc_seed=1)
+    assert monte_carlo_dist((2, 2), f, np.int32(50), np.random.default_rng(1)).sum() == (
+        pytest.approx(1.0)
+    )
 
 
 def test_monte_carlo_samples_capped():
