@@ -7,11 +7,13 @@ this module provides
 
 * hard bounds on the realized size (``sumset_bounds``) and the two
   degenerate point-mass distributions built from them,
-* the exact distribution by enumeration over subset assignments,
-  folded one operand at a time over the distinct partial sumsets with
-  integer counts (so exhaustive cost grows with 2**q instead of with
-  the raw assignment count) through the field's set layout, and its
-  Monte Carlo estimate where enumeration is over budget,
+* the exact distribution as a chain on AGL(1, q) orbits: for a != 0
+  the map S -> aS + b keeps a uniform operand uniform, so the sizes
+  still to come have the same law below every partial sumset of one
+  orbit.  The chain keeps one integer count per orbit, adds one operand
+  at a time through the field's set layout, and is charged against
+  DEFAULT_WORK_CAP as it runs; the Monte Carlo estimate stands in for
+  laws over that cap,
 * two absorbing-Markov-chain approximations driven by the coverage
   transition matrix: a per-sum occupancy model ("balls") and a
   per-translate model ("union"),
@@ -24,6 +26,7 @@ All distributions are length-q vectors indexed by size-1.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import KW_ONLY, dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,14 +39,10 @@ import numpy as np
 
 from .combinatorics import binom, intersection_dist
 from .gf import GF
-from .symbol_sets import index_masks, set_bytes, set_layout
+from .symbol_sets import index_masks, mask_dtype, set_bytes, set_layout
 
 DEFAULT_WORK_CAP = 10**8
 DEFAULT_MC_SAMPLES = 10**6
-# bound on (state, subset) pairs the exact fold expands at once (block
-# rows times subsets, at least one row); keeps each of its temporaries
-# at a few MB in either set layout
-_FOLD_BLOCK = 1 << 14
 # bound on the (sample, element) cells the Monte Carlo law draws at once
 # (chunk rows times q, at least one row): each of a chunk's temporaries
 # holds one float or complex per cell, a few MB at every q
@@ -58,7 +57,7 @@ MODEL_KINDS = ("exact", "bound-lower", "bound-upper", "balls", "union")
 
 
 class EnumerationBudgetError(RuntimeError):
-    """Exhaustive enumeration would exceed the configured work cap."""
+    """The exact law's orbit chain would exceed the work cap."""
 
 
 @dataclass(frozen=True)
@@ -115,72 +114,81 @@ def bound_dist(sizes: Sequence[int], field: GF, which: str) -> np.ndarray:
 # -- exact distribution ------------------------------------------------------
 
 
-def _subset_masks(q: int, size: int) -> np.ndarray:
-    """Masks of every size-``size`` subset of GF(q)."""
-    return index_masks(np.array(list(combinations(range(q), size))), q)
-
-
-def exhaustive_work_estimate(sizes: Sequence[int], q: int) -> int:
-    """Pessimistic op count for the distribution convolution."""
-    return (1 << q) * sum(binom(q, s) for s in sizes[1:]) + binom(q, sizes[0])
-
-
 @lru_cache(maxsize=None)
-def _exact_dist_rational(sizes: tuple[int, ...], field: GF) -> tuple[Fraction, ...]:
-    q = field.q
-    sets = set_layout(field)
-    total = prod(binom(q, s) for s in sizes)
-    # a count never exceeds total, so int64 is exact below 2**63
-    ctype = np.int64 if total < 2**63 else object
-    # live sumset masks with their assignment counts; fold one operand
-    # at a time, expanding each block of live states against every
-    # subset by broadcasting and merging the sums into the next live
-    # states, so memory stays O(2**q + block)
-    keys = _subset_masks(q, sizes[0])
-    counts = np.ones(len(keys), dtype=ctype)
-    for s in sizes[1:]:
-        states, weights = sets.encode(keys), counts
-        subsets = sets.encode(_subset_masks(q, s))
-        rows = max(1, _FOLD_BLOCK // len(subsets))
-        keys, counts = keys[:0], counts[:0]
-        for lo in range(0, len(states), rows):
-            sums = sets.to_masks(sets.sumsets(states[lo : lo + rows, None], subsets[None]))
-            block = np.broadcast_to(weights[lo : lo + rows, None], sums.shape)
-            keys, counts = _merge_counts(
-                np.concatenate([keys, sums.ravel()]), np.concatenate([counts, block.ravel()])
-            )
-    by_size = np.zeros(q + 1, dtype=ctype)
-    np.add.at(by_size, sets.sizes(sets.encode(keys)), counts)
-    return tuple(Fraction(int(c), total) for c in by_size[1:])
+def _orbit_step(field: GF, key: int, size: int) -> tuple[tuple[int, int], ...]:
+    """(orbit key, count) of key + B over the size-``size`` subsets B of
+    GF(q) that hold 0; by translation, their law is that over all of them.
 
-
-def _merge_counts(keys: np.ndarray, counts: np.ndarray):
-    """Distinct keys, each with the summed counts of its copies."""
-    uniq, where = np.unique(keys, return_inverse=True)
-    merged = np.zeros(len(uniq), dtype=counts.dtype)
-    np.add.at(merged, where, counts)
-    return uniq, merged
+    The key of a set is the least mask among its images under the affine
+    maps that send x to 0 and y to 1, over the ordered pairs of members
+    (x, y) whose difference y - x recurs most in the set.  An affine map
+    scales every difference alike, so these images are the same for every
+    set of an AGL(1, q) orbit.  A set of more than q/2 members takes the
+    complement of its complement's key (the full set: the full mask)."""
+    q, sets = field.q, set_layout(field)
+    subsets = [(0, *c) for c in combinations(range(1, q), size - 1)]
+    state = sets.encode(np.array([key], dtype=mask_dtype(q)))
+    masks = sets.to_masks(sets.sumsets(state, sets.from_members(np.array(subsets))))
+    bits = ((masks[:, None] >> np.arange(q, dtype=masks.dtype)) & 1).astype(bool)
+    flip = bits.sum(axis=1) * 2 > q
+    bits ^= flip[:, None]
+    sizes = bits.sum(axis=1)
+    keys = np.zeros(len(masks), dtype=object)
+    for k in set(sizes.tolist()) - {0}:
+        members = np.nonzero(bits[sizes == k])[1].reshape(-1, k)
+        # ordered pairs of distinct members; a singleton pairs with itself,
+        # and inv_table[0] = 0 maps it to {0}
+        x, y = np.nonzero(~np.eye(k, dtype=bool) | (k == 1))
+        diff = field.add_table[members[:, y], field.neg_table[members[:, x]]]
+        cell = np.arange(len(diff))[:, None] * q + diff
+        reps = np.bincount(cell.ravel())[cell]
+        row, pair = np.nonzero(reps == reps.max(axis=1, keepdims=True))
+        shifted = field.add_table[members[row], field.neg_table[members[row, x[pair]], None]]
+        # of two same-size sets, the lesser mask has the lesser members
+        # read from the top: sort each image descending, then take the
+        # least image of each set (row is sorted, and first in the lexsort)
+        images = -np.sort(-field.mul_table[shifted, field.inv_table[diff[row, pair], None]], axis=1)
+        order = np.lexsort([*images.T[::-1], row])
+        keys[sizes == k] = index_masks(images[order][np.unique(row, return_index=True)[1]], q)
+    keys[flip] ^= (1 << q) - 1
+    return tuple(Counter(keys.tolist()).items())
 
 
 def exact_dist_rational(sizes: Sequence[int], field: GF) -> tuple[Fraction, ...]:
-    """Exact sumset-size distribution as rationals (length q, index size-1)."""
-    return _exact_dist_rational(_norm_sizes(sizes, field.q), field)
+    """Exact sumset-size distribution as rationals (length q, index
+    size-1); EnumerationBudgetError as for ``exact_dist``."""
+    q = field.q
+    t = _norm_sizes(sizes, q)
+    # orbit key -> number of operand choices so far, from {0}
+    state, work = Counter({1: 1}), 0
+    for s in t:
+        # q * q per (orbit, subset) pair, the cells of the character
+        # transform that forms one sumset of q-element rows; charged
+        # whether or not the step is memoized
+        work += len(state) * binom(q - 1, s - 1) * q * q
+        if work > DEFAULT_WORK_CAP:
+            raise EnumerationBudgetError(f"{t} in GF({q}): work cap ({DEFAULT_WORK_CAP}) exceeded")
+        nxt = Counter()
+        for key, count in state.items():
+            nxt.update({orbit: count * c for orbit, c in _orbit_step(field, key, s)})
+        state = nxt
+    by_size = np.zeros(q + 1, dtype=object)
+    np.add.at(by_size, [key.bit_count() for key in state], list(state.values()))
+    # the counts sum to the number of operand choices
+    return tuple(by_size[1:] * Fraction(1, sum(state.values())))
 
 
 def exact_dist(sizes: Sequence[int], field: GF) -> np.ndarray:
     """Distribution of |sumset| when each operand is uniform among the
-    size-|S_j| subsets of GF(q), by exhaustive enumeration.
+    size-|S_j| subsets of GF(q), exactly, by a chain on AGL(1, q) orbits.
 
-    Raises EnumerationBudgetError when the work estimate exceeds
-    ``DEFAULT_WORK_CAP``; ``monte_carlo_dist`` estimates such laws.
+    Each step is charged q**2 per (orbit, subset) pair, memoized or not,
+    and the chain raises EnumerationBudgetError once the charge exceeds
+    ``DEFAULT_WORK_CAP`` (read at call time), so whether a law is refused
+    depends only on the sizes, q and the cap; ``monte_carlo_dist``
+    estimates such laws.
     """
-    t = _norm_sizes(sizes, field.q)
-    if exhaustive_work_estimate(t, field.q) > DEFAULT_WORK_CAP:
-        raise EnumerationBudgetError(
-            f"exhaustive enumeration for sizes {t} over GF({field.q}) "
-            f"exceeds the work cap ({DEFAULT_WORK_CAP}); use monte_carlo"
-        )
-    return np.array([float(p) for p in _exact_dist_rational(t, field)])
+    return np.array([float(p) for p in exact_dist_rational(sizes, field)])
 
 
 def monte_carlo_dist(
@@ -251,10 +259,11 @@ def _chain_state(step: int, length: int, q: int) -> np.ndarray:
     distribution after `length` random step-subsets."""
     v = np.zeros(q)
     v[step - 1] = 1.0
-    if length > 1:
-        gamma = _coverage_matrix_cached(step, q)
-        for _ in range(length - 1):
-            v = v @ gamma
+    gamma = _coverage_matrix_cached(step, q)
+    for _ in range(length - 1):
+        # a step that returns its input would return it ever after
+        if np.array_equal(v, v := v @ gamma):
+            break
     return v
 
 
@@ -305,7 +314,8 @@ def union_model_dist(sizes: Sequence[int], field: GF) -> np.ndarray:
 class SumsetSizeModel:
     """Names one sumset-size law: `kind` is one of MODEL_KINDS.  With an
     ``mc_seed``, the exact law falls back to ``mc_samples`` Monte Carlo
-    draws seeded by (mc_seed, q, sizes) where enumeration is over budget.
+    draws seeded by (mc_seed, q, sizes) where the exact law is over its
+    work cap.
     A model is a value: equal models give equal laws."""
 
     kind: str

@@ -113,15 +113,17 @@ def test_pm_table_exact_anchor(tmp_path):
 
 
 def test_pm_table_monte_carlo_above_q64(tmp_path):
-    # the exhaustive law is over budget at q=128, so --mc-samples samples it
+    # the exact law of (3, 3) at q=128 is over the work cap (its first
+    # step alone charges C(127, 2) * 128**2 > 10**8), so --mc-samples
+    # samples it
     code, text = run_cli(
-        ["pm-table", "--q", "128", "--sizes", "2,2", "--model", "exact", "--mc-samples", "1000"],
+        ["pm-table", "--q", "128", "--sizes", "3,3", "--model", "exact", "--mc-samples", "1000"],
         tmp_path,
     )
     assert code == 0
     probs = {int(r[2]): float(r[3]) for r in rows_of(text)[1:]}
     assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
-    b = sumset_bounds((2, 2), GF(128))
+    b = sumset_bounds((3, 3), GF(128))
     assert all(b.lower <= m <= b.upper for m, p in probs.items() if p > 0)
 
 
@@ -326,8 +328,9 @@ def test_oversized_simulate_refused(q, n):
          "at every field"),
         ("threshold --q 16 --M 3 --dv 3 --dc 6 --model exact --mc-samples 1000000000000",
          "at every field"),
-        # 16-byte sets at GF(16): refused when the law is sampled
-        ("pm-table --q 16 --sizes 3,3,3,3,3 --model exact --mc-samples 100000000",
+        # 16-byte sets at GF(16): refused when the law, over the exact
+        # law's work cap, is sampled
+        ("pm-table --q 16 --sizes 8,8,8 --model exact --mc-samples 100000000",
          "above the limit"),
         ("simulate --q 4 --M 2 --dv 3 --dc 6 --n 1200 --eps 0.5 --trials 1000000000000",
          "trials exceed"),
@@ -358,6 +361,32 @@ def test_large_field_de_runs_bounded():
                               "--model", "union"])
     assert code == 2
     assert "size multisets" in err
+
+
+@pytest.mark.parametrize(
+    "q, sizes",
+    [(16, "8,8,8,8,8"), (32, "2,2,2,4"), (64, "3,3,3"), (128, "2"), (128, "2,2,2,2,2"),
+     (256, "2"), (256, "50,50,50,50,50")],
+)
+def test_exact_law_runs_bounded(q, sizes):
+    # the exact law answers (0) or is refused at its work cap (3) in
+    # bounded time and memory at every field size; (2,) above q=64 keys
+    # Python-int masks and must stay exact
+    code, err = _run_limited(["pm-table", "--q", str(q), "--sizes", sizes, "--model", "exact"])
+    assert code in (0, 3), err
+    if sizes == "2":
+        assert code == 0, err
+
+
+@pytest.mark.parametrize(
+    "q, sizes, model", [(256, "50,50,50,50,50", "union"), (64, "16,16,16,16,16", "balls")]
+)
+def test_coverage_models_run_bounded(q, sizes, model):
+    # 50**4 batches of 50 and 16**5 balls: the coverage walk stops at the
+    # first step that leaves its vector unchanged, where it once walked
+    # every step (still running at 30 s, and 6.2 s)
+    code, err = _run_limited(["pm-table", "--q", str(q), "--sizes", sizes, "--model", model])
+    assert code == 0, err
 
 
 def test_negative_graph_size_exit_code(tmp_path, capsys):

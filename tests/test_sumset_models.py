@@ -123,6 +123,18 @@ def test_exact_respects_bounds_and_forced_full():
                     assert support == [q]
 
 
+@pytest.mark.parametrize("sizes", [(1, 1, 3, 3, 3), (4, 4, 4, 4, 4)])
+def test_exact_q16_laws_match_monte_carlo(sizes):
+    # laws of the (3,6) check half at q=16 that no brute-force oracle
+    # reaches: each bin of the exact law lies within 4 sigma of 200,000
+    # seeded draws (an exact zero must stay unsampled)
+    f = GF(16)
+    exact = np.array([float(p) for p in exact_dist_rational(sizes, f)])
+    mc = monte_carlo_dist(sizes, f, 200_000, np.random.default_rng(20261018))
+    assert exact.sum() == pytest.approx(1.0, abs=1e-12)
+    assert (np.abs(mc - exact) <= 4 * np.sqrt(exact * (1 - exact) / 200_000)).all()
+
+
 def test_exact_budget_cap(monkeypatch):
     monkeypatch.setattr(pecldpc.sumset_models, "DEFAULT_WORK_CAP", 10)
     with pytest.raises(EnumerationBudgetError, match=r"work cap \(10\)"):
