@@ -41,6 +41,11 @@ MAX_EPS_POINTS = 10**6
 # simulate run near or below 1.5 GB while allowing n ~ 2.8e6 at q=4 and
 # n ~ 21,800 at q=256 for d_v=3
 MAX_SIM_MESSAGE_BYTES = 2**24
+# checks a decode-trace graph may declare.  Its header sizes the per-node
+# arrays before any edge is read; the variables must match the received
+# sets, but nothing else bounds m.  2**22 admits every graph a simulate
+# run may build (m = n * d_v / d_c with n * d_v <= 2**23 and d_c >= 2)
+MAX_GRAPH_CHECKS = 2**22
 
 
 class CliError(ValueError):
@@ -232,10 +237,22 @@ def _cmd_pm_table(args, argv):
 
 
 def _cmd_decode_trace(args, argv):
-    graph = TannerGraph.load(args.graph)
-    field = graph.field
+    with open(args.graph) as fh:
+        text = fh.read()
     with open(args.received) as fh:
-        received = [SymbolSet.parse(field, line) for line in fh if line.strip()]
+        lines = [line for line in fh if line.strip()]
+    # check the header's sizes before the graph allocates per-node arrays;
+    # from_text refuses a header that is not 'q n m'
+    header = text.lstrip().split("\n", 1)[0].split()
+    if len(header) == 3:
+        n, m = int(header[1]), int(header[2])
+        if 0 <= n != len(lines):
+            raise CliError(f"graph has {n} variables but {len(lines)} received sets")
+        if m > MAX_GRAPH_CHECKS:
+            raise CliError(f"graph has {m} checks, above the limit of {MAX_GRAPH_CHECKS}")
+    graph = TannerGraph.from_text(text)
+    field = graph.field
+    received = [SymbolSet.parse(field, line) for line in lines]
     result = decode(
         graph, received, max_iters=args.max_iters, record_messages=True
     )

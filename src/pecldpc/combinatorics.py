@@ -88,24 +88,6 @@ def intersection_dist(sizes: Sequence[int], q: int) -> np.ndarray:
     return np.array([float(p) for p in intersection_dist_exact(sizes, q)])
 
 
-@lru_cache(maxsize=None)
-def _common_dist_exact(sizes: tuple[int, ...], q: int) -> tuple[Fraction, ...]:
-    mu = sizes[0]
-    if mu < 1:
-        raise ValueError("all sizes must be >= 1")
-    out = [Fraction(0)] * (mu + 1)
-    if mu == 1:
-        out[1] = Fraction(1)
-        return tuple(out)
-    # condition every set on containing one shared fixed symbol: drop
-    # that symbol and count intersections in the remaining q-1 elements
-    shifted = _counts(tuple(s - 1 for s in sizes), q - 1)
-    total = sum(shifted)
-    for m in range(1, mu + 1):
-        out[m] = Fraction(shifted[m - 1], total)
-    return tuple(out)
-
-
 def common_member_intersection_dist_exact(
     sizes: Sequence[int], q: int
 ) -> tuple[Fraction, ...]:
@@ -114,8 +96,13 @@ def common_member_intersection_dist_exact(
 
     Entry m is P(|intersection| = m) for m = 0..min(sizes); entry 0 is
     always zero since the shared symbol survives the intersection.
+    Dropping that symbol leaves uniform subsets, one smaller each, of the
+    other q - 1 elements, so entry m is entry m - 1 of their law.
     """
-    return _common_dist_exact(_norm(sizes, q), q)
+    t = _norm(sizes, q)
+    if t[0] < 1:
+        raise ValueError("all sizes must be >= 1")
+    return (Fraction(0),) + intersection_dist_exact([s - 1 for s in t], q - 1)
 
 
 def common_member_intersection_dist(sizes: Sequence[int], q: int) -> np.ndarray:

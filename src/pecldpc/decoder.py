@@ -13,10 +13,11 @@ with table lookups for small q, bool planes above).  Each node's edges
 form one padded column of a (max degree, nodes) slot array, which the
 graph builds once and keeps (``TannerGraph.slots``); the pad is a
 sentinel edge slot holding the identity of the node's operation ({0}
-for sumsets, the full set for intersections), so the leave-one-out
-sumsets (one ``leave_one_out_sumsets`` call of the layout) and
-intersections (prefix and suffix folds down the rows) need no case for
-the degrees.  A node's outputs depend only on its inputs, so
+for sumsets, the full set for intersections), so neither pass has a
+case for the degrees.  Both are one ``symbol_sets.leave_one_out`` fold
+down the rows: the check pass through the layout's
+``leave_one_out_sumsets``, the variable pass with ``&`` and the channel
+sets as head.  A node's outputs depend only on its inputs, so
 after the first iteration a pass runs only the nodes with an input that
 changed in the pass before; the others keep their outputs, and the
 decode is the same as a full flooding pass.  Each pass finds the real
@@ -26,13 +27,14 @@ and gathers their edge ids and new sets through those indices alone.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gf import GF
 from .ldpc import TannerGraph
-from .symbol_sets import SymbolSet, mask_dtype, set_layout, sumset
+from .symbol_sets import SymbolSet, intersect, leave_one_out, mask_dtype, set_layout, sumset
 
 STATUS_SUCCESS = "success"
 STATUS_STALLED = "stalled"
@@ -55,6 +57,8 @@ def ctv_message(incoming, out_label: int, field: GF) -> SymbolSet:
     for label in [out_label] + [label for _, label in incoming]:
         if not 0 < label < field.q:
             raise ValueError(f"edge labels must be nonzero elements of GF({field.q})")
+    if any(s.field.q != field.q for s, _ in incoming):
+        raise ValueError("sets belong to different fields")
     if not incoming:
         return SymbolSet.from_mask(field, 1)  # the parity pins the target to 0
     return sumset([s.scale(field.neg(h)) for s, h in incoming]).scale(field.inv(out_label))
@@ -66,12 +70,10 @@ def vtc_message(channel_info: SymbolSet, incoming_ctv) -> SymbolSet:
     intersection is empty."""
     if not channel_info:
         raise ValueError("channel information must be nonempty")
-    mask = channel_info.mask
-    for s in incoming_ctv:
-        mask &= s.mask
-    if mask == 0:
+    out = intersect([channel_info, *incoming_ctv])
+    if not out:
         raise DecodingInconsistency("empty variable-to-check message")
-    return SymbolSet.from_mask(channel_info.field, mask)
+    return out
 
 
 @dataclass
@@ -189,16 +191,8 @@ def decode(
         # variable pass: leave-one-out intersections with the channel set
         slots = np.take(var_slots, active_var, axis=1)
         cs = ctv[slots]
-        deg = len(cs)
-        pre = np.empty_like(cs)
-        suf = np.empty_like(cs)
-        pre[0] = chan[active_var]
-        suf[-1] = sets.full_sets(slots.shape[1])
-        for j in range(1, deg):
-            pre[j] = pre[j - 1] & cs[j - 1]
-            suf[-1 - j] = suf[-j] & cs[-j]
-        post = pre[-1] & cs[-1]
-        out = pre & suf
+        out = np.array(leave_one_out(operator.and_, cs, head=chan[active_var]))
+        post = out[-1] & cs[-1]
         hit = np.flatnonzero(_differs(out, vtc[slots], slots) & (slots < n_edges))
         edges = slots.reshape(-1)[hit]
         new = _rows(out)[hit]

@@ -158,7 +158,11 @@ def exact_dist_rational(sizes: Sequence[int], field: GF) -> tuple[Fraction, ...]
     """Exact sumset-size distribution as rationals (length q, index
     size-1); EnumerationBudgetError as for ``exact_dist``."""
     q = field.q
-    t = _norm_sizes(sizes, q)
+    # a size-1 operand is a translate, whose step maps every orbit to
+    # itself; one operand left (or none) is a point mass at its size
+    t = tuple(s for s in _norm_sizes(sizes, q) if s > 1)
+    if len(t) <= 1:
+        return tuple(Fraction(int(s == max(t, default=1))) for s in range(1, q + 1))
     # orbit key -> number of operand choices so far, from {0}
     state, work = Counter({1: 1}), 0
     for s in t:
@@ -182,8 +186,10 @@ def exact_dist(sizes: Sequence[int], field: GF) -> np.ndarray:
     """Distribution of |sumset| when each operand is uniform among the
     size-|S_j| subsets of GF(q), exactly, by a chain on AGL(1, q) orbits.
 
-    Each step is charged q**2 per (orbit, subset) pair, memoized or not,
-    and the chain raises EnumerationBudgetError once the charge exceeds
+    Operands of size 1 are translates and take no step, and a law with
+    one other operand (or none) is a point mass at its size.  Each step
+    is charged q**2 per (orbit, subset) pair, memoized or not, and the
+    chain raises EnumerationBudgetError once the charge exceeds
     ``DEFAULT_WORK_CAP`` (read at call time), so whether a law is refused
     depends only on the sizes, q and the cap; ``monte_carlo_dist``
     estimates such laws.

@@ -12,6 +12,13 @@ transform of the FFT-BP check node).  Both offer the same operations
 leave_one_out_sumsets, sizes, to_masks) and intersect with ``&``, so
 the decoder's check pass, the exact and Monte Carlo sumset laws and the
 SymbolSet operations all run the same code on either.
+
+Both node updates of the decoder are leave-one-out folds over one
+commutative set operation, and :func:`leave_one_out` is the only
+prefix/suffix fold: each layout's ``leave_one_out_sumsets`` passes it
+its sumset (the planes layout, a product of spectra that re-thresholds
+to stay exact), and the decoder's variable pass passes ``&`` with the
+channel sets as head.
 """
 
 from __future__ import annotations
@@ -160,6 +167,24 @@ def intersect(sets: Sequence[SymbolSet]) -> SymbolSet:
     return SymbolSet.from_mask(field, mask)
 
 
+def leave_one_out(op, rows, head=None, tail=None) -> list:
+    """Output j of D ``rows`` under the commutative, associative ``op``:
+    head op x_0 ... x_{j-1} op x_{j+1} ... x_{D-1} op tail, from one
+    prefix and one suffix pass.  A missing head or tail (None) is the
+    identity, and no output pays an ``op`` call for it; a single row with
+    neither has nothing to fold and gives [None]."""
+
+    def join(a, b):
+        return b if a is None else a if b is None else op(a, b)
+
+    deg = len(rows)
+    pre, suf = [head], [tail]  # pre[j] = head op x_0..x_{j-1}; suf reversed
+    for j in range(1, deg):
+        pre.append(join(pre[-1], rows[j - 1]))
+        suf.append(join(rows[deg - j], suf[-1]))
+    return [join(a, b) for a, b in zip(pre, reversed(suf))]
+
+
 class MaskTables:
     """Set-array layout for q <= MASK_TABLE_MAX_Q: one uint16 mask per
     set, with every field-aware operation a whole-array table lookup.
@@ -230,20 +255,10 @@ class MaskTables:
 
     def leave_one_out_sumsets(self, ys: np.ndarray) -> np.ndarray:
         """(D, n) masks whose row j holds, per column, the sumset of
-        every row of ``ys`` but row j, from prefix and suffix folds."""
-        deg = len(ys)
-        pre = np.empty_like(ys)
-        suf = np.empty_like(ys)
-        pre[0] = suf[-1] = self.zero_sets(ys.shape[1])
-        for j in range(1, deg):
-            pre[j] = self.sumsets(pre[j - 1], ys[j - 1])
-            suf[-1 - j] = self.sumsets(suf[-j], ys[-j])
-        # row j is prefix + suffix, where the first row is its suffix
-        # alone and the last row its prefix alone
-        for j in range(1, deg - 1):
-            pre[j] = self.sumsets(pre[j], suf[j])
-        pre[0] = suf[0]
-        return pre
+        every row of ``ys`` but row j ({0} for a single row)."""
+        if len(ys) == 1:
+            return self.zero_sets(ys.shape[1])[None]
+        return np.array(leave_one_out(self.sumsets, ys))
 
     def sizes(self, sets: np.ndarray) -> np.ndarray:
         return self.popcount[sets]
@@ -268,12 +283,16 @@ class SetPlanes:
     So the sumset is {z : N(z) > 1/2}.
 
     Exactness.  Every count and spectrum entry is at most
-    B = prod |A_i|; the layout bounds it by beta = prod max(|A_i|, 2),
-    which also bounds the number of factors k by log2(beta).  A product
-    goes back through conj(W) / q only while beta * q <= 2**36
-    (_SPECTRAL_BOUND).  A longer fold re-thresholds between groups of
-    factors: it maps the running product back, takes > 1/2 and
-    transforms again, which yields the exact set and restarts the error.
+    B = prod |A_i|; each factor carries beta = prod max(|A_i|, 2), which
+    bounds B and also the number of factors k by log2(beta).  One
+    invariant: every product the layout forms keeps beta * q <= 2**36
+    (_SPECTRAL_BOUND).  ``_times`` multiplies two factors only once
+    beta_a * beta_b meets it; until then it re-thresholds the larger
+    one: maps it back, takes > 1/2 and transforms again, which yields
+    its exact sets, a fresh factor of beta <= q, and restarts its error.
+    Two fresh factors meet the bound (q**3 <= 2**36), so that takes at
+    most two re-thresholds.  Every spectrum mapped back, a product or
+    one set's own, thus has beta * q <= 2**36:
     - p = 2: the spectra and their products are integers, and the
       partial sums of the inverse multiples of 1/q, all at most beta in
       magnitude.  As beta * q <= 2**36 < 2**53, float64 holds every one
@@ -299,12 +318,7 @@ class SetPlanes:
         else:
             self._chars = np.exp(2j * np.pi * np.arange(p) / p)[phase]
         self._inverse = self._chars.conj() / q
-        self._unit = self._chars[0]  # spectrum of {0}: all ones
-        # products mapped back keep beta <= _limit; a running fold keeps
-        # beta <= _fold_limit, so times one set, or times another fold
-        # after one side is re-thresholded to beta <= q, it meets _limit
-        self._limit = _SPECTRAL_BOUND // q
-        self._fold_limit = self._limit // q
+        self._limit = _SPECTRAL_BOUND // q  # on beta of every product formed
 
     def encode(self, masks: np.ndarray) -> np.ndarray:
         """Planes of valid masks given in the dtype of ``mask_dtype(q)``."""
@@ -336,34 +350,26 @@ class SetPlanes:
 
     def leave_one_out_sumsets(self, ys: np.ndarray) -> np.ndarray:
         """(D, n, q) planes whose row j holds, per column, the sumset of
-        every row of ``ys`` but row j: prefix and suffix products of the
-        spectra, one product and one inverse transform per output row."""
-        deg = len(ys)
+        every row of ``ys`` but row j ({0} for a single row): the spectra
+        folded by ``_times``, one inverse transform for all outputs."""
+        if len(ys) == 1:
+            return self.zero_sets(ys.shape[1])[None]
         spectra = ys @ self._chars
         # beta factor of each input row: its largest set size, at least 2
         bounds = np.maximum(spectra[..., 0].real.max(axis=1, initial=0), 2).tolist()
+        out = leave_one_out(self._times, list(zip(spectra, bounds)))
+        return self._sets(np.array([s for s, _ in out]))
 
-        def running(order):
-            # products of the spectra before each position of ``order``
-            acc, beta = self._unit, 1.0
-            out = [(acc, beta)]
-            for j in order[:-1]:
-                if beta * bounds[j] > self._fold_limit:
-                    acc, beta = self._rethreshold(acc)
-                acc, beta = acc * spectra[j], beta * bounds[j]
-                out.append((acc, beta))
-            return out
-
-        products = np.empty_like(spectra)
-        pre, suf = running(range(deg)), running(range(deg - 1, -1, -1))[::-1]
-        for j, ((a, beta_a), (b, beta_b)) in enumerate(zip(pre, suf)):
-            if beta_a * beta_b > self._limit:
-                if beta_a >= beta_b:
-                    a, _ = self._rethreshold(a)
-                else:
-                    b, _ = self._rethreshold(b)
-            np.multiply(a, b, out=products[j])
-        return self._sets(products)
+    def _times(self, a, b):
+        """Product of two (spectra, beta) factors; while beta_a * beta_b
+        is over the bound, the larger factor is re-thresholded."""
+        (sa, beta_a), (sb, beta_b) = a, b
+        while beta_a * beta_b > self._limit:
+            if beta_a >= beta_b:
+                sa, beta_a = self._rethreshold(sa)
+            else:
+                sb, beta_b = self._rethreshold(sb)
+        return sa * sb, beta_a * beta_b
 
     def _sets(self, spectra: np.ndarray) -> np.ndarray:
         """The sets whose tuple counts ``spectra`` hold: N(z) > 1/2."""

@@ -366,16 +366,22 @@ def test_large_field_de_runs_bounded():
 @pytest.mark.parametrize(
     "q, sizes",
     [(16, "8,8,8,8,8"), (32, "2,2,2,4"), (64, "3,3,3"), (128, "2"), (128, "2,2,2,2,2"),
-     (256, "2"), (256, "50,50,50,50,50")],
+     (256, "2"), (256, "50,50,50,50,50"), (256, "3"), (256, "1,3")],
 )
-def test_exact_law_runs_bounded(q, sizes):
+def test_exact_law_runs_bounded(q, sizes, tmp_path):
     # the exact law answers (0) or is refused at its work cap (3) in
-    # bounded time and memory at every field size; (2,) above q=64 keys
-    # Python-int masks and must stay exact
-    code, err = _run_limited(["pm-table", "--q", str(q), "--sizes", sizes, "--model", "exact"])
+    # bounded time and memory at every field size; a law of one operand
+    # beside translates (size 1) is a point mass at its size and must be
+    # answered: (3,) at q=256 was once refused at the work cap
+    out = tmp_path / "law.csv"
+    code, err = _run_limited(
+        ["pm-table", "--q", str(q), "--sizes", sizes, "--model", "exact", "--out", str(out)]
+    )
     assert code in (0, 3), err
-    if sizes == "2":
+    if sizes in ("2", "3", "1,3"):
         assert code == 0, err
+        probability = {int(r[2]): float(r[3]) for r in rows_of(out.read_text())[1:]}
+        assert probability[int(sizes[-1])] == 1
 
 
 @pytest.mark.parametrize(
@@ -387,6 +393,23 @@ def test_coverage_models_run_bounded(q, sizes, model):
     # every step (still running at 30 s, and 6.2 s)
     code, err = _run_limited(["pm-table", "--q", str(q), "--sizes", sizes, "--model", model])
     assert code == 0, err
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [("4 1000000000 1", "received sets"), ("4 3 100000000000", "checks, above the limit")],
+    ids=["n-1e9", "m-1e11"],
+)
+def test_oversized_graph_header_refused(tmp_path, header, message):
+    # refused from the header before the graph's per-node arrays exist;
+    # unchecked, each dies of MemoryError under the limit (exit 1)
+    graph = tmp_path / "graph.txt"
+    graph.write_text(header + "\n0 0 1\n")
+    received = tmp_path / "received.txt"
+    received.write_text("0,1\n0\n0\n")
+    code, err = _run_limited(["decode-trace", "--graph", str(graph), "--received", str(received)])
+    assert code == 2, err
+    assert message in err
 
 
 def test_negative_graph_size_exit_code(tmp_path, capsys):

@@ -71,6 +71,16 @@ def test_ctv_rejects_zero_labels():
             ctv_message(bad, 3, f)
 
 
+def test_ctv_refuses_sets_of_another_field():
+    with pytest.raises(ValueError, match="different fields"):
+        ctv_message([(SymbolSet(GF(4), [0, 1]), 1)], 1, GF(5))
+
+
+def test_vtc_refuses_sets_of_another_field():
+    with pytest.raises(ValueError, match="different fields"):
+        vtc_message(SymbolSet(GF(5), [0, 1]), [SymbolSet(GF(4), [0, 1, 3])])
+
+
 def test_vtc_examples():
     f = GF(5)
     assert list(vtc_message(S(f, 0, 1), [S(f, 0, 2, 3), S(f, 0, 1, 4)])) == [0]

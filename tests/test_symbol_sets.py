@@ -1,10 +1,17 @@
-from itertools import combinations
+import operator
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from pecldpc import GF, SymbolSet, intersect, sumset
-from pecldpc.symbol_sets import MASK_TABLE_MAX_Q, MaskTables, SetPlanes, mask_dtype
+from pecldpc.symbol_sets import (
+    MASK_TABLE_MAX_Q,
+    MaskTables,
+    SetPlanes,
+    leave_one_out,
+    mask_dtype,
+)
 
 from oracles import gf_scale, gf_sumset, mask_elements
 
@@ -223,3 +230,42 @@ def test_leave_one_out_sumsets_match_oracle_folds(q):
                         if k != j:
                             expect = gf_sumset(f, expect, mask_elements(masks[k][r]))
                     assert mask_elements(got[j][r]) == expect
+
+
+@pytest.mark.parametrize("q", [8, 9])
+def test_leave_one_out_matches_plain_folds(q):
+    # output j against a left-to-right fold of head, the other rows and
+    # tail, for & and the sumset on masks and on planes
+    f = GF(q)
+    rng = np.random.default_rng(q)
+    for sets in (MaskTables(f), SetPlanes(f)):
+        def draw():
+            return sets.encode(rng.integers(1, 1 << q, size=10).astype(mask_dtype(q)))
+
+        for op in (operator.and_, sets.sumsets):
+            calls = []
+
+            def counted(a, b):
+                calls.append(1)
+                return op(a, b)
+
+            for deg in range(1, 8):
+                rows = np.stack([draw() for _ in range(deg)])
+                for head, tail in product([None, draw()], repeat=2):
+                    if deg == 1 and head is None and tail is None:
+                        assert leave_one_out(op, rows) == [None]
+                        continue
+                    calls.clear()
+                    got = leave_one_out(counted, rows, head, tail)
+                    assert len(got) == deg
+                    for j in range(deg):
+                        operands = [head, *rows[:j], *rows[j + 1 :], tail]
+                        operands = [x for x in operands if x is not None]
+                        want = operands[0]
+                        for x in operands[1:]:
+                            want = op(want, x)
+                        assert np.array_equal(got[j], want)
+                    if deg >= 2:
+                        # a missing head or tail costs no call: 3D - 2 joins
+                        # less two for each one missing
+                        assert len(calls) == 3 * deg - 2 - 2 * (head is None) - 2 * (tail is None)
