@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import math
 import sys
 
@@ -35,17 +34,29 @@ from .symbol_sets import SymbolSet, set_bytes
 
 MAX_EPS_POINTS = 10**6
 # bytes of one edge-message array the decoder may hold: n * d_v sets of
-# 2 bytes (uint16 masks) or q bytes (bool planes).  A decode peaks at
-# 45-95 times this (graph arrays, the other message arrays, the pass
-# temporaries and, for planes, the complex spectra), so 16 MiB keeps a
-# simulate run near or below 1.5 GB while allowing n ~ 2.8e6 at q=4 and
-# n ~ 21,800 at q=256 for d_v=3
+# set_bytes(q), 2 up to q=12 and q above, where the sumsets expand each
+# set into a row of q bools and q spectrum entries (GF(13) and GF(16)
+# too, whose messages are uint16 words).  A decode peaks at 40-95 times
+# this (graph arrays, the other message arrays, the pass temporaries
+# and, above q=12, the spectra; one trial at n=120,000, eps 0.55: ~40
+# times at q=16, ~74 at q=13), so 16 MiB keeps a simulate run near or
+# below 1.5 GB while allowing n ~ 2.8e6 at q=4 and n ~ 21,800 at q=256
+# for d_v=3
 MAX_SIM_MESSAGE_BYTES = 2**24
 # checks a decode-trace graph may declare.  Its header sizes the per-node
 # arrays before any edge is read; the variables must match the received
 # sets, but nothing else bounds m.  2**22 admits every graph a simulate
 # run may build (m = n * d_v / d_c with n * d_v <= 2**23 and d_c >= 2)
 MAX_GRAPH_CHECKS = 2**22
+# edge rows a decode-trace may write, bounded before decoding by
+# 2 * E * --max-iters (a ctv and a vtc row per edge and iteration).  The
+# CSV is written as it is made; what stays held is the decoder's message
+# history, one list entry a row: ~8 bytes at q <= 8, ~20-36 at q = 16,
+# ~93 at q = 256 (measured).  2**23 rows admit a (3,6) graph of 10**4
+# variables at the default 100 iterations (6 * 10**6 rows; its trace of
+# 1.16 * 10**6 rows peaks at ~47 MB RSS), and refuse one of 100,000
+# variables (6 * 10**7)
+MAX_TRACE_ROWS = 2**23
 
 
 class CliError(ValueError):
@@ -128,18 +139,18 @@ def _emit(args, invocation: list[str], header: list[str], rows) -> None:
             skip = not eq
             continue
         echo.append(tok)
-    buf = io.StringIO()
-    buf.write("# pecldpc " + " ".join(echo) + f" seed={args.seed}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(x) for x in row])
-    text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # rows may be a generator: each is written as it comes, so a long
+    # decode trace is never held whole as rows or text
+    fh = open(args.out, "w", newline="") if args.out else sys.stdout
+    try:
+        fh.write("# pecldpc " + " ".join(echo) + f" seed={args.seed}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(x) for x in row])
+    finally:
+        if args.out:
+            fh.close()
 
 
 # -- subcommands -------------------------------------------------------------
@@ -251,37 +262,44 @@ def _cmd_decode_trace(args, argv):
         if m > MAX_GRAPH_CHECKS:
             raise CliError(f"graph has {m} checks, above the limit of {MAX_GRAPH_CHECKS}")
     graph = TannerGraph.from_text(text)
+    trace_rows = 2 * graph.n_edges * max(args.max_iters, 0)
+    if trace_rows > MAX_TRACE_ROWS:
+        raise CliError(
+            f"{graph.n_edges} edges over up to {args.max_iters} iterations may need "
+            f"{trace_rows} trace rows, above the limit of {MAX_TRACE_ROWS}; "
+            f"lower --max-iters"
+        )
     field = graph.field
     received = [SymbolSet.parse(field, line) for line in lines]
     result = decode(
         graph, received, max_iters=args.max_iters, record_messages=True
     )
-    rows = []
-    for v, s in enumerate(received):
-        rows.append((0, "channel", "", v, "", str(s), len(s)))
-    for it, (ctv, vtc) in enumerate(result.message_history):
-        for kind, msgs in (("ctv", ctv), ("vtc", vtc)):
-            if msgs is None:
-                continue
-            if it == 0 and kind == "vtc":
-                continue  # iteration-0 edge messages repeat the channel rows
-            for e in range(graph.n_edges):
-                s = SymbolSet.from_mask(field, int(msgs[e]))
-                rows.append(
-                    (
+
+    def rows():
+        for v, s in enumerate(received):
+            yield (0, "channel", "", v, "", str(s), len(s))
+        for it, (ctv, vtc) in enumerate(result.message_history):
+            for kind, msgs in (("ctv", ctv), ("vtc", vtc)):
+                if msgs is None:
+                    continue
+                if it == 0 and kind == "vtc":
+                    continue  # iteration-0 edge messages repeat the channel rows
+                for e in range(graph.n_edges):
+                    s = SymbolSet.from_mask(field, int(msgs[e]))
+                    yield (
                         it, kind, e,
                         int(graph.edge_var[e]), int(graph.edge_chk[e]),
                         str(s), len(s),
                     )
-                )
-    for v, s in enumerate(result.estimate):
-        rows.append((result.iterations, "posterior", "", v, "", str(s), len(s)))
-    rows.append((result.iterations, "status", "", "", "", result.status, ""))
+        for v, s in enumerate(result.estimate):
+            yield (result.iterations, "posterior", "", v, "", str(s), len(s))
+        yield (result.iterations, "status", "", "", "", result.status, "")
+
     _emit(
         args,
         argv,
         ["iteration", "kind", "edge", "variable", "check", "message", "size"],
-        rows,
+        rows(),
     )
     return 0
 

@@ -8,8 +8,8 @@ the transmitted symbol, so decoding either resolves every variable to
 a singleton or stalls at a fixed point.
 
 One flooding loop serves every field: it runs on whole arrays of edge
-messages in the set layout of ``symbol_sets.set_layout`` (uint16 masks
-with table lookups for small q, bool planes above).  Each node's edges
+messages in the set layout of ``symbol_sets.set_layout`` (one uint16
+word per set up to q = 16, bool planes above).  Each node's edges
 form one padded column of a (max degree, nodes) slot array, which the
 graph builds once and keeps (``TannerGraph.slots``); the pad is a
 sentinel edge slot holding the identity of the node's operation ({0}

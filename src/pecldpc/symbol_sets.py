@@ -4,21 +4,25 @@ A single set is a :class:`SymbolSet`: an int whose bit i is 1 iff
 field element i is a member, so intersection is ``&``.  The two
 field-aware operations, scaling by a nonzero element and the sumset,
 exist only in the set-array layout :func:`set_layout` picks for the
-field: uint16 masks with table lookups (:class:`MaskTables`) for
-q <= MASK_TABLE_MAX_Q, and (n, q) bool planes (:class:`SetPlanes`)
+field: one uint16 word per set (:class:`MaskTables`) for
+q <= MASK_TABLE_MAX_Q (16), and (n, q) bool planes (:class:`SetPlanes`)
 above, whose sumsets are products of additive-character spectra (the
-transform of the FFT-BP check node).  Both offer the same operations
-(encode, from_members, zero_sets, full_sets, scaled, sumsets,
-leave_one_out_sumsets, sizes, to_masks) and intersect with ``&``, so
-the decoder's check pass, the exact and Monte Carlo sumset laws and the
-SymbolSet operations all run the same code on either.
+transform of the FFT-BP check node).  Words scale and count through
+small tables; their sumsets are lookups in a 4**q pair table up to
+PAIR_TABLE_MAX_Q (12), and above it, at GF(13) and GF(16), the planes
+layout's spectral kernel on the words unpacked.  Both offer the same
+operations (encode, from_members, zero_sets, full_sets, scaled,
+sumsets, leave_one_out_sumsets, sizes, to_masks) and intersect with
+``&``, so the decoder's check pass, the exact and Monte Carlo sumset
+laws and the SymbolSet operations all run the same code on either.
 
 Both node updates of the decoder are leave-one-out folds over one
 commutative set operation, and :func:`leave_one_out` is the only
 prefix/suffix fold: each layout's ``leave_one_out_sumsets`` passes it
-its sumset (the planes layout, a product of spectra that re-thresholds
-to stay exact), and the decoder's variable pass passes ``&`` with the
-channel sets as head.
+its sumset (the planes layout, and the words above PAIR_TABLE_MAX_Q
+through it, a product of spectra that re-thresholds to stay exact),
+and the decoder's variable pass passes ``&`` with the channel sets as
+head.
 """
 
 from __future__ import annotations
@@ -30,8 +34,10 @@ import numpy as np
 
 from .gf import GF
 
+# fields whose sets fit one uint16 word take the mask layout
+MASK_TABLE_MAX_Q = 16
 # pairwise sumset table is 4**q entries; 12 keeps it at 32 MB of uint16
-MASK_TABLE_MAX_Q = 12
+PAIR_TABLE_MAX_Q = 12
 # bound on beta * q for every product of spectra SetPlanes maps back
 _SPECTRAL_BOUND = 2**36
 
@@ -43,9 +49,11 @@ def mask_dtype(q: int):
 
 
 def set_bytes(q: int) -> int:
-    """Bytes one set takes in the layout of ``set_layout`` for GF(q):
-    a uint16 mask up to MASK_TABLE_MAX_Q, a row of q bools above."""
-    return 2 if q <= MASK_TABLE_MAX_Q else q
+    """Bytes the memory caps charge per set of GF(q): 2, one uint16
+    word, up to PAIR_TABLE_MAX_Q, and q above.  GF(13) and GF(16) keep
+    their sets in words too, but their sumsets expand every set into a
+    row of q bools and q-entry spectra, so they are charged as planes."""
+    return 2 if q <= PAIR_TABLE_MAX_Q else q
 
 
 def index_masks(members: np.ndarray, q: int) -> np.ndarray:
@@ -186,15 +194,23 @@ def leave_one_out(op, rows, head=None, tail=None) -> list:
 
 
 class MaskTables:
-    """Set-array layout for q <= MASK_TABLE_MAX_Q: one uint16 mask per
-    set, with every field-aware operation a whole-array table lookup.
+    """Set-array layout for q <= MASK_TABLE_MAX_Q: one uint16 word per
+    set, whose bit x is 1 iff x is a member, so sets intersect with
+    ``&`` and compare with ``!=``.  Scaling and sizes are table lookups;
+    so are sumsets up to PAIR_TABLE_MAX_Q.  Above it (GF(13) and GF(16))
+    the 4**q pair table would not fit: sumsets unpack the words to bool
+    planes, run the spectral kernel of :class:`SetPlanes` and pack the
+    result back.
 
     Attributes
     ----------
-    pair_sum : ndarray, shape (2**q, 2**q)
+    pair_sum : ndarray, shape (2**q, 2**q), or None above PAIR_TABLE_MAX_Q
         pair_sum[a, b] = sumset mask of a and b.
-    scale : ndarray, shape (q, 2**q)
-        scale[a, m] = mask of {a * y : y in m}; row 0 unused.
+    scale : tuple of ndarrays, each of shape (q, 2**w)
+        one table per w-bit chunk of a word (w = q up to
+        PAIR_TABLE_MAX_Q, one byte above): scale[k][a, c] = mask of
+        {a * y : y a member named by chunk value c at bit k * w}; the
+        image of a set is the OR over its chunks.  Row 0 unused.
     popcount : ndarray, shape (2**q,)
     """
 
@@ -202,34 +218,40 @@ class MaskTables:
         q = field.q
         if q > MASK_TABLE_MAX_Q:
             raise ValueError(f"mask tables limited to q <= {MASK_TABLE_MAX_Q}")
-        n = 1 << q
-        masks = np.arange(n, dtype=np.uint32)
-        bit = [(masks >> x) & 1 for x in range(q)]
+        # chunk width: a whole word up to PAIR_TABLE_MAX_Q, a byte above,
+        # so no table above it has more than 2**16 entries
+        width = q if q <= PAIR_TABLE_MAX_Q else 8
+        chunk = np.arange(1 << width, dtype=np.uint32)
+        bit = [(chunk >> y) & 1 for y in range(width)]
 
-        def image(row) -> np.ndarray:
-            # mask of {row[y] : y in m} for every mask m
-            acc = np.zeros(n, dtype=np.uint32)
-            for y in range(q):
-                acc |= bit[y] << np.uint32(int(row[y]))
+        def image(row, low: int = 0) -> np.ndarray:
+            # mask of {row[low + y] : bit y of c} for every chunk value c
+            acc = np.zeros(chunk.size, dtype=np.uint32)
+            for y in range(min(width, q - low)):
+                acc |= bit[y] << np.uint32(int(row[low + y]))
             return acc.astype(np.uint16)
 
-        pair = np.zeros((n, n), dtype=np.uint16)
-        for x in range(q):
-            pair[bit[x] == 1] |= image(field.add_table[x])[None, :]
+        lows = range(0, q, width)
+        self.scale = tuple(np.zeros((q, chunk.size), dtype=np.uint16) for _ in lows)
+        for table, low in zip(self.scale, lows):
+            for a in range(1, q):
+                table[a] = image(field.mul_table[a], low)
 
-        scale = np.zeros((q, n), dtype=np.uint16)
-        for a in range(1, q):
-            scale[a] = image(field.mul_table[a])
-
-        pc = np.zeros(n, dtype=np.uint8)
-        for x in range(q):
-            pc += bit[x].astype(np.uint8)
-
+        pc = np.zeros(chunk.size, dtype=np.uint8)
+        for b in bit:
+            pc += b.astype(np.uint8)
+        if q <= PAIR_TABLE_MAX_Q:
+            pair = np.zeros((1 << q, 1 << q), dtype=np.uint16)
+            for x in range(q):
+                pair[bit[x] == 1] |= image(field.add_table[x])[None, :]
+            self.pair_sum, self.popcount, self._planes = pair, pc, None
+        else:
+            # word hi * 256 + lo has pc[hi] + pc[lo] members
+            self.pair_sum, self.popcount = None, (pc[: 1 << (q - 8), None] + pc).ravel()
+            self._planes = SetPlanes(field)
         self.q = q
-        self.full_mask = n - 1
-        self.pair_sum = pair
-        self.scale = scale
-        self.popcount = pc
+        self.full_mask = (1 << q) - 1
+        self._width = width
 
     def encode(self, masks: np.ndarray) -> np.ndarray:
         return masks.astype(np.uint16)
@@ -245,20 +267,44 @@ class MaskTables:
     def full_sets(self, n: int) -> np.ndarray:
         return np.full(n, self.full_mask, dtype=np.uint16)
 
-    # both lookups index the flattened table: one gather at (row << q) | col
-    # takes half the time of indexing the 2-d table with two index arrays
+    # the lookups index the flattened tables: one gather at (row << w) | col
+    # takes half the time of indexing a 2-d table with two index arrays
     def scaled(self, sets: np.ndarray, factors: np.ndarray) -> np.ndarray:
-        return self.scale.ravel()[(np.asarray(factors, dtype=np.intp) << self.q) | sets]
+        rows = np.asarray(factors, dtype=np.intp) << self._width
+        if len(self.scale) == 1:
+            return self.scale[0].ravel()[rows | sets]
+        lo, hi = self.scale
+        return lo.ravel()[rows | (sets & 0xFF)] | hi.ravel()[rows | (sets >> 8)]
 
     def sumsets(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.pair_sum.ravel()[(a.astype(np.intp) << self.q) | b]
+        if self._planes is None:
+            return self.pair_sum.ravel()[(a.astype(np.intp) << self.q) | b]
+        return self._words(self._planes.sumsets(self._unpack(a), self._unpack(b)))
 
     def leave_one_out_sumsets(self, ys: np.ndarray) -> np.ndarray:
         """(D, n) masks whose row j holds, per column, the sumset of
         every row of ``ys`` but row j ({0} for a single row)."""
         if len(ys) == 1:
             return self.zero_sets(ys.shape[1])[None]
-        return np.array(leave_one_out(self.sumsets, ys))
+        if self._planes is None:
+            return np.array(leave_one_out(self.sumsets, ys))
+        return self._words(self._planes.leave_one_out_sumsets(self._unpack(ys)))
+
+    # packing and unpacking the flat byte run is ~10x faster than along
+    # an axis; a word is two bytes, bit x of the pair in bitorder "little"
+    def _unpack(self, sets: np.ndarray) -> np.ndarray:
+        """The words as bool planes, the layout of ``SetPlanes``."""
+        words = np.ascontiguousarray(sets, dtype="<u2")
+        bits = np.unpackbits(words.view(np.uint8), bitorder="little").view(bool)
+        return bits.reshape(words.shape + (16,))[..., : self.q]
+
+    def _words(self, planes: np.ndarray) -> np.ndarray:
+        """Bool planes as words."""
+        shape = planes.shape[:-1]
+        if self.q < 16:
+            planes = np.concatenate([planes, np.zeros(shape + (16 - self.q,), bool)], axis=-1)
+        octets = np.packbits(planes.reshape(-1), bitorder="little")
+        return octets.view("<u2").reshape(shape).astype(np.uint16, copy=False)
 
     def sizes(self, sets: np.ndarray) -> np.ndarray:
         return self.popcount[sets]

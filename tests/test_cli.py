@@ -5,10 +5,11 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pecldpc
-from pecldpc import GF
+from pecldpc import GF, PartialErasureChannel, SymbolSet, build_regular
 from pecldpc.cli import main
 from pecldpc.sumset_models import sumset_bounds
 
@@ -410,6 +411,37 @@ def test_oversized_graph_header_refused(tmp_path, header, message):
     code, err = _run_limited(["decode-trace", "--graph", str(graph), "--received", str(received)])
     assert code == 2, err
     assert message in err
+
+
+def _trace_files(tmp_path, n):
+    """A (3,6) graph of n variables at q=4 and its received sets at
+    M=2, eps 0.8, written for decode-trace."""
+    f = GF(4)
+    rng = np.random.default_rng(1)
+    graph = build_regular(n, 3, 6, f, rng)
+    graph.save(tmp_path / "graph.txt")
+    masks = PartialErasureChannel(f, 2, 0.8).transmit_zero_word(graph.n, rng)
+    received = tmp_path / "received.txt"
+    received.write_text("".join(str(SymbolSet.from_mask(f, m)) + "\n" for m in masks.tolist()))
+    return ["--graph", str(tmp_path / "graph.txt"), "--received", str(received)]
+
+
+def test_oversized_trace_refused(tmp_path):
+    # 100,000 variables: unchecked, a trace held whole died of
+    # MemoryError under the limit (exit 1 after ~17 s); refused from
+    # 2 * E * --max-iters before decoding
+    code, err = _run_limited(["decode-trace", *_trace_files(tmp_path, 100_000)])
+    assert code == 2, err
+    assert "trace rows, above the limit" in err
+
+
+def test_moderate_trace_runs_bounded(tmp_path):
+    # 2,000 variables at the default --max-iters: 1.2M worst-case rows,
+    # under the cap; the decode stops early and its CSV is streamed
+    out = tmp_path / "trace.csv"
+    code, err = _run_limited(["decode-trace", *_trace_files(tmp_path, 2000), "--out", str(out)])
+    assert code == 0, err
+    assert out.read_text().rstrip().rsplit("\n", 1)[-1].endswith(",status,,,,success,")
 
 
 def test_negative_graph_size_exit_code(tmp_path, capsys):

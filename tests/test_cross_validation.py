@@ -154,9 +154,11 @@ def test_kernels_agree_gf8():
         assert_decode_matches_reference(g, received, 15)
 
 
-@pytest.mark.parametrize("q", [13, 16, 32, 67])
+@pytest.mark.parametrize("q", [13, 16, 17, 32, 67])
 def test_planes_layout_agrees_with_reference(q):
-    # fields above MASK_TABLE_MAX_Q, up to one whose masks exceed 64 bits
+    # fields whose sumsets run the spectral kernel: GF(13) and GF(16) on
+    # words, then planes from GF(17), the first field above
+    # MASK_TABLE_MAX_Q, up to one whose masks exceed 64 bits
     rng = np.random.default_rng(q)
     f = GF(q)
     for _ in range(4):

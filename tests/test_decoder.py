@@ -12,8 +12,9 @@ from pecldpc import (
     decode,
     vtc_message,
 )
+import pecldpc.decoder as decoder
 import pecldpc.ldpc as ldpc
-from pecldpc.symbol_sets import mask_dtype
+from pecldpc.symbol_sets import MaskTables, SetPlanes, mask_dtype, set_layout
 
 from oracles import brute_ctv
 from test_cross_validation import assert_decode_matches_reference
@@ -330,6 +331,24 @@ def test_decode_ignores_slot_order(q):
         shuffled = TannerGraph(f, g.edge_var, g.edge_chk, g.edge_label, n=g.n, m=g.m)
         shuffled._set_slots(*(rng.permuted(a, axis=0) for a in g.slots))
         assert_same_result(decode(shuffled, received, max_iters=30, record_messages=True), want)
+
+
+@pytest.mark.parametrize("q", [13, 16])
+def test_words_decode_as_planes(q, monkeypatch):
+    # GF(13) and GF(16) decode on uint16 words; bool planes, the layout
+    # of every larger field, must give the same result in every part
+    rng = np.random.default_rng(50 + q)
+    f = GF(q)
+    assert type(set_layout(f)) is MaskTables
+    for g in (build_regular(60, 3, 6, f, rng), irregular_graph(f, rng)):
+        for eps in (0.4, 0.7):
+            received = PartialErasureChannel(f, 4, eps).transmit_zero_word(g.n, rng)
+            want = decode(g, received, max_iters=30, record_messages=True)
+            with monkeypatch.context() as patch:
+                patch.setattr(decoder, "set_layout", SetPlanes)
+                got = decode(g, received, max_iters=30, record_messages=True)
+            assert_same_result(got, want)
+            assert want.iterations >= 2
 
 
 def test_decode_sorts_each_graph_at_most_once(monkeypatch):

@@ -7,10 +7,13 @@ import pytest
 from pecldpc import GF, SymbolSet, intersect, sumset
 from pecldpc.symbol_sets import (
     MASK_TABLE_MAX_Q,
+    PAIR_TABLE_MAX_Q,
     MaskTables,
     SetPlanes,
     leave_one_out,
     mask_dtype,
+    set_bytes,
+    set_layout,
 )
 
 from oracles import gf_scale, gf_sumset, mask_elements
@@ -269,3 +272,84 @@ def test_leave_one_out_matches_plain_folds(q):
                         # a missing head or tail costs no call: 3D - 2 joins
                         # less two for each one missing
                         assert len(calls) == 3 * deg - 2 - 2 * (head is None) - 2 * (tail is None)
+
+
+# ---------------------------------------------------------
+# Words up to GF(16): tables up to q = 12, spectral sumsets above
+# ---------------------------------------------------------
+def test_layout_of_each_field():
+    assert (MASK_TABLE_MAX_Q, PAIR_TABLE_MAX_Q) == (16, 12)
+    assert set_layout(GF(11)).pair_sum.shape == (1 << 11, 1 << 11)
+    for q in (13, 16):
+        sets = set_layout(GF(q))
+        assert type(sets) is MaskTables and sets.pair_sum is None
+        # no table of more than 2**16 entries, none over 64 KiB
+        for table in (*sets.scale, sets.popcount):
+            assert table.nbytes <= 1 << 16
+    assert type(set_layout(GF(17))) is SetPlanes
+
+
+def test_set_bytes_charge_planes_above_pair_tables():
+    # words at GF(13) and GF(16) still expand to planes and spectra in
+    # every sumset, so the memory caps charge them q bytes a set
+    assert [set_bytes(q) for q in (12, 13, 16, 17)] == [2, 13, 16, 17]
+
+
+@pytest.mark.parametrize("q", [13, 16])
+def test_words_agree_with_planes_and_oracles(q, monkeypatch):
+    f = GF(q)
+    words, planes = MaskTables(f), SetPlanes(f)
+    rng = np.random.default_rng(200 + q)
+
+    masks = rng.integers(1, 1 << q, size=300).astype(mask_dtype(q))
+    masks[:3] = [1, (1 << q) - 1, 1 << (q - 1)]
+    w, p = words.encode(masks), planes.encode(masks)
+    assert w.dtype == np.uint16
+    assert words.to_masks(w).tolist() == masks.tolist()
+    sizes = words.sizes(w).tolist()
+    assert sizes == planes.sizes(p).tolist() == [len(mask_elements(m)) for m in masks.tolist()]
+    assert words.to_masks(words.zero_sets(3)).tolist() == [1] * 3
+    assert words.to_masks(words.full_sets(3)).tolist() == [(1 << q) - 1] * 3
+    members = rng.random((40, q)).argsort(axis=1)[:, : q // 2]
+    assert words.to_masks(words.from_members(members)).tolist() == (
+        planes.to_masks(planes.from_members(members)).tolist()
+    )
+    factors = np.arange(masks.size) % (q - 1) + 1
+    scaled = words.to_masks(words.scaled(w, factors)).tolist()
+    assert scaled == planes.to_masks(planes.scaled(p, factors)).tolist()
+    sums = words.to_masks(words.sumsets(w, w[::-1])).tolist()
+    assert sums == planes.to_masks(planes.sumsets(p, p[::-1])).tolist()
+    for k, m in enumerate(masks.tolist()):
+        a = mask_elements(m)
+        assert mask_elements(scaled[k]) == gf_scale(f, a, int(factors[k]))
+        assert mask_elements(sums[k]) == gf_sumset(f, a, mask_elements(int(masks[-1 - k])))
+
+    # leave-one-out sumsets: one row, a (3,6) check, and d_c = 30, whose
+    # fold re-thresholds at q = 16
+    calls = []
+    rethreshold = SetPlanes._rethreshold
+    monkeypatch.setattr(
+        SetPlanes, "_rethreshold", lambda self, s: calls.append(1) or rethreshold(self, s)
+    )
+    for deg, cols in ((1, 5), (6, 12), (30, 4)):
+        # mostly small sets, so the long fold is not the full set throughout
+        members = rng.random((deg, cols, q)) < np.linspace(0.02, 0.2, cols)[:, None]
+        members[..., 0] |= ~members.any(axis=-1)
+        rows = [[sum(1 << int(x) for x in np.flatnonzero(c)) for c in layer] for layer in members]
+        ys = np.array(rows, dtype=mask_dtype(q))
+        calls.clear()
+        w = words.leave_one_out_sumsets(words.encode(ys.ravel()).reshape(deg, cols))
+        assert w.dtype == np.uint16 and w.shape == (deg, cols)
+        if deg == 30 and q == 16:
+            assert calls  # the spectral bound forced a re-threshold
+            assert min(len(mask_elements(m)) for m in words.to_masks(w).ravel().tolist()) < q
+        p = planes.leave_one_out_sumsets(planes.encode(ys.ravel()).reshape(deg, cols, q))
+        got = words.to_masks(w).tolist()
+        assert got == planes.to_masks(p.reshape(-1, q)).reshape(deg, cols).tolist()
+        for j in range(deg):
+            for r in range(cols):
+                expect = frozenset({0})
+                for k in range(deg):
+                    if k != j:
+                        expect = gf_sumset(f, expect, mask_elements(rows[k][r]))
+                assert mask_elements(got[j][r]) == expect
