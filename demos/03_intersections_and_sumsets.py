@@ -4,8 +4,8 @@
 Two questions drive the asymptotic analysis of the set decoder:
 
 * intersection: if you intersect random subsets of known sizes, how big
-  is the result?  (what variable nodes do)  This has an exact
-  inclusion-exclusion answer.
+  is the result?  (what variable nodes do)  This has an exact answer,
+  counted by meeting one set at a time.
 * sumset: if you add random subsets elementwise over GF(q), how big is
   the result?  (what check nodes do)  No closed form is known, so we
   bound it and approximate it.

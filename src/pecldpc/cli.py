@@ -63,12 +63,6 @@ class CliError(ValueError):
     pass
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".12g")
-    return str(x)
-
-
 def _parse_eps(args) -> list[float]:
     if (args.eps is None) == (args.eps_grid is None):
         raise CliError("give exactly one of --eps or --eps-grid start:stop:step")
@@ -147,7 +141,8 @@ def _emit(args, invocation: list[str], header: list[str], rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+            # floats to 12 significant digits (numpy floats are floats too)
+            writer.writerow([format(x, ".12g") if isinstance(x, float) else str(x) for x in row])
     finally:
         if args.out:
             fh.close()
@@ -275,24 +270,29 @@ def _cmd_decode_trace(args, argv):
         graph, received, max_iters=args.max_iters, record_messages=True
     )
 
+    # (text, size) of each distinct mask, formatted once for the run
+    labels = {}
+
+    def label(mask: int) -> tuple[str, int]:
+        if mask not in labels:
+            s = SymbolSet.from_mask(field, mask)
+            labels[mask] = (str(s), len(s))
+        return labels[mask]
+
     def rows():
         for v, s in enumerate(received):
             yield (0, "channel", "", v, "", str(s), len(s))
+        ends = list(zip(graph.edge_var.tolist(), graph.edge_chk.tolist()))
         for it, (ctv, vtc) in enumerate(result.message_history):
             for kind, msgs in (("ctv", ctv), ("vtc", vtc)):
                 if msgs is None:
                     continue
                 if it == 0 and kind == "vtc":
                     continue  # iteration-0 edge messages repeat the channel rows
-                for e in range(graph.n_edges):
-                    s = SymbolSet.from_mask(field, int(msgs[e]))
-                    yield (
-                        it, kind, e,
-                        int(graph.edge_var[e]), int(graph.edge_chk[e]),
-                        str(s), len(s),
-                    )
-        for v, s in enumerate(result.estimate):
-            yield (result.iterations, "posterior", "", v, "", str(s), len(s))
+                for e, ((v, c), mask) in enumerate(zip(ends, msgs)):
+                    yield (it, kind, e, v, c, *label(mask))
+        for v, mask in enumerate(result.posterior.tolist()):
+            yield (result.iterations, "posterior", "", v, "", *label(mask))
         yield (result.iterations, "status", "", "", "", result.status, "")
 
     _emit(

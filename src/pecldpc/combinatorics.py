@@ -1,12 +1,13 @@
 """Exact counting for intersections of fixed-size subsets.
 
 Everything here is plain combinatorics over an abstract q-element
-universe (no field structure).  Counts are exact big integers built
-from an inclusion-exclusion over the size of a forced common subset;
-probabilities are ratios of those counts, available both as exact
-`Fraction` vectors and as float vectors for the density-evolution
-loops.  Results are memoized on the sorted size tuple since callers
-re-query the same tuples across iterations.
+universe (no field structure).  Counts are exact big integers built by
+a chain that meets one set at a time: a size-s set meets a fixed i-set
+in exactly j members in binom(i, j) * binom(q - i, s - j) ways, so each
+step is a sum of positive terms.  Probabilities are ratios of those
+counts, available both as exact `Fraction` vectors and as float vectors
+for the density-evolution loops.  The counts are the only memo, keyed
+on the sorted size tuple, since callers re-query the same tuples.
 """
 
 from __future__ import annotations
@@ -37,23 +38,19 @@ def _norm(sizes: Sequence[int], q: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _counts(sizes: tuple[int, ...], q: int) -> tuple[int, ...]:
+    # the smallest set alone: binom(q, mu) choices, each its own
+    # intersection; then meet one more set at a time
     mu = sizes[0]
-
-    def ways_with_common(l: int) -> int:
-        # ordered tuples of subsets that all contain one fixed l-subset,
-        # summed over the binom(q, l) choices of that subset
-        out = binom(q, l)
-        for s in sizes:
-            out *= binom(q - l, s - l)
-        return out
-
-    counts = []
-    for m in range(mu + 1):
-        total = 0
-        for i in range(mu - m + 1):
-            term = ways_with_common(m + i) * binom(m + i, m)
-            total += -term if i % 2 else term
-        counts.append(total)
+    counts = [0] * mu + [binom(q, mu)]
+    for s in sizes[1:]:
+        nxt = [0] * (mu + 1)
+        for i, c in enumerate(counts):
+            if c:
+                # a size-s set meets a fixed i-set in exactly j members
+                # in binom(i, j) * binom(q - i, s - j) ways
+                for j in range(min(i, s) + 1):
+                    nxt[j] += c * binom(i, j) * binom(q - i, s - j)
+        counts = nxt
     return tuple(counts)
 
 
@@ -71,17 +68,12 @@ def intersection_counts(sizes: Sequence[int], q: int) -> list[int]:
     return list(_counts(_norm(sizes, q), q))
 
 
-@lru_cache(maxsize=None)
-def _dist_exact(sizes: tuple[int, ...], q: int) -> tuple[Fraction, ...]:
-    counts = _counts(sizes, q)
-    total = sum(counts)
-    return tuple(Fraction(c, total) for c in counts)
-
-
 def intersection_dist_exact(sizes: Sequence[int], q: int) -> tuple[Fraction, ...]:
     """Distribution of the intersection size of uniform random subsets
     with the given sizes; entry m is P(|intersection| = m), m = 0..min."""
-    return _dist_exact(_norm(sizes, q), q)
+    counts = _counts(_norm(sizes, q), q)
+    total = sum(counts)
+    return tuple(Fraction(c, total) for c in counts)
 
 
 def intersection_dist(sizes: Sequence[int], q: int) -> np.ndarray:

@@ -290,27 +290,26 @@ def _truncate_renorm(g: np.ndarray, lower: int) -> np.ndarray:
     return out / s
 
 
-def balls_dist(sizes: Sequence[int], field: GF) -> np.ndarray:
-    """Occupancy approximation: each of the prod(sizes) sums lands in a
-    uniform bin; mass below the provable lower bound is redistributed."""
+def _coverage_dist(sizes: Sequence[int], field: GF, batched: bool) -> np.ndarray:
+    # the prod(sizes) sums in batches of one (balls) or max(sizes) (union)
     t = _norm_sizes(sizes, field.q)
     b = sumset_bounds(t, field)
     if b.forced_full:
         return _delta(field.q, field.q)
-    n = prod(t)
-    return _truncate_renorm(_chain_state(1, n, field.q), b.lower)
+    d = t[-1] if batched else 1
+    return _truncate_renorm(_chain_state(d, prod(t) // d, field.q), b.lower)
+
+
+def balls_dist(sizes: Sequence[int], field: GF) -> np.ndarray:
+    """Occupancy approximation: each of the prod(sizes) sums lands in a
+    uniform bin; mass below the provable lower bound is redistributed."""
+    return _coverage_dist(sizes, field, batched=False)
 
 
 def union_model_dist(sizes: Sequence[int], field: GF) -> np.ndarray:
     """Refined occupancy approximation: the sums arrive as prod/max
     batches of max(sizes) distinct values each."""
-    t = _norm_sizes(sizes, field.q)
-    b = sumset_bounds(t, field)
-    if b.forced_full:
-        return _delta(field.q, field.q)
-    d = t[-1]
-    steps = prod(t) // d
-    return _truncate_renorm(_chain_state(d, steps, field.q), b.lower)
+    return _coverage_dist(sizes, field, batched=True)
 
 
 # -- model selector ----------------------------------------------------------

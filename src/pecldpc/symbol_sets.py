@@ -175,18 +175,18 @@ def intersect(sets: Sequence[SymbolSet]) -> SymbolSet:
     return SymbolSet.from_mask(field, mask)
 
 
-def leave_one_out(op, rows, head=None, tail=None) -> list:
+def leave_one_out(op, rows, head=None) -> list:
     """Output j of D ``rows`` under the commutative, associative ``op``:
-    head op x_0 ... x_{j-1} op x_{j+1} ... x_{D-1} op tail, from one
-    prefix and one suffix pass.  A missing head or tail (None) is the
-    identity, and no output pays an ``op`` call for it; a single row with
-    neither has nothing to fold and gives [None]."""
+    head op x_0 ... x_{j-1} op x_{j+1} ... x_{D-1}, from one prefix and
+    one suffix pass.  A missing head (None) is the identity, and no
+    output pays an ``op`` call for it; a single row without a head has
+    nothing to fold and gives [None]."""
 
     def join(a, b):
         return b if a is None else a if b is None else op(a, b)
 
     deg = len(rows)
-    pre, suf = [head], [tail]  # pre[j] = head op x_0..x_{j-1}; suf reversed
+    pre, suf = [head], [None]  # pre[j] = head op x_0..x_{j-1}; suf reversed
     for j in range(1, deg):
         pre.append(join(pre[-1], rows[j - 1]))
         suf.append(join(rows[deg - j], suf[-1]))

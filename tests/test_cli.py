@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -364,6 +365,15 @@ def test_large_field_de_runs_bounded():
     assert "size multisets" in err
 
 
+def test_large_field_size_chain_runs_bounded():
+    # the variable half's (256, 64**2) table of common-symbol laws: each
+    # pairwise count is one chain step of positive terms (~50 s when the
+    # counts came from an inclusion-exclusion)
+    code, err = _run_limited(["threshold", "--q", "256", "--M", "64", "--dv", "3", "--dc", "2",
+                              "--model", "bound-upper"])
+    assert code == 0, err
+
+
 @pytest.mark.parametrize(
     "q, sizes",
     [(16, "8,8,8,8,8"), (32, "2,2,2,4"), (64, "3,3,3"), (128, "2"), (128, "2,2,2,2,2"),
@@ -386,12 +396,15 @@ def test_exact_law_runs_bounded(q, sizes, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "q, sizes, model", [(256, "50,50,50,50,50", "union"), (64, "16,16,16,16,16", "balls")]
+    "q, sizes, model",
+    [(256, "50,50,50,50,50", "union"), (64, "16,16,16,16,16", "balls"), (256, "2,128", "union")],
 )
 def test_coverage_models_run_bounded(q, sizes, model):
     # 50**4 batches of 50 and 16**5 balls: the coverage walk stops at the
     # first step that leaves its vector unchanged, where it once walked
-    # every step (still running at 30 s, and 6.2 s)
+    # every step (still running at 30 s, and 6.2 s); the 256 x 256
+    # coverage matrix for batches of 128 took over 10 s when its
+    # pairwise counts came from an inclusion-exclusion
     code, err = _run_limited(["pm-table", "--q", str(q), "--sizes", sizes, "--model", model])
     assert code == 0, err
 
@@ -442,6 +455,17 @@ def test_moderate_trace_runs_bounded(tmp_path):
     code, err = _run_limited(["decode-trace", *_trace_files(tmp_path, 2000), "--out", str(out)])
     assert code == 0, err
     assert out.read_text().rstrip().rsplit("\n", 1)[-1].endswith(",status,,,,success,")
+
+
+def test_trace_pinned(tmp_path, capsys):
+    # the 2,000-variable trace at default flags, every line after the
+    # invocation comment (which names the tmp paths), as recorded when
+    # each row built and formatted its own SymbolSet
+    assert main(["decode-trace", *_trace_files(tmp_path, 2000)]) == 0
+    comment, body = capsys.readouterr().out.split("\n", 1)
+    assert comment.startswith("# pecldpc decode-trace")
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    assert digest == "7bf29084c71362c7497741fded5b0c26a8bca29c9ca7cbd9cba3dd580868140d"
 
 
 def test_negative_graph_size_exit_code(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, prod
@@ -57,6 +58,27 @@ def test_counts_match_bruteforce_small():
                 assert intersection_counts(sizes, q) == brute_intersection_counts(
                     sizes, q
                 )
+
+
+def test_counts_pinned_digest():
+    # every size tuple of length 1-2, and of length 3-4 with sizes up to 6,
+    # at q <= 17 and q in {31, 64}, plus pairs at q=256: the sha256 of the
+    # counts as recorded from the earlier inclusion-exclusion, so the
+    # chain is pinned integer for integer beyond the brute-force range
+    def grid():
+        for q in (*range(2, 18), 31, 64):
+            for j in (1, 2, 3, 4):
+                top = q if j <= 2 else min(q, 6)
+                for sizes in combinations_with_replacement(range(top + 1), j):
+                    yield q, sizes
+        picks = (0, 1, 2, 3, 50, 64, 100, 127, 128, 129, 200, 255, 256)
+        for sizes in combinations_with_replacement(picks, 2):
+            yield 256, sizes
+
+    h = hashlib.sha256()
+    for q, sizes in grid():
+        h.update(repr((q, sizes, intersection_counts(sizes, q))).encode())
+    assert h.hexdigest() == "fb903615a0fb7ad5efe74de1411a324c9b62dcf9ed25394bcf9c112d39c8b22d"
 
 
 def test_count_argument_validation():
