@@ -19,7 +19,7 @@ import math
 import sys
 
 from .channel import PartialErasureChannel
-from .decoder import decode
+from .decoder import DecodingInconsistency, decode
 from .density_evolution import DeConfig, threshold_search
 from .gf import GF
 from .ldpc import DegreeDistribution, TannerGraph
@@ -392,7 +392,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 3
-    except (CliError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError, DecodingInconsistency) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

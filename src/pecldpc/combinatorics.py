@@ -6,8 +6,9 @@ a chain that meets one set at a time: a size-s set meets a fixed i-set
 in exactly j members in binom(i, j) * binom(q - i, s - j) ways, so each
 step is a sum of positive terms.  Probabilities are ratios of those
 counts, available both as exact `Fraction` vectors and as float vectors
-for the density-evolution loops.  The counts are the only memo, keyed
-on the sorted size tuple, since callers re-query the same tuples.
+for the density-evolution loops, each entry one integer division.  The
+counts are the only memo, keyed on the sorted size tuple, since callers
+re-query the same tuples.
 """
 
 from __future__ import annotations
@@ -68,16 +69,33 @@ def intersection_counts(sizes: Sequence[int], q: int) -> list[int]:
     return list(_counts(_norm(sizes, q), q))
 
 
-def intersection_dist_exact(sizes: Sequence[int], q: int) -> tuple[Fraction, ...]:
-    """Distribution of the intersection size of uniform random subsets
-    with the given sizes; entry m is P(|intersection| = m), m = 0..min."""
-    counts = _counts(_norm(sizes, q), q)
+def _common_counts(sizes: Sequence[int], q: int) -> tuple[int, ...]:
+    t = _norm(sizes, q)
+    if t[0] < 1:
+        raise ValueError("all sizes must be >= 1")
+    return (0,) + _counts(tuple(s - 1 for s in t), q - 1)
+
+
+def _law_exact(counts: Sequence[int]) -> tuple[Fraction, ...]:
     total = sum(counts)
     return tuple(Fraction(c, total) for c in counts)
 
 
+def _law(counts: Sequence[int]) -> np.ndarray:
+    # int / int is correctly rounded, so each entry is float() of its
+    # Fraction: the same value, without reducing it first
+    total = sum(counts)
+    return np.array([c / total for c in counts])
+
+
+def intersection_dist_exact(sizes: Sequence[int], q: int) -> tuple[Fraction, ...]:
+    """Distribution of the intersection size of uniform random subsets
+    with the given sizes; entry m is P(|intersection| = m), m = 0..min."""
+    return _law_exact(_counts(_norm(sizes, q), q))
+
+
 def intersection_dist(sizes: Sequence[int], q: int) -> np.ndarray:
-    return np.array([float(p) for p in intersection_dist_exact(sizes, q)])
+    return _law(_counts(_norm(sizes, q), q))
 
 
 def common_member_intersection_dist_exact(
@@ -91,13 +109,8 @@ def common_member_intersection_dist_exact(
     Dropping that symbol leaves uniform subsets, one smaller each, of the
     other q - 1 elements, so entry m is entry m - 1 of their law.
     """
-    t = _norm(sizes, q)
-    if t[0] < 1:
-        raise ValueError("all sizes must be >= 1")
-    return (Fraction(0),) + intersection_dist_exact([s - 1 for s in t], q - 1)
+    return _law_exact(_common_counts(sizes, q))
 
 
 def common_member_intersection_dist(sizes: Sequence[int], q: int) -> np.ndarray:
-    return np.array(
-        [float(p) for p in common_member_intersection_dist_exact(sizes, q)]
-    )
+    return _law(_common_counts(sizes, q))

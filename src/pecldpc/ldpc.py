@@ -33,9 +33,10 @@ class TannerGraph:
     """
 
     def __init__(self, field: GF, edge_var, edge_chk, edge_label, n=None, m=None):
-        ev = np.asarray(edge_var, dtype=np.int64)
-        ec = np.asarray(edge_chk, dtype=np.int64)
-        el = np.asarray(edge_label, dtype=np.int64)
+        try:
+            ev, ec, el = (np.asarray(a, dtype=np.int64) for a in (edge_var, edge_chk, edge_label))
+        except OverflowError:
+            raise ValueError("edge entries must fit in 64-bit integers") from None
         if not (ev.shape == ec.shape == el.shape) or ev.ndim != 1:
             raise ValueError("edge arrays must be 1-d and index-aligned")
         if ev.size and ((el < 1).any() or (el >= field.q).any()):

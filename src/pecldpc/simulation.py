@@ -67,11 +67,14 @@ def run_trials(
         raise ValueError(f"{trials} trials exceed the limit of {MAX_TRIALS}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
-    if graph is None:
-        if n is None or d_v is None or d_c is None:
-            raise ValueError("give a graph or all of n, d_v, d_c")
-    else:
-        n, d_v, d_c = graph.n, int(graph.var_degrees.max()), int(graph.chk_degrees.max())
+    if graph is not None:
+        n = graph.n
+    elif n is None or d_v is None or d_c is None:
+        raise ValueError("give a graph or all of n, d_v, d_c")
+    if n < 1:
+        raise ValueError(f"need at least one variable node, got n={n}")
+    if graph is not None:
+        d_v, d_c = int(graph.var_degrees.max()), int(graph.chk_degrees.max())
 
     successes = 0
     total_iters = 0

@@ -37,9 +37,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import binom, intersection_dist
+from .combinatorics import _law, _law_exact, binom, intersection_dist
 from .gf import GF
-from .symbol_sets import index_masks, mask_dtype, set_bytes, set_layout
+from .symbol_sets import index_masks, mask_dtype, masks_to_planes, set_bytes, set_layout
 
 DEFAULT_WORK_CAP = 10**8
 DEFAULT_MC_SAMPLES = 10**6
@@ -129,7 +129,7 @@ def _orbit_step(field: GF, key: int, size: int) -> tuple[tuple[int, int], ...]:
     subsets = [(0, *c) for c in combinations(range(1, q), size - 1)]
     state = sets.encode(np.array([key], dtype=mask_dtype(q)))
     masks = sets.to_masks(sets.sumsets(state, sets.from_members(np.array(subsets))))
-    bits = ((masks[:, None] >> np.arange(q, dtype=masks.dtype)) & 1).astype(bool)
+    bits = masks_to_planes(masks, q)
     flip = bits.sum(axis=1) * 2 > q
     bits ^= flip[:, None]
     sizes = bits.sum(axis=1)
@@ -154,15 +154,15 @@ def _orbit_step(field: GF, key: int, size: int) -> tuple[tuple[int, int], ...]:
     return tuple(Counter(keys.tolist()).items())
 
 
-def exact_dist_rational(sizes: Sequence[int], field: GF) -> tuple[Fraction, ...]:
-    """Exact sumset-size distribution as rationals (length q, index
-    size-1); EnumerationBudgetError as for ``exact_dist``."""
+def _exact_counts(sizes: Sequence[int], field: GF) -> list[int]:
+    """Operand choices by sumset size (length q, index size-1), from the
+    orbit chain; EnumerationBudgetError as for ``exact_dist``."""
     q = field.q
     # a size-1 operand is a translate, whose step maps every orbit to
     # itself; one operand left (or none) is a point mass at its size
     t = tuple(s for s in _norm_sizes(sizes, q) if s > 1)
     if len(t) <= 1:
-        return tuple(Fraction(int(s == max(t, default=1))) for s in range(1, q + 1))
+        return [int(s == max(t, default=1)) for s in range(1, q + 1)]
     # orbit key -> number of operand choices so far, from {0}
     state, work = Counter({1: 1}), 0
     for s in t:
@@ -176,10 +176,16 @@ def exact_dist_rational(sizes: Sequence[int], field: GF) -> tuple[Fraction, ...]
         for key, count in state.items():
             nxt.update({orbit: count * c for orbit, c in _orbit_step(field, key, s)})
         state = nxt
-    by_size = np.zeros(q + 1, dtype=object)
-    np.add.at(by_size, [key.bit_count() for key in state], list(state.values()))
-    # the counts sum to the number of operand choices
-    return tuple(by_size[1:] * Fraction(1, sum(state.values())))
+    counts = [0] * q
+    for key, count in state.items():
+        counts[key.bit_count() - 1] += count
+    return counts
+
+
+def exact_dist_rational(sizes: Sequence[int], field: GF) -> tuple[Fraction, ...]:
+    """Exact sumset-size distribution as rationals (length q, index
+    size-1); EnumerationBudgetError as for ``exact_dist``."""
+    return _law_exact(_exact_counts(sizes, field))
 
 
 def exact_dist(sizes: Sequence[int], field: GF) -> np.ndarray:
@@ -192,9 +198,10 @@ def exact_dist(sizes: Sequence[int], field: GF) -> np.ndarray:
     chain raises EnumerationBudgetError once the charge exceeds
     ``DEFAULT_WORK_CAP`` (read at call time), so whether a law is refused
     depends only on the sizes, q and the cap; ``monte_carlo_dist``
-    estimates such laws.
+    estimates such laws.  Each entry is one integer division of counts,
+    the float of its rational.
     """
-    return np.array([float(p) for p in exact_dist_rational(sizes, field)])
+    return _law(_exact_counts(sizes, field))
 
 
 def monte_carlo_dist(

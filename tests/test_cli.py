@@ -478,6 +478,39 @@ def test_negative_graph_size_exit_code(tmp_path, capsys):
     assert "graph sizes must be nonnegative" in capsys.readouterr().err
 
 
+def test_simulate_refuses_empty_codes(capsys):
+    # n = 0 divided by zero (exit 1), n = -6 failed in numpy's allocator
+    for n in ("0", "-6"):
+        args = ["simulate", "--q", "4", "--M", "2", "--dv", "3", "--dc", "6", "--n", n]
+        assert main(args + ["--eps", "0.5", "--trials", "2"]) == 2
+        assert f"n={n}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "graph, received",
+    [("4 2 1\n0 0 1\n1 0 1\n", "{}\n0\n"), ("4 2 1\n0 0 1\n1 0 1\n", "1,2\n0\n")],
+    ids=["empty-set", "no-codeword"],
+)
+def test_inconsistent_received_exit_code(tmp_path, capsys, graph, received):
+    # received sets that admit no codeword are a validation error, not
+    # an uncaught DecodingInconsistency (exit 1)
+    (tmp_path / "graph.txt").write_text(graph)
+    (tmp_path / "received.txt").write_text(received)
+    args = ["--graph", str(tmp_path / "graph.txt"), "--received", str(tmp_path / "received.txt")]
+    assert main(["decode-trace", *args]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edge", ["0 0 99999999999999999999999", "99999999999999999999999 0 1"])
+def test_graph_entries_beyond_int64_exit_code(tmp_path, capsys, edge):
+    # an edge entry numpy cannot hold raised a raw OverflowError (exit 1)
+    (tmp_path / "graph.txt").write_text(f"4 2 1\n{edge}\n1 0 1\n")
+    (tmp_path / "received.txt").write_text("0,1\n0\n")
+    args = ["--graph", str(tmp_path / "graph.txt"), "--received", str(tmp_path / "received.txt")]
+    assert main(["decode-trace", *args]) == 2
+    assert "64-bit" in capsys.readouterr().err
+
+
 def test_budget_exit_code(tmp_path, capsys):
     args = ["pm-table", "--q", "16", "--sizes", "8,8,8", "--model", "exact"]
     assert main(args + ["--out", str(tmp_path / "x.csv")]) == 3

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,48 @@ def test_posterior_is_a_mask_array(q):
     assert res.posterior.shape == (g.n,)
     assert [s.mask for s in res.estimate] == res.posterior.tolist()
     assert all(s.field == g.field for s in res.estimate)
+
+
+# sha256 of (status, iterations, posterior, message_history,
+# vtc_size_history) over four (3,6) decodes of 60 variables per field,
+# as recorded when SetPlanes converted masks by & and an integer matmul
+DECODE_DIGESTS = {
+    32: "1b5a3c93f432551c46f471fb7404f256b241c100648607aef043c8c60bf66068",
+    81: "2f05acfbe50a9b86402f07c8fede61cbd7982566ed8d9b89004635a62efef56d",
+    128: "e24b1d05c00142d5618d9a86bbb3d5ee90638da26b226e1bfa9e5146d1c077ff",
+    256: "f0a873a85a549d59144ee75516d2db46e968fb4acc9838366a685f6e6d4ace1b",
+}
+
+
+@pytest.mark.parametrize("q", sorted(DECODE_DIGESTS))
+def test_planes_decodes_pinned(q):
+    f = GF(q)
+    rng = np.random.default_rng(q)
+    h = hashlib.sha256()
+    for M, eps in ((4, 0.6), (4, 0.9), (q // 2, 0.6), (q // 2, 0.95)):
+        g = build_regular(60, 3, 6, f, rng)
+        received = PartialErasureChannel(f, M, eps).transmit_zero_word(g.n, rng)
+        r = decode(g, received, max_iters=30, record_messages=True)
+        hist = [x.tolist() for x in r.vtc_size_history]
+        h.update(repr((r.status, r.iterations, r.posterior.tolist(), r.message_history, hist)).encode())
+    assert h.hexdigest() == DECODE_DIGESTS[q]
+
+
+def test_object_masks_may_hold_numpy_integers():
+    # a np.uint8 mask once overflowed SetPlanes' Python-int & at q = 128
+    g = TannerGraph(GF(128), [0, 1], [0, 0], [1, 1], n=2, m=1)
+    got = decode(g, np.array([np.uint8(3), 3], dtype=object), record_messages=True)
+    want = decode(g, np.array([3, 3], dtype=object), record_messages=True)
+    assert_same_result(got, want)
+    assert got.posterior.tolist() == [3, 3]
+
+
+@pytest.mark.parametrize("q", [16, 32, 128])
+def test_edgeless_empty_graph_decodes(q):
+    g = TannerGraph(GF(q), [], [], [], n=0, m=0)
+    res = decode(g, np.zeros(0, dtype=mask_dtype(q)), record_messages=True)
+    assert (res.status, res.iterations, res.posterior.shape) == ("success", 0, (0,))
+    assert res.message_history == [(None, [])]
 
 
 # ---------------------------------------------------------

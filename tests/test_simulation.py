@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pecldpc import GF, PartialErasureChannel, build_regular, decode, run_trials
+from pecldpc import GF, PartialErasureChannel, TannerGraph, build_regular, decode, run_trials
 
 from oracles import random_codeword, translate_mask
 
@@ -94,6 +94,12 @@ def test_argument_validation():
         run_trials(channel(4, 2, 0.1), n=10, d_v=3, trials=0, max_iters=5, seed=0, d_c=6)
     with pytest.raises(ValueError, match="max_iters"):
         run_trials(channel(4, 2, 0.1), n=12, d_v=3, d_c=6, trials=2, max_iters=-1, seed=0)
+    for n in (0, -6):
+        with pytest.raises(ValueError, match=f"n={n}"):
+            run_trials(channel(4, 2, 0.1), n=n, d_v=3, d_c=6, trials=2, max_iters=5, seed=0)
+    empty = TannerGraph(GF(4), [], [], [], n=0, m=0)
+    with pytest.raises(ValueError, match="n=0"):
+        run_trials(channel(4, 2, 0.1), graph=empty, trials=2, max_iters=5, seed=0)
     # zero iterations is legal: only the channel output is counted
     rep = run_trials(channel(4, 2, 0.0), n=12, d_v=3, d_c=6, trials=2, max_iters=0, seed=0)
     assert rep.successes == 2 and rep.avg_iterations == 0.0

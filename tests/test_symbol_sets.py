@@ -12,6 +12,8 @@ from pecldpc.symbol_sets import (
     SetPlanes,
     leave_one_out,
     mask_dtype,
+    masks_to_planes,
+    planes_to_masks,
     set_bytes,
     set_layout,
 )
@@ -271,6 +273,47 @@ def test_leave_one_out_matches_plain_folds(q):
                     if deg >= 2:
                         # 3D - 4 joins, less two for a missing head
                         assert len(calls) == 3 * deg - 4 - 2 * (head is None)
+
+
+# ---------------------------------------------------------
+# The mask <-> plane codec
+# ---------------------------------------------------------
+@pytest.mark.parametrize(
+    "q, dtype",
+    [(2, np.uint16), (4, np.uint16), (13, np.uint16), (16, np.uint16), (17, np.uint64),
+     (32, np.uint64), (64, np.uint64), (81, object), (128, object), (243, object), (256, object)],
+)
+def test_codec_round_trip_matches_oracle(q, dtype):
+    rng = np.random.default_rng(300 + q)
+    full = (1 << q) - 1
+    masks = [0, 1, full, 1 << (q - 1)] + [
+        sum(1 << int(x) for x in np.flatnonzero(rng.random(q) < rng.uniform(0.05, 0.95)))
+        for _ in range(40)
+    ]
+    array = np.array(masks, dtype=dtype).reshape(4, 11)
+    planes = masks_to_planes(array, q)
+    assert planes.dtype == bool and planes.shape == (4, 11, q)
+    for m, row in zip(masks, planes.reshape(-1, q).tolist()):
+        assert {x for x, bit in enumerate(row) if bit} == mask_elements(m)
+    back = planes_to_masks(planes, dtype)
+    assert back.dtype == np.dtype(dtype) and back.shape == (4, 11)
+    assert back.ravel().tolist() == masks
+    # empty arrays keep their shapes both ways
+    for shape in ((0,), (3, 0)):
+        empty = masks_to_planes(np.zeros(shape, dtype=dtype), q)
+        assert empty.shape == shape + (q,)
+        assert planes_to_masks(empty, dtype).shape == shape
+
+
+def test_codec_reads_numpy_integers_in_object_arrays():
+    # object masks may hold numpy integers narrower than the field
+    masks = np.array([np.uint8(3), np.int64(5), np.uint64(1 << 63), 1 << 127, 0], dtype=object)
+    planes = masks_to_planes(masks, 128)
+    assert [set(np.flatnonzero(row).tolist()) for row in planes] == [
+        {0, 1}, {0, 2}, {63}, {127}, set()
+    ]
+    assert planes_to_masks(planes, object).tolist() == [3, 5, 1 << 63, 1 << 127, 0]
+    assert all(type(m) is int for m in planes_to_masks(planes, object).tolist())
 
 
 # ---------------------------------------------------------
