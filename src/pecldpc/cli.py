@@ -102,20 +102,12 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise CliError(f"bad {what} list {text!r}") from None
 
 
-def _parse_models(text: str) -> list[str]:
-    names = [tok.strip() for tok in text.split(",") if tok.strip()]
-    for name in names:
-        if name not in MODEL_KINDS:
-            raise CliError(f"unknown model {name!r}; choose from {', '.join(MODEL_KINDS)}")
-    return names
-
-
-def _make_model(kind: str, args) -> SumsetSizeModel:
-    if kind == "exact" and getattr(args, "mc_samples", None) is not None:
-        return SumsetSizeModel(
-            "exact", mc_samples=args.mc_samples, mc_seed=args.seed
-        )
-    return SumsetSizeModel(kind)
+def _models(args) -> list[SumsetSizeModel]:
+    """The --model list as models, built before any work: an unknown
+    kind is refused by the model itself."""
+    mc = {} if args.mc_samples is None else dict(mc_samples=args.mc_samples, mc_seed=args.seed)
+    kinds = (tok.strip() for tok in args.model.split(","))
+    return [SumsetSizeModel(kind, **(mc if kind == "exact" else {})) for kind in kinds if kind]
 
 
 def _emit(args, invocation: list[str], header: list[str], rows) -> None:
@@ -165,17 +157,18 @@ def _cmd_capacity(args, argv):
 def _cmd_threshold(args, argv):
     field = GF(args.q)
     degrees = DegreeDistribution.regular(args.dv, args.dc)
+    models = _models(args)
     rows = []
     for m in _parse_int_list(args.M, "--M"):
-        for kind in _parse_models(args.model):
+        for model in models:
             cfg = DeConfig(
                 channel=PartialErasureChannel(field, m, 0.0),
                 degrees=degrees,
-                size_model=_make_model(kind, args),
+                size_model=model,
                 max_iters=args.max_iters,
             )
             th = threshold_search(cfg, tol_eps=args.tol, check_monotone=args.check_monotone)
-            rows.append((args.q, m, args.dv, args.dc, kind, th))
+            rows.append((args.q, m, args.dv, args.dc, model.kind, th))
     _emit(args, argv, ["q", "M", "d_v", "d_c", "model", "epsilon_threshold"], rows)
     return 0
 
@@ -233,11 +226,10 @@ def _cmd_pm_table(args, argv):
     if not sizes:
         raise CliError("--sizes must list at least one set size")
     rows = []
-    for kind in _parse_models(args.model):
-        model = _make_model(kind, args)
+    for model in _models(args):
         dist = model.distribution(sizes, field)
         for m, p in enumerate(dist, start=1):
-            rows.append((args.q, "+".join(str(s) for s in sizes), m, float(p), kind))
+            rows.append((args.q, "+".join(str(s) for s in sizes), m, float(p), model.kind))
     _emit(args, argv, ["q", "sizes", "m", "probability", "model"], rows)
     return 0
 

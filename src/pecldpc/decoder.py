@@ -104,16 +104,6 @@ class DecodeResult:
         """The posterior sets as SymbolSets, built on each access."""
         return [SymbolSet.from_mask(self.field, m) for m in self.posterior.tolist()]
 
-    def size_history_rows(self) -> list[tuple[int, int, int]]:
-        """(iteration, size, count) rows of the edge-message size
-        histogram, ready for CSV dumping."""
-        rows = []
-        for it, hist in enumerate(self.vtc_size_history):
-            for size, count in enumerate(hist):
-                if size and count:
-                    rows.append((it, size, int(count)))
-        return rows
-
 
 def _differs(new: np.ndarray, old: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Flag per entry of ``index``: do the sets it addresses in ``new``

@@ -50,11 +50,33 @@ from .ldpc import DegreeDistribution
 from .sumset_models import SumsetSizeModel
 
 FIXED_POINT_TOL = 1e-13
-# size multisets the check half may enumerate, C(M + d_c - 2, d_c - 1),
-# each a row of q floats in a matrix cached for the life of the process:
-# 2**16 admits d_c up to 72 at M = 4 and up to 13 at M = 8, and keeps a
-# matrix at most 128 MiB
-MAX_SIZE_MULTISETS = 2**16
+# cells one DE iteration may take.  The check half's table for degree
+# d_c holds T = C(M + d_c - 2, d_c - 1) size multisets of d_c - 1 draws
+# each: T * (d_c - 1) draw cells, gathered and multiplied every
+# iteration, and a matrix of T rows of q floats (at most 16 MiB) cached
+# for the life of the process.  The variable half carries an M-vector
+# d_v - 2 steps through an M x M matrix per degree: (d_v - 2) * M * M
+# cells.  Both halves are summed over their degrees.  2**13 admits
+# (3, d_c) up to d_c = 90 at M = 2, 14 at M = 4 and 6 at M = 8, and
+# (d_v, 6) up to d_v = 2,042 at M = 2 and 496 at M = 4: a threshold
+# command at q = 4 with all five models at these limits took 1-7 s on
+# one x86-64 core
+MAX_DRAW_CELLS = 2**13
+
+
+def _charge(M: int, checks=(), variables=()) -> None:
+    """ValueError, before any table is built, when one DE iteration over
+    these check and variable degrees would take more than MAX_DRAW_CELLS
+    cells."""
+    cells = sum(comb(M + d - 2, d - 1) * (d - 1) for d in checks)
+    cells += sum(d - 2 for d in variables) * M * M
+    if cells > MAX_DRAW_CELLS:
+        raise ValueError(
+            f"density evolution at M={M} with check degrees {sorted(checks)} and variable "
+            f"degrees {sorted(variables)} takes {cells} cells an iteration (size multisets "
+            f"times their draws, M*M per variable step), over the cap of {MAX_DRAW_CELLS}; "
+            "use a smaller M or smaller degrees"
+        )
 
 
 def initial_vtc_dist(channel: PartialErasureChannel) -> np.ndarray:
@@ -71,13 +93,6 @@ def _weight_tables(max_size: int, k: int):
     (k, T) draw indices into a size vector (column t is tuple t), and
     their multinomial coefficients (the number of ordered tuples behind
     each multiset)."""
-    count = comb(max_size + k - 1, k)
-    if count > MAX_SIZE_MULTISETS:
-        raise ValueError(
-            f"density evolution would enumerate {count} size multisets of {k} "
-            f"draws from 1..{max_size}, over the cap of {MAX_SIZE_MULTISETS}; "
-            "use a smaller M or check degree"
-        )
     tuples = tuple(combinations_with_replacement(range(1, max_size + 1), k))
     draws = np.ascontiguousarray(np.array(tuples, dtype=np.intp).T - 1)
     multinom = np.array(
@@ -178,6 +193,7 @@ def check_update(
     z = _size_vector(z, field.q, "z")
     if z[M:].any():
         raise ValueError("variable-to-check sizes cannot exceed M")
+    _charge(M, checks=[d_c])
     return _mix(z, [_check_matrices(field, M, d_c, model)])
 
 
@@ -188,6 +204,7 @@ def variable_update(w: np.ndarray, d_v: int, channel: PartialErasureChannel) -> 
         raise ValueError("variable degree must be at least 2")
     q, M, eps = channel.field.q, channel.M, channel.epsilon
     w = _size_vector(w, q, "w")
+    _charge(M, variables=[d_v])
     return np.pad(_variable_output(w, _variable_terms(q, M, [(d_v, eps)]), eps), (0, q - M))
 
 
@@ -230,6 +247,7 @@ def run(cfg: DeConfig) -> DeResult:
     field, M, eps = ch.field, ch.M, ch.epsilon
 
     rho, lam = cfg.degrees.rho_coeffs, cfg.degrees.lambda_coeffs
+    _charge(M, checks=rho, variables=lam)
     chk = _scaled((rho[d], _check_matrices(field, M, d, cfg.size_model)) for d in sorted(rho))
     var = _variable_terms(field.q, M, [(d, eps * lam[d]) for d in sorted(lam)])
 

@@ -43,10 +43,7 @@ def _poly_mod(a: list[int], mod: list[int], p: int) -> list[int]:
         if c:
             for j in range(d + 1):
                 a[i - d + j] = (a[i - d + j] - c * mod[j]) % p
-    a = a[:d]
-    while len(a) < d:
-        a.append(0)
-    return a
+    return a[:d]
 
 
 def _is_irreducible(poly: list[int], p: int) -> bool:

@@ -2,9 +2,9 @@
 
 Transmits the all-zero codeword (the channel noise is independent of
 the codeword, so nothing is lost), applies the partial-erasure channel,
-decodes, and aggregates success statistics.  By default every trial
-draws a fresh configuration-model graph so the estimate targets the
-ensemble average that density evolution predicts.
+decodes, and aggregates success statistics.  Every trial draws a fresh
+configuration-model graph, so the estimate targets the ensemble
+average that density evolution predicts.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import PartialErasureChannel
 from .decoder import STATUS_SUCCESS, decode
-from .ldpc import TannerGraph, build_regular
+from .ldpc import build_regular
 
 # trials one run may ask for: a million resolve a frame error rate near
 # 1e-5 (ten failures) and take about four hours at q = 4, n = 10,000
@@ -46,20 +46,18 @@ class TrialReport:
 def run_trials(
     channel: PartialErasureChannel,
     *,
+    n: int,
+    d_v: int,
+    d_c: int,
     trials: int,
     max_iters: int,
     seed: int,
-    n: int | None = None,
-    d_v: int | None = None,
-    d_c: int | None = None,
-    graph: TannerGraph | None = None,
 ) -> TrialReport:
-    """Decode ``trials`` all-zero transmissions and aggregate.
+    """Decode ``trials`` all-zero transmissions, each on a fresh
+    (d_v, d_c)-regular graph of ``n`` variables, and aggregate.
 
-    Give either a fixed ``graph`` or ensemble parameters (n, d_v, d_c);
-    with ensemble parameters a fresh graph is drawn per trial.  Each
-    trial runs on its own generator seeded by (seed, trial index), so
-    reports are reproducible regardless of execution order.
+    Each trial runs on its own generator seeded by (seed, trial index),
+    so reports are reproducible regardless of execution order.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -67,21 +65,15 @@ def run_trials(
         raise ValueError(f"{trials} trials exceed the limit of {MAX_TRIALS}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
-    if graph is not None:
-        n = graph.n
-    elif n is None or d_v is None or d_c is None:
-        raise ValueError("give a graph or all of n, d_v, d_c")
     if n < 1:
         raise ValueError(f"need at least one variable node, got n={n}")
-    if graph is not None:
-        d_v, d_c = int(graph.var_degrees.max()), int(graph.chk_degrees.max())
 
     successes = 0
     total_iters = 0
     unresolved = 0
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
-        g = graph if graph is not None else build_regular(n, d_v, d_c, channel.field, rng)
+        g = build_regular(n, d_v, d_c, channel.field, rng)
         received = channel.transmit_zero_word(g.n, rng)
         result = decode(g, received, max_iters=max_iters)
         if result.status == STATUS_SUCCESS:

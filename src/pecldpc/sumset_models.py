@@ -6,7 +6,10 @@ sizes, the distribution of the sumset size.  No closed form is known;
 this module provides
 
 * hard bounds on the realized size (``sumset_bounds``) and the two
-  degenerate point-mass distributions built from them,
+  degenerate point-mass distributions built from them.  Where the
+  bounds meet (one operand beside translates, two operands covering
+  the field, or Cauchy-Davenport reaching q) every law below is the
+  point mass at that size,
 * the exact distribution as a chain on AGL(1, q) orbits: for a != 0
   the map S -> aS + b keeps a uniform operand uniform, so the sizes
   still to come have the same law below every partial sumset of one
@@ -102,12 +105,10 @@ def _delta(q: int, size: int) -> np.ndarray:
 
 def bound_dist(sizes: Sequence[int], field: GF, which: str) -> np.ndarray:
     """Point mass at the upper ('upper', pessimistic) or lower ('lower',
-    optimistic) sumset-size bound; at q when two sets force full coverage."""
+    optimistic) sumset-size bound."""
     if which not in ("upper", "lower"):
         raise ValueError(f"which must be 'upper' or 'lower', got {which!r}")
     b = sumset_bounds(sizes, field)
-    if b.forced_full:
-        return _delta(field.q, field.q)
     return _delta(field.q, b.upper if which == "upper" else b.lower)
 
 
@@ -158,11 +159,12 @@ def _exact_counts(sizes: Sequence[int], field: GF) -> list[int]:
     """Operand choices by sumset size (length q, index size-1), from the
     orbit chain; EnumerationBudgetError as for ``exact_dist``."""
     q = field.q
+    b = sumset_bounds(sizes, field)
+    if b.lower == b.upper:
+        return [int(s == b.lower) for s in range(1, q + 1)]
     # a size-1 operand is a translate, whose step maps every orbit to
-    # itself; one operand left (or none) is a point mass at its size
+    # itself; with the bounds apart, two or more larger operands are left
     t = tuple(s for s in _norm_sizes(sizes, q) if s > 1)
-    if len(t) <= 1:
-        return [int(s == max(t, default=1)) for s in range(1, q + 1)]
     # orbit key -> number of operand choices so far, from {0}
     state, work = Counter({1: 1}), 0
     for s in t:
@@ -192,20 +194,20 @@ def exact_dist(sizes: Sequence[int], field: GF) -> np.ndarray:
     """Distribution of |sumset| when each operand is uniform among the
     size-|S_j| subsets of GF(q), exactly, by a chain on AGL(1, q) orbits.
 
-    Operands of size 1 are translates and take no step, and a law with
-    one other operand (or none) is a point mass at its size.  Each step
-    is charged q**2 per (orbit, subset) pair, memoized or not, and the
-    chain raises EnumerationBudgetError once the charge exceeds
-    ``DEFAULT_WORK_CAP`` (read at call time), so whether a law is refused
-    depends only on the sizes, q and the cap; ``monte_carlo_dist``
-    estimates such laws.  Each entry is one integer division of counts,
+    Where ``sumset_bounds`` meet, the law is the point mass there and
+    takes no step; otherwise operands of size 1 are translates and take
+    no step either.  Each step is charged q**2 per (orbit, subset) pair,
+    memoized or not, and the chain raises EnumerationBudgetError once the
+    charge exceeds ``DEFAULT_WORK_CAP`` (read at call time), so whether a
+    law is refused depends only on the sizes, q and the cap;
+    ``monte_carlo_dist`` estimates such laws.  Each entry is one integer division of counts,
     the float of its rational.
     """
     return _law(_exact_counts(sizes, field))
 
 
 def monte_carlo_dist(
-    sizes: Sequence[int], field: GF, samples: int, rng: np.random.Generator | None = None
+    sizes: Sequence[int], field: GF, samples: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Estimate of ``exact_dist`` from ``samples`` random assignments
     drawn from ``rng``; ValueError when their sets would take more than
@@ -220,8 +222,6 @@ def monte_carlo_dist(
             f"{samples} Monte Carlo samples need {need} bytes of sets "
             f"over GF({q}), above the limit of {MAX_MC_SET_BYTES}"
         )
-    if rng is None:
-        rng = np.random.default_rng()
     sets = set_layout(field)
     acc = sets.zero_sets(samples)  # {0}, the sumset identity
     rows = max(1, _MC_CELLS // q)
@@ -301,8 +301,8 @@ def _coverage_dist(sizes: Sequence[int], field: GF, batched: bool) -> np.ndarray
     # the prod(sizes) sums in batches of one (balls) or max(sizes) (union)
     t = _norm_sizes(sizes, field.q)
     b = sumset_bounds(t, field)
-    if b.forced_full:
-        return _delta(field.q, field.q)
+    if b.lower == b.upper:
+        return _delta(field.q, b.lower)
     d = t[-1] if batched else 1
     return _truncate_renorm(_chain_state(d, prod(t) // d, field.q), b.lower)
 

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -306,6 +307,109 @@ def _run_limited(args):
     return proc.returncode, proc.stderr
 
 
+# several CLI runs in one child process under the 1 GiB limit, one JSON
+# line (exit code, seconds, stderr) per run; a run that raises prints its
+# traceback into its own stderr and reads exit None
+_LIMITED_BATCH = """
+import contextlib, io, json, resource, sys, time, traceback
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from pecldpc.cli import main
+for args in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(args)
+        except Exception:
+            traceback.print_exc()
+            code = None
+    print(json.dumps([code, time.perf_counter() - start, err.getvalue()]), flush=True)
+"""
+
+_Q4 = "--q 4 --M 2"
+_DEGREES = "--dv 3 --dc 6"
+_EXTREME_ARGS = {
+    "capacity": [
+        f"{_Q4} --eps nan", f"{_Q4} --eps -0.5", "--q 4 --M 0 --eps 0.5", "--q 4 --M -2 --eps 0.5",
+        "--q 1 --M 1 --eps 0.5", "--q 6 --M 2 --eps 0.5", "--q 257 --M 2 --eps 0.5",
+        f"{_Q4} --eps-grid nan:1:0.1",
+    ],
+    "threshold": [
+        # each DE iteration's cells, refused before any table is built;
+        # when only multisets were counted these died of OverflowError
+        # and MemoryError, or ran for 10 s to minutes
+        f"{_Q4} --dv 3 --dc 1031", f"{_Q4} --dv 3 --dc 20000", "--q 4 --M 4 --dv 3 --dc 72",
+        f"{_Q4} --dv 20000 --dc 6", f"{_Q4} --dv 100000 --dc 6",
+        f"{_Q4} --dv {10**20} --dc 6", f"{_Q4} --dv 3 --dc {10**20}",
+        f"{_Q4} --dv 0 --dc 6", f"{_Q4} --dv -3 --dc 6", f"{_Q4} --dv 3 --dc 0",
+        f"{_Q4} --dv 3 --dc -6", f"--q 4 --M 0 {_DEGREES}", f"--q 4 --M -1 {_DEGREES}",
+        f"{_Q4} {_DEGREES} --max-iters 0", f"{_Q4} {_DEGREES} --max-iters -5",
+        f"{_Q4} {_DEGREES} --tol nan", f"{_Q4} {_DEGREES} --tol 0", f"{_Q4} {_DEGREES} --tol -1",
+        f"--q 1 --M 1 {_DEGREES}", f"--q 6 --M 2 {_DEGREES}", f"--q 257 --M 2 {_DEGREES}",
+        f"{_Q4} {_DEGREES} --model exact --mc-samples 0",
+    ],
+    "simulate": [
+        f"{_Q4} {_DEGREES} --n {n} --eps 0.5 --trials 2" for n in (0, -12)
+    ] + [
+        f"{_Q4} {_DEGREES} --n 12 --eps 0.5 --trials {t}" for t in (0, -1)
+    ] + [
+        f"{_Q4} {_DEGREES} --n 12 --eps 0.5 --trials 2 --max-iters {i}" for i in (0, -1)
+    ] + [
+        f"{_Q4} --dv {dv} --dc {dc} --n 12 --eps 0.5 --trials 2"
+        for dv, dc in ((0, 6), (-3, 6), (3, 0), (3, -6), (10**20, 6), (3, 10**20), (20000, 6))
+    ] + [
+        f"{_Q4} {_DEGREES} --n 12 --eps nan --trials 2", f"--q 4 --M 0 {_DEGREES} --n 12 --eps 0.5",
+        f"--q 1 --M 1 {_DEGREES} --n 12 --eps 0.5", f"--q 6 --M 2 {_DEGREES} --n 12 --eps 0.5",
+        f"--q 257 --M 2 {_DEGREES} --n 12 --eps 0.5",
+    ],
+    "pm-table": [
+        "--q 4 --sizes 0,2", "--q 4 --sizes=-1,2", "--q 4 --sizes 5", "--q 4 --sizes ,",
+        "--q 1 --sizes 1", "--q 6 --sizes 2,2", "--q 257 --sizes 2,2",
+        "--q 16 --sizes 8,8,8 --model exact --mc-samples -1",
+        "--q 31 --sizes 11,11,11", "--q 32 --sizes 17,17",
+    ],
+    "decode-trace": [
+        "--graph {g} {received} --max-iters -1", "--graph {g} {received} --max-iters 0",
+        f"--graph {{g}} {{received}} --max-iters {10**20}",
+    ] + [
+        f"--graph {{{name}}} {{received}}" for name in ("q1", "q6", "q257", "n_neg", "m_neg", "m0")
+    ],
+}
+# decode-trace graph headers 'q n m' over the edges of a (3,6) graph of
+# 12 variables at GF(4)
+_HEADERS = {"g": "4 12 6", "q1": "1 12 6", "q6": "6 12 6", "q257": "257 12 6",
+            "n_neg": "4 -12 6", "m_neg": "4 12 -6", "m0": "4 12 0"}
+
+
+@pytest.mark.parametrize("command", list(_EXTREME_ARGS))
+def test_extreme_arguments_bounded(command, tmp_path):
+    # every subcommand on extreme arguments, under the 1 GiB limit: an
+    # answer (0), a refusal (2) or the exact law's work cap (3), within
+    # 10 s a run and never a traceback
+    graph = build_regular(12, 3, 6, GF(4), np.random.default_rng(0))
+    edges = graph.to_text().split("\n", 1)[1]
+    paths = {"received": f"--received {tmp_path / 'r.txt'}"}
+    (tmp_path / "r.txt").write_text("{0,1}\n" * graph.n)
+    for name, header in _HEADERS.items():
+        (tmp_path / name).write_text(f"{header}\n{edges}")
+        paths[name] = tmp_path / name
+    cases = [[command, *args.format(**paths).split()] for args in _EXTREME_ARGS[command]]
+    src = Path(pecldpc.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED_BATCH, json.dumps(cases)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(results) == len(cases)
+    for args, (code, seconds, err) in zip(cases, results):
+        assert code in (0, 2, 3) and "Traceback" not in err, (args, err)
+        assert seconds < 10, (args, seconds)
+        # every threshold case, the degree inputs among them, is refused
+        assert code == 2 or command != "threshold", (args, err)
+
+
 @pytest.mark.parametrize(
     "q, n",
     [(4, 10**9), (4, 3 * 10**6), (256, 10**5)],
@@ -377,22 +481,26 @@ def test_large_field_size_chain_runs_bounded():
 @pytest.mark.parametrize(
     "q, sizes",
     [(16, "8,8,8,8,8"), (32, "2,2,2,4"), (64, "3,3,3"), (128, "2"), (128, "2,2,2,2,2"),
-     (256, "2"), (256, "50,50,50,50,50"), (256, "3"), (256, "1,3")],
+     (256, "2"), (256, "50,50,50,50,50"), (256, "3"), (256, "1,3"), (31, "11,11,11"),
+     (32, "17,17")],
 )
 def test_exact_law_runs_bounded(q, sizes, tmp_path):
     # the exact law answers (0) or is refused at its work cap (3) in
-    # bounded time and memory at every field size; a law of one operand
-    # beside translates (size 1) is a point mass at its size and must be
-    # answered: (3,) at q=256 was once refused at the work cap
+    # bounded time and memory at every field size; a law the bounds pin
+    # is a point mass there and must be answered: one operand beside
+    # translates (size 1) at its size ((3,) at q=256 was once refused at
+    # the work cap), and (11,11,11) at q=31 (Cauchy-Davenport) and
+    # (17,17) at q=32 (17 + 17 > 32) at q, both once refused too
+    pinned = {"2": 2, "3": 3, "1,3": 3, "11,11,11": 31, "17,17": 32}
     out = tmp_path / "law.csv"
     code, err = _run_limited(
         ["pm-table", "--q", str(q), "--sizes", sizes, "--model", "exact", "--out", str(out)]
     )
     assert code in (0, 3), err
-    if sizes in ("2", "3", "1,3"):
+    if sizes in pinned:
         assert code == 0, err
-        probability = {int(r[2]): float(r[3]) for r in rows_of(out.read_text())[1:]}
-        assert probability[int(sizes[-1])] == 1
+        probability = [float(r[3]) for r in rows_of(out.read_text())[1:]]
+        assert probability == [float(m == pinned[sizes]) for m in range(1, q + 1)]
 
 
 @pytest.mark.parametrize(

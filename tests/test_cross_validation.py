@@ -14,57 +14,60 @@ from pecldpc import (
     SymbolSet,
     TannerGraph,
     build_regular,
-    ctv_message,
     decode,
     exact_dist,
     monte_carlo_dist,
     run,
-    vtc_message,
 )
 from pecldpc.symbol_sets import SetPlanes
 
+from oracles import gf_scale, gf_sumset, mask_elements
+
 
 # ---------------------------------------------------------
-# decode() vs a reference decoder built from the public ops
+# decode() vs a reference decoder on frozensets
 # ---------------------------------------------------------
 def reference_flood(graph, received, iters):
-    """Flooding decode using only ctv_message/vtc_message; returns the
-    per-iteration (ctv, vtc) message lists and final posteriors."""
+    """Flooding decode on frozensets, with the oracles' field sumsets and
+    scalings and plain set intersections: no set arithmetic of the
+    package.  Returns the per-iteration (ctv, vtc) mask lists and the
+    final posterior masks."""
     f = graph.field
     edges = list(zip(graph.edge_var.tolist(), graph.edge_chk.tolist(),
                      graph.edge_label.tolist()))
-    vtc = {e: received[v] for e, (v, _, _) in enumerate(edges)}
-    history = [(None, [vtc[e].mask for e in range(len(edges))])]
-    ctv = {e: SymbolSet.full(f) for e in range(len(edges))}  # no check heard yet
+    channel = [mask_elements(s.mask) for s in received]
+
+    def masks(sets):
+        return [sum(1 << x for x in s) for s in sets]
+
+    def ctv_of(e, vtc):
+        # the parity sum_e' h_e' x_e' = 0 solved for x_e: the sumset of
+        # the other inputs scaled by -h_e', then by 1/h_e
+        _, c, h = edges[e]
+        acc = frozenset({0})
+        for e2, (_, c2, h2) in enumerate(edges):
+            if c2 == c and e2 != e:
+                acc = gf_sumset(f, acc, gf_scale(f, vtc[e2], f.neg(h2)))
+        return gf_scale(f, acc, f.inv(h))
+
+    def meet(v, ctv, skip=None):
+        out = channel[v]
+        for e2, (v2, _, _) in enumerate(edges):
+            if v2 == v and e2 != skip:
+                out = out & ctv[e2]
+        assert out, "empty intersection"
+        return out
+
+    vtc = [channel[v] for v, _, _ in edges]
+    history = [(None, masks(vtc))]
+    ctv = []
     for _ in range(iters):
-        ctv = {}
-        for e, (v, c, h) in enumerate(edges):
-            incoming = [
-                (vtc[e2], h2)
-                for e2, (v2, c2, h2) in enumerate(edges)
-                if c2 == c and e2 != e
-            ]
-            ctv[e] = ctv_message(incoming, h, f)
-        new_vtc = {}
-        for e, (v, c, h) in enumerate(edges):
-            incoming = [
-                ctv[e2]
-                for e2, (v2, c2, _) in enumerate(edges)
-                if v2 == v and e2 != e
-            ]
-            new_vtc[e] = vtc_message(received[v], incoming)
-        vtc = new_vtc
-        history.append(
-            (
-                [ctv[e].mask for e in range(len(edges))],
-                [vtc[e].mask for e in range(len(edges))],
-            )
-        )
-    posterior = []
-    for v in range(graph.n):
-        incoming = [ctv[e] for e, (v2, _, _) in enumerate(edges) if v2 == v]
-        posterior.append(vtc_message(received[v], incoming).mask)
-    return history, posterior
+        ctv = [ctv_of(e, vtc) for e in range(len(edges))]
+        vtc = [meet(v, ctv, skip=e) for e, (v, _, _) in enumerate(edges)]
+        history.append((masks(ctv), masks(vtc)))
+    # before any iteration, no check has been heard
+    posterior = [meet(v, ctv) if ctv else channel[v] for v in range(graph.n)]
+    return history, masks(posterior)
 
 
 def assert_decode_matches_reference(graph, received, max_iters):

@@ -415,7 +415,7 @@ def test_decode_sorts_each_graph_at_most_once(monkeypatch):
 
 
 # ---------------------------------------------------------
-# decode() vs the public-op reference decoder
+# decode() vs the frozenset reference decoder
 # ---------------------------------------------------------
 def test_kernels_agree():
     rng = np.random.default_rng(31)
@@ -433,6 +433,3 @@ def test_vtc_size_history_shape():
     # iteration 0 edge messages are the channel sets: sizes 2, 3, 5
     assert res.vtc_size_history[0].tolist() == [0, 0, 1, 1, 0, 1]
     assert all(h.sum() == g.n_edges for h in res.vtc_size_history)
-    rows = res.size_history_rows()
-    assert rows[:3] == [(0, 2, 1), (0, 3, 1), (0, 5, 1)]
-    assert all(len(r) == 3 for r in rows)

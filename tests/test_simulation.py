@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pecldpc import GF, PartialErasureChannel, TannerGraph, build_regular, decode, run_trials
+from pecldpc import GF, PartialErasureChannel, build_regular, decode, run_trials
 
 from oracles import random_codeword, translate_mask
 
@@ -79,16 +79,9 @@ def test_success_rate_nonincreasing_in_eps():
     assert rates[0] >= rates[2]
 
 
-def test_fixed_graph_mode():
-    g = build_regular(60, 3, 6, GF(4), np.random.default_rng(0))
-    rep = run_trials(channel(4, 2, 0.3), graph=g, trials=6, max_iters=30, seed=5)
-    assert rep.n == 60 and rep.d_v == 3 and rep.d_c == 6
-    rep2 = run_trials(channel(4, 2, 0.3), graph=g, trials=6, max_iters=30, seed=5)
-    assert rep == rep2
-
-
 def test_argument_validation():
-    with pytest.raises(ValueError):
+    # the ensemble is required: there is no fixed-graph mode
+    with pytest.raises(TypeError):
         run_trials(channel(4, 2, 0.1), trials=3, max_iters=5, seed=0)
     with pytest.raises(ValueError):
         run_trials(channel(4, 2, 0.1), n=10, d_v=3, trials=0, max_iters=5, seed=0, d_c=6)
@@ -97,9 +90,6 @@ def test_argument_validation():
     for n in (0, -6):
         with pytest.raises(ValueError, match=f"n={n}"):
             run_trials(channel(4, 2, 0.1), n=n, d_v=3, d_c=6, trials=2, max_iters=5, seed=0)
-    empty = TannerGraph(GF(4), [], [], [], n=0, m=0)
-    with pytest.raises(ValueError, match="n=0"):
-        run_trials(channel(4, 2, 0.1), graph=empty, trials=2, max_iters=5, seed=0)
     # zero iterations is legal: only the channel output is counted
     rep = run_trials(channel(4, 2, 0.0), n=12, d_v=3, d_c=6, trials=2, max_iters=0, seed=0)
     assert rep.successes == 2 and rep.avg_iterations == 0.0

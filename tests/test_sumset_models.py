@@ -123,6 +123,24 @@ def test_exact_respects_bounds_and_forced_full():
                     assert support == [q]
 
 
+@pytest.mark.parametrize(
+    "q, sizes",
+    [(31, (11, 11, 11)), (32, (17, 17)), (7, (1, 3, 5)), (256, (1, 1, 3)), (13, (2, 13)), (5, (1,))],
+)
+def test_pinned_laws_are_point_masses(q, sizes):
+    # where the bounds meet (Cauchy-Davenport reaching q = p, two operands
+    # covering the field, one operand beside translates) every model is the
+    # point mass there; (11,11,11) at q=31 and (17,17) at q=32 were once
+    # refused by the exact law's work cap
+    f = GF(q)
+    b = sumset_bounds(sizes, f)
+    assert b.lower == b.upper
+    want = [float(m == b.lower) for m in range(1, q + 1)]
+    for kind in MODEL_KINDS:
+        assert SumsetSizeModel(kind).distribution(sizes, f).tolist() == want
+    assert exact_dist_rational(sizes, f) == tuple(map(Fraction, want))
+
+
 @pytest.mark.parametrize("sizes", [(1, 1, 3, 3, 3), (4, 4, 4, 4, 4)])
 def test_exact_q16_laws_match_monte_carlo(sizes):
     # laws of the (3,6) check half at q=16 that no brute-force oracle
@@ -189,7 +207,7 @@ def test_monte_carlo_needs_samples():
     f = GF(4)
     for samples in (0, -3, 1e4, 2.5, "100"):
         with pytest.raises(ValueError):
-            monte_carlo_dist((2, 2), f, samples)
+            monte_carlo_dist((2, 2), f, samples, np.random.default_rng(1))
         with pytest.raises(ValueError):
             SumsetSizeModel("exact", mc_samples=samples, mc_seed=1)
     for seed in (1.5, 1.0, "1"):
@@ -209,7 +227,7 @@ def test_monte_carlo_samples_capped():
     assert ss.DEFAULT_MC_SAMPLES * set_bytes(256) <= ss.MAX_MC_SET_BYTES
     # 10**8 samples of 16-byte sets: refused before any is drawn
     with pytest.raises(ValueError, match="above the limit"):
-        monte_carlo_dist((2, 2), GF(16), 10**8)
+        monte_carlo_dist((2, 2), GF(16), 10**8, np.random.default_rng(1))
     # a count over the cap at the smallest set size is refused by the model
     SumsetSizeModel("exact", mc_samples=ss.MAX_MC_SET_BYTES // 2)
     with pytest.raises(ValueError, match="at every field"):
