@@ -38,7 +38,7 @@ f5, f4 = GF(5), GF(4)
 print("\nsumset size bounds:")
 for field, sizes in [(f5, (2, 2)), (f4, (2, 2)), (f4, (3, 2))]:
     b = sumset_bounds(sizes, field)
-    tag = "  [forced to cover the whole field]" if b.forced_full else ""
+    tag = "  [forced to cover the whole field]" if b.lower == field.q else ""
     print(f"  GF({field.q}), sizes {sizes}: [{b.lower}, {b.upper}]{tag}")
 
 # The characteristic matters: over GF(4) (characteristic 2) a pair of

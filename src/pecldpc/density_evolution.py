@@ -50,18 +50,21 @@ from .ldpc import DegreeDistribution
 from .sumset_models import SumsetSizeModel
 
 FIXED_POINT_TOL = 1e-13
-# cells one DE iteration may take.  The check half's table for degree
-# d_c holds T = C(M + d_c - 2, d_c - 1) size multisets of d_c - 1 draws
-# each: T * (d_c - 1) draw cells, gathered and multiplied every
-# iteration, and a matrix of T rows of q floats (at most 16 MiB) cached
-# for the life of the process.  The variable half carries an M-vector
-# d_v - 2 steps through an M x M matrix per degree: (d_v - 2) * M * M
-# cells.  Both halves are summed over their degrees.  2**13 admits
-# (3, d_c) up to d_c = 90 at M = 2, 14 at M = 4 and 6 at M = 8, and
-# (d_v, 6) up to d_v = 2,042 at M = 2 and 496 at M = 4: a threshold
-# command at q = 4 with all five models at these limits took 1-7 s on
-# one x86-64 core
-MAX_DRAW_CELLS = 2**13
+# cells one DE iteration may take, a cell being one gathered and
+# multiplied draw of the check half (~2-3 ns on one x86-64 core).  The
+# check half's table for degree d_c holds T = C(M + d_c - 2, d_c - 1)
+# size multisets of d_c - 1 draws each: T * (d_c - 1) cells, and a
+# matrix of T rows of q floats cached for the life of the process.  The
+# variable half carries an M-vector d_v - 2 steps through an M x M
+# matrix per degree; a step is one numpy call, ~0.7 us up to M = 8 and
+# ~10 us at M = 256, priced at 2**8 + M*M/16 cells.  Both halves are
+# summed over their degrees.  Forming H(w), q*M*M per iteration, and
+# the check matmul, T*q, are not charged.  2**17 admits (3, d_c)
+# up to d_c = 362 at M = 2, 29 at M = 4, 6 at M = 16 and 3 at M = 256,
+# and (d_v, 6) up to d_v = 513 at M = 2 and 198 at M = 16: a threshold
+# command at q = 4 with one model at these limits took 0.5-4.3 s on one
+# x86-64 core
+MAX_DRAW_CELLS = 2**17
 
 
 def _charge(M: int, checks=(), variables=()) -> None:
@@ -69,13 +72,13 @@ def _charge(M: int, checks=(), variables=()) -> None:
     these check and variable degrees would take more than MAX_DRAW_CELLS
     cells."""
     cells = sum(comb(M + d - 2, d - 1) * (d - 1) for d in checks)
-    cells += sum(d - 2 for d in variables) * M * M
+    cells += sum(d - 2 for d in variables) * (2**8 + M * M // 16)
     if cells > MAX_DRAW_CELLS:
         raise ValueError(
             f"density evolution at M={M} with check degrees {sorted(checks)} and variable "
             f"degrees {sorted(variables)} takes {cells} cells an iteration (size multisets "
-            f"times their draws, M*M per variable step), over the cap of {MAX_DRAW_CELLS}; "
-            "use a smaller M or smaller degrees"
+            f"times their draws, 2**8 + M*M/16 per variable step), over the cap of "
+            f"{MAX_DRAW_CELLS}; use a smaller M or smaller degrees"
         )
 
 

@@ -67,14 +67,12 @@ class EnumerationBudgetError(RuntimeError):
 class SumsetBounds:
     """Provable bounds on the size of a sumset with given operand sizes.
 
-    ``forced_full`` is true when two operands alone already cover the
-    field (|S_a| + |S_b| > q), which pins the sumset size to exactly q;
-    both bounds collapse to q in that case.
+    Where they meet, the size is pinned: two operands alone covering the
+    field (|S_a| + |S_b| > q) give lower == upper == q.
     """
 
     lower: int
     upper: int
-    forced_full: bool
 
 
 def _norm_sizes(sizes: Sequence[int], q: int) -> tuple[int, ...]:
@@ -90,11 +88,11 @@ def sumset_bounds(sizes: Sequence[int], field: GF) -> SumsetBounds:
     q = field.q
     t = _norm_sizes(sizes, q)
     if len(t) >= 2 and t[-1] + t[-2] > q:
-        return SumsetBounds(lower=q, upper=q, forced_full=True)
+        return SumsetBounds(lower=q, upper=q)
     k = len(t)
     lower = max(t[-1], min(field.p, sum(t) - k + 1))
     upper = min(q, prod(t))
-    return SumsetBounds(lower=lower, upper=upper, forced_full=False)
+    return SumsetBounds(lower=lower, upper=upper)
 
 
 def _delta(q: int, size: int) -> np.ndarray:

@@ -147,7 +147,7 @@ def test_criterion_04_bounds():
                     assert b.lower <= size <= b.upper
                     if size != q:
                         all_full = False
-                if b.forced_full:
+                if j >= 2 and sizes[-1] + sizes[-2] > q:  # two operands cover the field
                     assert all_full
 
 

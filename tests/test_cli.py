@@ -462,6 +462,10 @@ def test_large_field_de_runs_bounded():
     code, err = _run_limited(["threshold", "--q", "256", "--M", "2", "--dv", "4", "--dc", "6",
                               "--model", "union,balls,bound-lower,bound-upper"])
     assert code == 0, err
+    # (3,6) at M=16 is 77,520 check cells an iteration, under the cap
+    code, err = _run_limited(["threshold", "--q", "16", "--M", "16", "--dv", "3", "--dc", "6",
+                              "--model", "union"])
+    assert code == 0, err
     # the check half still enumerates size multisets: C(44, 29) at M=16, d_c=30
     code, err = _run_limited(["threshold", "--q", "16", "--M", "16", "--dv", "3", "--dc", "30",
                               "--model", "union"])
@@ -474,6 +478,10 @@ def test_large_field_size_chain_runs_bounded():
     # pairwise count is one chain step of positive terms (~50 s when the
     # counts came from an inclusion-exclusion)
     code, err = _run_limited(["threshold", "--q", "256", "--M", "64", "--dv", "3", "--dc", "2",
+                              "--model", "bound-upper"])
+    assert code == 0, err
+    # a variable step at M=128 is priced 2**8 + 128**2/16 cells, under the cap
+    code, err = _run_limited(["threshold", "--q", "256", "--M", "128", "--dv", "3", "--dc", "2",
                               "--model", "bound-upper"])
     assert code == 0, err
 

@@ -34,11 +34,11 @@ from oracles import brute_sumset_dist, occupancy_exact
 # ---------------------------------------------------------
 def test_bounds_anchors():
     b = sumset_bounds([2, 2], GF(5))
-    assert (b.lower, b.upper, b.forced_full) == (3, 4, False)
+    assert (b.lower, b.upper) == (3, 4)
     b = sumset_bounds([2, 2], GF(4))  # characteristic 2 caps the lower bound
-    assert (b.lower, b.upper, b.forced_full) == (2, 4, False)
+    assert (b.lower, b.upper) == (2, 4)
     b = sumset_bounds([3, 2], GF(4))  # 3 + 2 > 4 forces full coverage
-    assert (b.lower, b.upper, b.forced_full) == (4, 4, True)
+    assert (b.lower, b.upper) == (4, 4)
 
 
 def test_bounds_universe_member():
@@ -48,7 +48,7 @@ def test_bounds_universe_member():
 
 def test_bounds_single_set():
     b = sumset_bounds([3], GF(5))
-    assert (b.lower, b.upper, b.forced_full) == (3, 3, False)
+    assert (b.lower, b.upper) == (3, 3)
 
 
 def test_bound_dists():
@@ -119,7 +119,7 @@ def test_exact_respects_bounds_and_forced_full():
                 support = [m + 1 for m, p in enumerate(d) if p > 0]
                 assert min(support) >= b.lower
                 assert max(support) <= b.upper
-                if b.forced_full:
+                if j >= 2 and sizes[-1] + sizes[-2] > q:  # two operands cover the field
                     assert support == [q]
 
 
