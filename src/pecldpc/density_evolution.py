@@ -23,14 +23,19 @@ holding the sent symbol, intersected with a size-s set uniform among
 those holding it, keeps j symbols with probability
 ``common_member_intersection_dist((i, s), q)[j]``, and given its size
 the result is again uniform.  So with H(w) = sum_s w_s H_s, a degree-d
-variable's output is (1-eps) e_1 + eps e_M H(w)^(d-1): one matmul forms
-H(w) from the q matrices H_s, held as one (q, M*M) array, and d-1
-vector-matrix products carry the channel's M-set along it.  Sizes never
-exceed M, so nothing grows with q beyond that array.
+variable's output is (1-eps) e_1 + eps e_M H(w)^(d-1).  The q matrices
+H_s are held as one (q, M*(M+1)) array whose rows carry one more
+column, each row's mass, so one vector-matrix product forms H(w)
+together with its mass column; row M's mass is the check output's
+mass.  ``run`` divides H(w) by that mass; row M of H(w), times eps, is
+then carried d-2 more vector-matrix steps along it, and as the mass
+column rides along, the output comes with its own mass: neither half
+is summed to renormalise it.  Sizes never exceed M, so nothing grows
+with q beyond that array.
 
 The matrices are built once per process (a model is a value, so equal
-models share their check matrices); ``run`` folds the degree fractions
-(and, on the variable half, eps) into copies of them once per call.
+models share their check matrices); ``run`` folds the check degree
+fractions into copies of them once per call.
 """
 
 from __future__ import annotations
@@ -55,15 +60,15 @@ FIXED_POINT_TOL = 1e-13
 # check half's table for degree d_c holds T = C(M + d_c - 2, d_c - 1)
 # size multisets of d_c - 1 draws each: T * (d_c - 1) cells, and a
 # matrix of T rows of q floats cached for the life of the process.  The
-# variable half carries an M-vector d_v - 2 steps through an M x M
+# variable half carries an M-vector d_v - 2 steps through an M x (M+1)
 # matrix per degree; a step is one numpy call, ~0.7 us up to M = 8 and
 # ~10 us at M = 256, priced at 2**8 + M*M/16 cells.  Both halves are
-# summed over their degrees.  Forming H(w), q*M*M per iteration, and
-# the check matmul, T*q, are not charged.  2**17 admits (3, d_c)
-# up to d_c = 362 at M = 2, 29 at M = 4, 6 at M = 16 and 3 at M = 256,
-# and (d_v, 6) up to d_v = 513 at M = 2 and 198 at M = 16: a threshold
-# command at q = 4 with one model at these limits took 0.5-4.3 s on one
-# x86-64 core
+# summed over their degrees.  Forming H(w) with its mass column,
+# q*M*(M+1) per iteration, and the check matmul, T*q, are not charged.
+# 2**17 admits (3, d_c) up to d_c = 362 at M = 2, 29 at M = 4, 6 at
+# M = 16 and 3 at M = 256, and (d_v, 6) up to d_v = 513 at M = 2 and 198
+# at M = 16: a threshold command at q = 4 with one model at these limits
+# took 0.5-4.3 s on one x86-64 core
 MAX_DRAW_CELLS = 2**17
 
 
@@ -118,14 +123,18 @@ def _check_matrices(field: GF, M: int, d_c: int, model: SumsetSizeModel):
 
 @cache
 def _size_chain(q: int, M: int) -> np.ndarray:
-    """H_1..H_q as one (q, M*M) array: entry (s-1, (i-1)*M + j-1) is the
-    chance that a size-i set holding the sent symbol, intersected with a
-    size-s set uniform among those holding it, keeps j symbols."""
-    chain = np.zeros((q, M * M))
+    """H_1..H_q as one (q, M*(M+1)) array of M blocks of M+1 entries:
+    entry (s-1, (i-1)*(M+1) + j-1) is the chance that a size-i set
+    holding the sent symbol, intersected with a size-s set uniform among
+    those holding it, keeps j symbols, and entry (s-1, (i-1)*(M+1) + M)
+    is the float sum of those M chances, the row's mass."""
+    chain = np.zeros((q, M, M + 1))
     for s in range(1, q + 1):
         for i in range(1, M + 1):
             law = common_member_intersection_dist((i, s), q)
-            chain[s - 1, (i - 1) * M :][: len(law) - 1] = law[1:]
+            chain[s - 1, i - 1, : len(law) - 1] = law[1:]
+    chain[:, :, M] = chain[:, :, :M].sum(axis=2)
+    chain = chain.reshape(q, M * (M + 1))
     chain.setflags(write=False)
     return chain
 
@@ -135,7 +144,7 @@ def _mix(dist: np.ndarray, terms) -> np.ndarray:
     multiset's weight is the product of ``dist`` over its draws."""
     out = None
     for draws, mat in terms:
-        part = np.multiply.reduce(dist[draws], axis=0) @ mat
+        part = np.dot(np.multiply.reduce(dist[draws], axis=0), mat)
         if out is None:
             out = part
         else:
@@ -149,27 +158,20 @@ def _scaled(pairs) -> list:
     return [(draws, scale * mat) for scale, (draws, mat) in pairs]
 
 
-def _variable_terms(q: int, M: int, scales) -> tuple:
-    """The size chain, the shape of H(w) and, per (degree, scale) pair,
-    the degree's steps past the first and its first-step rows (the
-    chain's rows from size M) times scale: eps and the degree fraction
-    folded in once per run."""
-    chain = _size_chain(q, M)
-    return chain, (M, M), [(d - 2, scale * chain[:, M * (M - 1) :]) for d, scale in scales]
-
-
-def _variable_output(w: np.ndarray, var, eps: float) -> np.ndarray:
-    """(1-eps) on size 1 plus, per degree d, the channel's M-set carried
-    d-1 steps along H(w); the first step's rows already carry eps."""
-    chain, shape, terms = var
-    h = np.dot(w, chain).reshape(shape)
+def _variable_half(h: np.ndarray, terms, eps: float) -> np.ndarray:
+    """The variable output from H(w) as an (M, M+1) array h whose column
+    M holds each row's mass: per (steps, scale) term, scale times row M
+    of h (the channel's M-set after one step) carried ``steps`` more
+    steps along h, summed over the terms, plus 1-eps on size 1.  Entry M
+    of the result is its mass, carried along in h's mass column."""
     z = None
-    for steps, first in terms:
-        v = np.dot(w, first)
+    for steps, scale in terms:
+        v = scale * h[-1]
         for _ in range(steps):
-            v = np.dot(v, h)
+            v = np.dot(v[:-1], h)
         z = v if z is None else z + v
     z[0] += 1.0 - eps
+    z[-1] += 1.0 - eps
     return z
 
 
@@ -208,7 +210,8 @@ def variable_update(w: np.ndarray, d_v: int, channel: PartialErasureChannel) -> 
     q, M, eps = channel.field.q, channel.M, channel.epsilon
     w = _size_vector(w, q, "w")
     _charge(M, variables=[d_v])
-    return np.pad(_variable_output(w, _variable_terms(q, M, [(d_v, eps)]), eps), (0, q - M))
+    h = np.dot(w, _size_chain(q, M)).reshape(M, M + 1)
+    return np.pad(_variable_half(h, [(d_v - 2, eps)], eps)[:M], (0, q - M))
 
 
 @dataclass
@@ -230,8 +233,9 @@ class DeResult:
     stable non-trivial fixed point) or ``"max_iters"`` (the iteration
     budget ran out first).  ``monotone`` and ``mass_ok`` flag the runtime
     sanity checks (warned about, never silently dropped); ``mass_drift``
-    is the largest |sum - 1| of either half's output before it was
-    renormalised, and ``mass_ok`` is ``mass_drift <= 1e-9``."""
+    is the largest |mass - 1| of either half's output before it was
+    renormalised, each mass read from the size chain's mass column, and
+    ``mass_ok`` is ``mass_drift <= 1e-9``."""
 
     converged: bool
     iterations: int
@@ -252,7 +256,8 @@ def run(cfg: DeConfig) -> DeResult:
     rho, lam = cfg.degrees.rho_coeffs, cfg.degrees.lambda_coeffs
     _charge(M, checks=rho, variables=lam)
     chk = _scaled((rho[d], _check_matrices(field, M, d, cfg.size_model)) for d in sorted(rho))
-    var = _variable_terms(field.q, M, [(d, eps * lam[d]) for d in sorted(lam)])
+    chain = _size_chain(field.q, M)
+    var = [(d - 2, eps * lam[d]) for d in sorted(lam)]
 
     z = initial_vtc_dist(ch)[:M]
     pe = 1.0 - z.item(0)
@@ -266,13 +271,16 @@ def run(cfg: DeConfig) -> DeResult:
     for it in range(1, cfg.max_iters + 1):
         if converged:
             break
-        w = _mix(z, chk)
-        # renormalize: mass is conserved exactly in exact arithmetic, but
-        # the per-multiset products amplify float drift exponentially
-        w_sum = float(np.add.reduce(w))
-        w /= w_sum
-        z = _variable_output(w, var, eps)
-        z_sum = float(np.add.reduce(z))
+        # H(w) and, in its mass column, the check output's mass w_sum.
+        # Mass is conserved exactly in exact arithmetic, but the
+        # per-multiset products amplify float drift exponentially, so
+        # both halves are renormalised by their measured mass.  z keeps
+        # its mass in entry M, which no draw reads
+        h = np.dot(_mix(z, chk), chain).reshape(M, M + 1)
+        w_sum = h.item(M - 1, M)
+        h /= w_sum
+        z = _variable_half(h, var, eps)
+        z_sum = z.item(M)
         z /= z_sum
         drift = max(drift, abs(w_sum - 1.0), abs(z_sum - 1.0))
 
