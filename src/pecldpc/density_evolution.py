@@ -27,15 +27,26 @@ variable's output is (1-eps) e_1 + eps e_M H(w)^(d-1).  The q matrices
 H_s are held as one (q, M*(M+1)) array whose rows carry one more
 column, each row's mass, so one vector-matrix product forms H(w)
 together with its mass column; row M's mass is the check output's
-mass.  ``run`` divides H(w) by that mass; row M of H(w), times eps, is
-then carried d-2 more vector-matrix steps along it, and as the mass
-column rides along, the output comes with its own mass: neither half
-is summed to renormalise it.  Sizes never exceed M, so nothing grows
-with q beyond that array.
+mass.  Row M of H(w) is carried d-2 more vector-matrix steps along it,
+and as the mass column rides along, the output comes with its own mass:
+neither half is summed to renormalise it.  Sizes never exceed M, so
+nothing grows with q beyond that array.
+
+H(w) = (weights @ matrix) @ chain, so while the check tables are small
+(T * M*(M+1) entries summed over the check degrees, at most 2**12)
+``run`` folds the chain into them: row t of a folded table is row t of
+the check matrix times the chain, and one product turns the weights
+straight into H(w) with its mass column.  Larger tables keep the two
+products, whose folded form would cost more than the call it saves.
+
+``run`` renormalises by Python floats: H(w) is never divided; each
+variable term's scale eps*lambda_d is multiplied by (1/w_sum)**(d-1),
+one factor per product along H(w), and the output is divided by its
+mass once, its size-1 entry recomputed from the same floats.
 
 The matrices are built once per process (a model is a value, so equal
-models share their check matrices); ``run`` folds the check degree
-fractions into copies of them once per call.
+models share their check matrices and folded tables); ``run`` folds
+the check degree fractions into copies of them once per call.
 """
 
 from __future__ import annotations
@@ -63,8 +74,11 @@ FIXED_POINT_TOL = 1e-13
 # variable half carries an M-vector d_v - 2 steps through an M x (M+1)
 # matrix per degree; a step is one numpy call, ~0.7 us up to M = 8 and
 # ~10 us at M = 256, priced at 2**8 + M*M/16 cells.  Both halves are
-# summed over their degrees.  Forming H(w) with its mass column,
-# q*M*(M+1) per iteration, and the check matmul, T*q, are not charged.
+# summed over their degrees.  The products that turn the
+# check weights into H(w) are not charged: T * M*(M+1) entries per
+# iteration when the size chain is folded into the check tables (at
+# most 2**12, a call's price), otherwise T*q for the check matmul plus
+# q*M*(M+1) for forming H(w) with its mass column.
 # 2**17 admits (3, d_c) up to d_c = 362 at M = 2, 29 at M = 4, 6 at
 # M = 16 and 3 at M = 256, and (d_v, 6) up to d_v = 513 at M = 2 and 198
 # at M = 16: a threshold command at q = 4 with one model at these limits
@@ -72,12 +86,17 @@ FIXED_POINT_TOL = 1e-13
 MAX_DRAW_CELLS = 2**17
 
 
+# a numpy call's price in cells, and the gemv entries one cell buys
+_CALL_CELLS = 2**8
+_ENTRIES_PER_CELL = 16
+
+
 def _charge(M: int, checks=(), variables=()) -> None:
     """ValueError, before any table is built, when one DE iteration over
     these check and variable degrees would take more than MAX_DRAW_CELLS
     cells."""
     cells = sum(comb(M + d - 2, d - 1) * (d - 1) for d in checks)
-    cells += sum(d - 2 for d in variables) * (2**8 + M * M // 16)
+    cells += sum(d - 2 for d in variables) * (_CALL_CELLS + M * M // _ENTRIES_PER_CELL)
     if cells > MAX_DRAW_CELLS:
         raise ValueError(
             f"density evolution at M={M} with check degrees {sorted(checks)} and variable "
@@ -139,16 +158,42 @@ def _size_chain(q: int, M: int) -> np.ndarray:
     return chain
 
 
-def _mix(dist: np.ndarray, terms) -> np.ndarray:
+def _folds(M: int, checks) -> bool:
+    """Whether ``run`` folds the size chain into the check tables of these
+    degrees: while the folded tables' sum(T) * M*(M+1) entries, priced
+    as gemv entries, cost no more than the chain product they remove,
+    one numpy call."""
+    entries = sum(comb(M + d - 2, d - 1) for d in checks) * M * (M + 1)
+    return entries <= _CALL_CELLS * _ENTRIES_PER_CELL
+
+
+@cache
+def _folded_check(field: GF, M: int, d_c: int, model: SumsetSizeModel):
+    """(draws, folded matrix) of the check half with the size chain folded
+    in: row t is row t of the check matrix times the chain, so weights @
+    folded is H(w) with its mass column.  The check matrix it is built
+    from is not kept, as the folded path never reads it; and it is built
+    row by row, as a 2-D product would pull in the BLAS's gemm buffer for
+    a table this small."""
+    draws, mat = _check_matrices.__wrapped__(field, M, d_c, model)
+    chain = _size_chain(field.q, M)
+    folded = np.stack([np.dot(row, chain) for row in mat])
+    folded.setflags(write=False)
+    return draws, folded
+
+
+def _mix(dist: np.ndarray, terms, out=None) -> np.ndarray:
     """Sum over (draws, matrix) terms of weights @ matrix, where a
-    multiset's weight is the product of ``dist`` over its draws."""
-    out = None
+    multiset's weight is the product of ``dist`` over its draws; written
+    into ``out`` when it is given."""
+    first = True
     for draws, mat in terms:
-        part = np.dot(np.multiply.reduce(dist[draws], axis=0), mat)
-        if out is None:
-            out = part
+        weights = np.multiply.reduce(dist[draws], axis=0)
+        if first:
+            out = np.dot(weights, mat, out=out)
+            first = False
         else:
-            out += part
+            out += np.dot(weights, mat)
     return out
 
 
@@ -158,20 +203,20 @@ def _scaled(pairs) -> list:
     return [(draws, scale * mat) for scale, (draws, mat) in pairs]
 
 
-def _variable_half(h: np.ndarray, terms, eps: float) -> np.ndarray:
-    """The variable output from H(w) as an (M, M+1) array h whose column
-    M holds each row's mass: per (steps, scale) term, scale times row M
-    of h (the channel's M-set after one step) carried ``steps`` more
-    steps along h, summed over the terms, plus 1-eps on size 1.  Entry M
-    of the result is its mass, carried along in h's mass column."""
+def _variable_half(h: np.ndarray, terms, w_sum: float) -> np.ndarray:
+    """The eps part of the variable output from H(w) as an (M, M+1) array
+    h whose column M holds each row's mass, and whose mass is w_sum: per
+    (steps, scale) term, row M of h (the channel's M-set after one step)
+    carried ``steps`` more steps along h and scaled by
+    scale * (1/w_sum)**(steps+1), which renormalises H(w) by a float;
+    summed over the terms.  Entry M of the result is its mass, carried
+    along in h's mass column."""
     z = None
     for steps, scale in terms:
-        v = scale * h[-1]
+        v = (scale * (1.0 / w_sum) ** (steps + 1)) * h[-1]
         for _ in range(steps):
             v = np.dot(v[:-1], h)
         z = v if z is None else z + v
-    z[0] += 1.0 - eps
-    z[-1] += 1.0 - eps
     return z
 
 
@@ -211,7 +256,9 @@ def variable_update(w: np.ndarray, d_v: int, channel: PartialErasureChannel) -> 
     w = _size_vector(w, q, "w")
     _charge(M, variables=[d_v])
     h = np.dot(w, _size_chain(q, M)).reshape(M, M + 1)
-    return np.pad(_variable_half(h, [(d_v - 2, eps)], eps)[:M], (0, q - M))
+    z = _variable_half(h, [(d_v - 2, eps)], 1.0)
+    z[0] += 1.0 - eps
+    return np.pad(z[:M], (0, q - M))
 
 
 @dataclass
@@ -255,9 +302,15 @@ def run(cfg: DeConfig) -> DeResult:
 
     rho, lam = cfg.degrees.rho_coeffs, cfg.degrees.lambda_coeffs
     _charge(M, checks=rho, variables=lam)
-    chk = _scaled((rho[d], _check_matrices(field, M, d, cfg.size_model)) for d in sorted(rho))
-    chain = _size_chain(field.q, M)
+    if _folds(M, rho):
+        tables, chain = _folded_check, None
+    else:
+        tables, chain = _check_matrices, _size_chain(field.q, M)
+    chk = _scaled((rho[d], tables(field, M, d, cfg.size_model)) for d in sorted(rho))
     var = [(d - 2, eps * lam[d]) for d in sorted(lam)]
+    h = np.empty((M, M + 1))  # H(w), rewritten in place each iteration
+    h_out = h.reshape(-1)
+    clean = 1.0 - eps
 
     z = initial_vtc_dist(ch)[:M]
     pe = 1.0 - z.item(0)
@@ -274,17 +327,23 @@ def run(cfg: DeConfig) -> DeResult:
         # H(w) and, in its mass column, the check output's mass w_sum.
         # Mass is conserved exactly in exact arithmetic, but the
         # per-multiset products amplify float drift exponentially, so
-        # both halves are renormalised by their measured mass.  z keeps
-        # its mass in entry M, which no draw reads
-        h = np.dot(_mix(z, chk), chain).reshape(M, M + 1)
+        # both halves are renormalised by their measured mass, as floats:
+        # H(w) inside the variable terms' scales, z by one division with
+        # its size-1 entry redone from the same float.  z keeps its mass
+        # in entry M, which no draw reads
+        if chain is None:
+            _mix(z, chk, h_out)
+        else:
+            np.dot(_mix(z, chk), chain, out=h_out)
         w_sum = h.item(M - 1, M)
-        h /= w_sum
-        z = _variable_half(h, var, eps)
-        z_sum = z.item(M)
-        z /= z_sum
+        zz = _variable_half(h, var, w_sum)
+        z_sum = zz.item(M) + clean
+        z = zz / z_sum
+        p1 = (zz.item(0) + clean) / z_sum
+        z[0] = p1
         drift = max(drift, abs(w_sum - 1.0), abs(z_sum - 1.0))
 
-        new_pe = 1.0 - z.item(0)
+        new_pe = 1.0 - p1
         trajectory.append((it, new_pe))
         if new_pe > pe + 1e-12:
             monotone = False

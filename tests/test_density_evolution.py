@@ -3,6 +3,7 @@ import math
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -211,20 +212,38 @@ def test_variable_update_matches_float_reference(q, M):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0, err_msg=f"d_v={d_v}")
 
 
-@pytest.mark.parametrize("lam", [{2: 0.25, 3: 0.75}, {3: 0.4, 5: 0.6}], ids=["2-3", "3-5"])
-def test_mixture_iterations_match_float_reference(lam):
+@pytest.mark.parametrize(
+    "M, lam, rho, entries",
+    [
+        (3, {2: 0.25, 3: 0.75}, {4: 0.5, 6: 0.5}, (10 + 21) * 12),
+        (3, {3: 0.4, 5: 0.6}, {4: 0.5, 6: 0.5}, (10 + 21) * 12),
+        (8, {3: 1.0}, {4: 1.0}, 120 * 72),
+    ],
+    ids=["2-3", "3-5", "unfolded"],
+)
+def test_mixture_iterations_match_float_reference(M, lam, rho, entries):
     # two-degree mixtures on both sides at q=16: two full iterations of
     # run against the ordered-tuple halves mixed by hand; the 3-5 mixture
-    # has a gap between its variable degrees
-    f, M, eps = GF(16), 3, 0.6
-    rho = {4: 0.5, 6: 0.5}
+    # has a gap between its variable degrees.  run folds the size chain
+    # into the check tables while they hold at most 2**12 entries (T *
+    # M*(M+1) summed over the check degrees), so the mixtures take the
+    # folded path and regular (3,4) at M=8 keeps the chain product
+    import pecldpc.density_evolution as de_mod
+
+    folds = entries <= 2**12
+    assert sum(math.comb(M + d - 2, d - 1) for d in rho) * M * (M + 1) == entries
+    assert de_mod._folds(M, rho) is folds
+    f, eps = GF(16), 0.6
     model = SumsetSizeModel("balls")
     ch = PartialErasureChannel(f, M, eps)
     cfg = DeConfig(
         ch, DegreeDistribution(lam, rho), model,
         max_iters=2, convergence_tol=0.0, fixed_point_tol=0.0,
     )
+    de_mod._folded_check.cache_clear()
     got = [pe for _, pe in run(cfg).trajectory]
+    # the folded tables are built, once per check degree, only when run folds
+    assert de_mod._folded_check.cache_info().currsize == (len(rho) if folds else 0)
     z = initial_vtc_dist(ch)
     want = [1.0 - z[0]]
     for _ in range(2):
@@ -301,9 +320,16 @@ def test_run_reports_mass_drift(monkeypatch):
         draws, mat = built(*args)
         return draws, 1.001 * mat
 
-    monkeypatch.setattr(de_mod, "_check_matrices", leaky)
-    with pytest.warns(UserWarning, match="lost probability mass"):
-        r = run(bec_cfg(5, 0.4))
+    monkeypatch.setattr(de_mod, "_check_matrices", cache(leaky))
+    # q=5, M=5, d_c=6 folds the chain into the check table, so the
+    # folded table is rebuilt from the leaky one
+    assert de_mod._folds(5, [6])
+    de_mod._folded_check.cache_clear()
+    try:
+        with pytest.warns(UserWarning, match="lost probability mass"):
+            r = run(bec_cfg(5, 0.4))
+    finally:
+        de_mod._folded_check.cache_clear()
     assert not r.mass_ok
     assert r.mass_drift == pytest.approx(1e-3, rel=1e-6)
 
@@ -316,11 +342,13 @@ def test_run_reports_variable_mass_drift(monkeypatch):
     law = de_mod.common_member_intersection_dist
     monkeypatch.setattr(de_mod, "common_member_intersection_dist", lambda *a: 1.001 * law(*a))
     de_mod._size_chain.cache_clear()
+    de_mod._folded_check.cache_clear()
     try:
         with pytest.warns(UserWarning, match="lost probability mass"):
             r = run(bec_cfg(5, 0.4))
     finally:
         de_mod._size_chain.cache_clear()
+        de_mod._folded_check.cache_clear()
     assert not r.mass_ok
     assert r.mass_drift == pytest.approx(1e-3, rel=1e-6)
 
@@ -347,13 +375,13 @@ def test_run_stop_reasons():
 # changed rounding in either half compounds
 TRAJECTORY_PINS = [
     ((8, 4, "exact", 0.59857177734375, {3: 1.0}, {6: 1.0}),
-     (1076, "converged", "d564c09764004705f484c2799a74483282c0628449981529e6092f660f2461e7")),
+     (1076, "converged", "c481db8f3f2d36f73b57a738344f4bd768a10bcd049b74fa5aefbd08d7328f27")),
     ((16, 4, "balls", 0.76507568359375, {3: 1.0}, {6: 1.0}),
-     (353, "converged", "bf9674e2c900cca08f589756296b0feef060271ef7f7eab2a8e76da7f315b910")),
+     (353, "converged", "f727f3afd037713fe72406ce56440b6119e8730c5c7b4de7664f3ebff0e70512")),
     ((4, 2, "union", 0.85089111328125 + 2**-14, {3: 1.0}, {6: 1.0}),
-     (1613, "fixed_point", "de71c99a01e751ffc3671eda76d286b130d04f99c03c4078c27dd2de0c14ac77")),
+     (1613, "fixed_point", "177a590b9e3329eba03a5791d32a466c8238999faa96cf95c34af8d7fc52fb00")),
     ((8, 3, "union", 0.6, {2: 0.3, 3: 0.7}, {5: 0.4, 6: 0.6}),
-     (20, "converged", "d7bbd38e4e9cf00407fc4cf34e86d4c45761d9e8228ee1965c9b335a02f33f68")),
+     (20, "converged", "16483a185e9f79b651fd0905404a4a6e9d354a010c5c8712fd0bfb13b3afc2d4")),
 ]
 
 
@@ -497,6 +525,26 @@ def test_de_matrices_built_once_and_read_only():
     assert de_mod._check_matrices(f, 2, 6, SumsetSizeModel("union")) is not (
         de_mod._check_matrices(f, 2, 6, model)
     )
+    # the folded check tables likewise, per field, M, degree and model
+    # value: each row is its check matrix row times the size chain, the
+    # draws are the check matrices' own, and the table is read-only
+    draws, folded = de_mod._folded_check(f, 2, 6, model)
+    assert de_mod._folded_check(f, 2, 6, model) is de_mod._folded_check(f, 2, 6, model)
+    assert de_mod._folded_check(f, 2, 6, SumsetSizeModel("exact")) is (
+        de_mod._folded_check(f, 2, 6, model)
+    )
+    assert de_mod._folded_check(f, 2, 6, SumsetSizeModel("union")) is not (
+        de_mod._folded_check(f, 2, 6, model)
+    )
+    assert de_mod._folded_check(f, 2, 5, model) is not de_mod._folded_check(f, 2, 6, model)
+    assert de_mod._folded_check(f, 3, 6, model) is not de_mod._folded_check(f, 2, 6, model)
+    assert de_mod._folded_check(GF(5), 2, 6, model) is not de_mod._folded_check(f, 2, 6, model)
+    assert draws is de_mod._check_matrices(f, 2, 6, model)[0]
+    mat, chain = de_mod._check_matrices(f, 2, 6, model)[1], de_mod._size_chain(4, 2)
+    assert folded.shape == (mat.shape[0], 2 * 3)
+    np.testing.assert_allclose(folded, mat @ chain, rtol=1e-15, atol=0)
+    with pytest.raises(ValueError):
+        folded[0] = 0
     # the public updates hand out fresh arrays
     w = check_update(np.array([0.5, 0.5, 0, 0]), 6, model, f, 2)
     w[0] = 0.0
