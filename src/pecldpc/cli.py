@@ -8,7 +8,10 @@ replays one decoding run from graph/received files.  Everything emits
 CSV (header comment line with the invocation and seed, then a header
 row); identical flags and seed give byte-identical output.
 
-Exit codes: 0 ok, 2 validation error, 3 enumeration budget exceeded.
+Exit codes: 0 ok; 2 a validation error or a refusal by the work
+budget (``budget``); 3 an exact law whose orbit chain would take more
+than its share of the budget, a refusal that ``--mc-samples`` cures by
+sampling the law instead.
 """
 
 from __future__ import annotations
@@ -18,69 +21,39 @@ import csv
 import math
 import sys
 
+from . import budget
 from .channel import PartialErasureChannel
 from .decoder import DecodingInconsistency, decode
 from .density_evolution import DeConfig, threshold_search
 from .gf import GF
 from .ldpc import DegreeDistribution, TannerGraph
-from .simulation import MAX_TRIALS, run_trials
+from .simulation import run_trials
 from .sumset_models import (
     MODEL_KINDS,
     EnumerationBudgetError,
     SumsetSizeModel,
 )
-from .symbol_sets import SymbolSet, set_bytes
-
-
-MAX_EPS_POINTS = 10**6
-# bytes of one edge-message array the decoder may hold: n * d_v sets of
-# set_bytes(q), 2 up to q=12 and q above, where the sumsets expand each
-# set into a row of q bools and q spectrum entries (GF(13) and GF(16)
-# too, whose messages are uint16 words).  A decode peaks at 40-95 times
-# this (graph arrays, the other message arrays, the pass temporaries
-# and, above q=12, the spectra; one trial at n=120,000, eps 0.55: ~40
-# times at q=16, ~74 at q=13), so 16 MiB keeps a simulate run near or
-# below 1.5 GB while allowing n ~ 2.8e6 at q=4 and n ~ 21,800 at q=256
-# for d_v=3
-MAX_SIM_MESSAGE_BYTES = 2**24
-# checks a decode-trace graph may declare.  Its header sizes the per-node
-# arrays before any edge is read; the variables must match the received
-# sets, but nothing else bounds m.  2**22 admits every graph a simulate
-# run may build (m = n * d_v / d_c with n * d_v <= 2**23 and d_c >= 2)
-MAX_GRAPH_CHECKS = 2**22
-# edge rows a decode-trace may write, bounded before decoding by
-# 2 * E * --max-iters (a ctv and a vtc row per edge and iteration).  The
-# CSV is written as it is made; what stays held is the decoder's message
-# history, one list entry a row: ~8 bytes at q <= 8, ~20-36 at q = 16,
-# ~93 at q = 256 (measured).  2**23 rows admit a (3,6) graph of 10**4
-# variables at the default 100 iterations (6 * 10**6 rows; its trace of
-# 1.16 * 10**6 rows peaks at ~47 MB RSS), and refuse one of 100,000
-# variables (6 * 10**7)
-MAX_TRACE_ROWS = 2**23
-
-
-class CliError(ValueError):
-    pass
+from .symbol_sets import SymbolSet
 
 
 def _parse_eps(args) -> list[float]:
     if (args.eps is None) == (args.eps_grid is None):
-        raise CliError("give exactly one of --eps or --eps-grid start:stop:step")
+        raise ValueError("give exactly one of --eps or --eps-grid start:stop:step")
     if args.eps is not None:
         grid = [args.eps]
     else:
         try:
             start, stop, step = (float(tok) for tok in args.eps_grid.split(":"))
         except ValueError:
-            raise CliError(f"bad --eps-grid {args.eps_grid!r}") from None
+            raise ValueError(f"bad --eps-grid {args.eps_grid!r}") from None
         if not all(map(math.isfinite, (start, stop, step))):
-            raise CliError("eps grid bounds and step must be finite")
+            raise ValueError("eps grid bounds and step must be finite")
         if step <= 0 or stop < start:
-            raise CliError("eps grid needs step > 0 and stop >= start")
+            raise ValueError("eps grid needs step > 0 and stop >= start")
         # the grid has about (stop - start) / step + 1 points (inf when
         # step is subnormal); count them before building the list
-        if not (stop - start) / step < MAX_EPS_POINTS:
-            raise CliError(f"eps grid would exceed {MAX_EPS_POINTS} points")
+        if not (stop - start) / step < budget.ITEMS:
+            raise ValueError(f"eps grid would exceed {budget.ITEMS} points")
         grid = []
         k = 0
         while True:
@@ -91,7 +64,7 @@ def _parse_eps(args) -> list[float]:
             k += 1
     for v in grid:
         if not 0.0 <= v <= 1.0:
-            raise CliError(f"epsilon {v} outside [0, 1]")
+            raise ValueError(f"epsilon {v} outside [0, 1]")
     return grid
 
 
@@ -99,7 +72,7 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise CliError(f"bad {what} list {text!r}") from None
+        raise ValueError(f"bad {what} list {text!r}") from None
 
 
 def _models(args) -> list[SumsetSizeModel]:
@@ -175,20 +148,9 @@ def _cmd_threshold(args, argv):
 
 def _cmd_simulate(args, argv):
     field = GF(args.q)
-    message_bytes = max(args.n, 0) * max(args.dv, 0) * set_bytes(args.q)
-    if message_bytes > MAX_SIM_MESSAGE_BYTES:
-        raise CliError(
-            f"--n {args.n} with --dv {args.dv} needs {message_bytes} bytes per edge-message "
-            f"array at q={args.q}, above the limit of {MAX_SIM_MESSAGE_BYTES}"
-        )
     ms, grid = _parse_int_list(args.M, "--M"), _parse_eps(args)
-    # each (M, eps) point runs its own trials: cap the run, not each factor
-    total = len(ms) * len(grid) * args.trials
-    if total > MAX_TRIALS:
-        raise CliError(
-            f"{len(ms)} M values x {len(grid)} eps points x {args.trials} trials: "
-            f"{total} trials exceed the limit of {MAX_TRIALS} a run"
-        )
+    # each (M, eps) point runs its own trials: cap the run, not each call
+    budget.over(len(ms) * len(grid) * args.trials, budget.ITEMS, "a run's trials exceed its share")
     rows = []
     for m in ms:
         for eps in grid:
@@ -222,9 +184,8 @@ def _cmd_simulate(args, argv):
 
 def _cmd_pm_table(args, argv):
     field = GF(args.q)
+    # an empty --sizes is refused by the laws
     sizes = _parse_int_list(args.sizes, "--sizes")
-    if not sizes:
-        raise CliError("--sizes must list at least one set size")
     rows = []
     for model in _models(args):
         dist = model.distribution(sizes, field)
@@ -239,23 +200,12 @@ def _cmd_decode_trace(args, argv):
         text = fh.read()
     with open(args.received) as fh:
         lines = [line for line in fh if line.strip()]
-    # check the header's sizes before the graph allocates per-node arrays;
+    # check the variable count before the graph allocates per-node arrays;
     # from_text refuses a header that is not 'q n m'
     header = text.lstrip().split("\n", 1)[0].split()
-    if len(header) == 3:
-        n, m = int(header[1]), int(header[2])
-        if 0 <= n != len(lines):
-            raise CliError(f"graph has {n} variables but {len(lines)} received sets")
-        if m > MAX_GRAPH_CHECKS:
-            raise CliError(f"graph has {m} checks, above the limit of {MAX_GRAPH_CHECKS}")
+    if len(header) == 3 and 0 <= int(header[1]) != len(lines):
+        raise ValueError(f"graph has {header[1]} variables but {len(lines)} received sets")
     graph = TannerGraph.from_text(text)
-    trace_rows = 2 * graph.n_edges * max(args.max_iters, 0)
-    if trace_rows > MAX_TRACE_ROWS:
-        raise CliError(
-            f"{graph.n_edges} edges over up to {args.max_iters} iterations may need "
-            f"{trace_rows} trace rows, above the limit of {MAX_TRACE_ROWS}; "
-            f"lower --max-iters"
-        )
     field = graph.field
     received = [SymbolSet.parse(field, line) for line in lines]
     result = decode(
@@ -384,7 +334,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 3
-    except (CliError, ValueError, OSError, DecodingInconsistency) as exc:
+    except (ValueError, OSError, DecodingInconsistency) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

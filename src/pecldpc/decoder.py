@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import budget
 from .gf import GF
 from .ldpc import TannerGraph
 from .symbol_sets import SymbolSet, intersect, leave_one_out, mask_dtype, set_layout, sumset
@@ -145,6 +146,9 @@ def decode(
     field = graph.field
     sets = set_layout(field)
     n_edges = graph.n_edges
+    # the history holds a ctv and a vtc row per edge and iteration, up
+    # to ~93 bytes a row at q = 256 (8 at q <= 8), so BYTES holds 2**23
+    budget.over(2 * n_edges * max_iters * record_messages, budget.BYTES >> 7, "its trace rows")
     chk_slots, var_slots = graph.slots
     labels = np.append(graph.edge_label, 1)  # any nonzero label for the sentinel
     sfac = field.neg_table[labels].astype(np.intp)

@@ -44,9 +44,13 @@ variable term's scale eps*lambda_d is multiplied by (1/w_sum)**(d-1),
 one factor per product along H(w), and the output is divided by its
 mass once, its size-1 entry recomputed from the same floats.
 
-The matrices are built once per process (a model is a value, so equal
-models share their check matrices and folded tables); ``run`` folds
-the check degree fractions into copies of them once per call.
+The check tables are built once per work budget (``budget``): a
+threshold search builds them for its first probe, and a model is a
+value, so equal models share them.  The size chain is kept for the
+process and charged once per budget as if it were built.  ``run`` folds the
+check degree fractions into copies of them once per call.  Each table
+and every probe's iterations are charged to the budget before they are
+computed.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ from math import comb, factorial, prod
 
 import numpy as np
 
+from . import budget
 from .channel import PartialErasureChannel
 from .combinatorics import common_member_intersection_dist
 from .gf import GF
@@ -66,44 +71,24 @@ from .ldpc import DegreeDistribution
 from .sumset_models import SumsetSizeModel
 
 FIXED_POINT_TOL = 1e-13
-# cells one DE iteration may take, a cell being one gathered and
-# multiplied draw of the check half (~2-3 ns on one x86-64 core).  The
-# check half's table for degree d_c holds T = C(M + d_c - 2, d_c - 1)
-# size multisets of d_c - 1 draws each: T * (d_c - 1) cells, and a
-# matrix of T rows of q floats cached for the life of the process.  The
-# variable half carries an M-vector d_v - 2 steps through an M x (M+1)
-# matrix per degree; a step is one numpy call, ~0.7 us up to M = 8 and
-# ~10 us at M = 256, priced at 2**8 + M*M/16 cells.  Both halves are
-# summed over their degrees.  The products that turn the
-# check weights into H(w) are not charged: T * M*(M+1) entries per
-# iteration when the size chain is folded into the check tables (at
-# most 2**12, a call's price), otherwise T*q for the check matmul plus
-# q*M*(M+1) for forming H(w) with its mass column.
-# 2**17 admits (3, d_c) up to d_c = 362 at M = 2, 29 at M = 4, 6 at
-# M = 16 and 3 at M = 256, and (d_v, 6) up to d_v = 513 at M = 2 and 198
-# at M = 16: a threshold command at q = 4 with one model at these limits
-# took 0.5-4.3 s on one x86-64 core
-MAX_DRAW_CELLS = 2**17
 
 
-# a numpy call's price in cells, and the gemv entries one cell buys
-_CALL_CELLS = 2**8
-_ENTRIES_PER_CELL = 16
-
-
-def _charge(M: int, checks=(), variables=()) -> None:
-    """ValueError, before any table is built, when one DE iteration over
-    these check and variable degrees would take more than MAX_DRAW_CELLS
-    cells."""
-    cells = sum(comb(M + d - 2, d - 1) * (d - 1) for d in checks)
-    cells += sum(d - 2 for d in variables) * (_CALL_CELLS + M * M // _ENTRIES_PER_CELL)
-    if cells > MAX_DRAW_CELLS:
-        raise ValueError(
-            f"density evolution at M={M} with check degrees {sorted(checks)} and variable "
-            f"degrees {sorted(variables)} takes {cells} cells an iteration (size multisets "
-            f"times their draws, 2**8 + M*M/16 per variable step), over the cap of "
-            f"{MAX_DRAW_CELLS}; use a smaller M or smaller degrees"
-        )
+def _iteration_cells(q: int, M: int, checks=(), variables=()) -> int:
+    """Cells of one DE iteration over these check and variable degrees,
+    or ValueError, before any table is built, when that passes a 1024th
+    of ``budget.CELLS``: a search must afford a thousand iterations.  The
+    check half gathers T = C(M + d_c - 2, d_c - 1) size multisets of
+    d_c - 1 draws, a cell each, and multiplies them into rows of q
+    entries; forming H(w) is q*M*(M+1) entries, and each of the variable
+    half's d_v - 2 steps a numpy call and M*(M+1) entries, all summed
+    over the degrees, with eight numpy calls for the rest of the
+    iteration.  A folded iteration (tables of at most 2**12 entries) is
+    priced as if unfolded, a little above its cost."""
+    width, steps = M * (M + 1), sum(d - 2 for d in variables)
+    cells = budget.CALL * (8 + steps) + width * (steps + q) // budget.ENTRIES
+    cells += sum(comb(M + d - 2, d - 1) * (d - 1 + q // budget.ENTRIES) for d in checks)
+    budget.over(cells, budget.CELLS >> 10, f"{cells} cells an iteration at M={M} (size multisets)")
+    return cells
 
 
 def initial_vtc_dist(channel: PartialErasureChannel) -> np.ndarray:
@@ -122,19 +107,21 @@ def _weight_tables(max_size: int, k: int):
     each multiset)."""
     tuples = tuple(combinations_with_replacement(range(1, max_size + 1), k))
     draws = np.ascontiguousarray(np.array(tuples, dtype=np.intp).T - 1)
-    multinom = np.array(
-        [factorial(k) // prod(factorial(t.count(s)) for s in set(t)) for t in tuples], float
-    )
+    multinom = [factorial(k) // prod(factorial(t.count(s)) for s in set(t)) for t in tuples]
+    # a float holds no integer of 1024 bits or more
+    budget.over(max(multinom).bit_length(), 1023, f"multinomials of {k} draws, in bits")
+    multinom = np.array(multinom, float)
     draws.setflags(write=False)
     multinom.setflags(write=False)
     return tuples, draws, multinom
 
 
-@cache
 def _check_matrices(field: GF, M: int, d_c: int, model: SumsetSizeModel):
     """(draws, matrix) of the check half: row t is the sumset-size law of
-    multiset t times its multinomial."""
+    multiset t times its multinomial.  Each law is charged eight numpy
+    calls, besides what the law itself charges."""
     tuples, draws, multinom = _weight_tables(M, d_c - 1)
+    budget.current().charge(len(tuples) * 8 * budget.CALL, f"a check table of {len(tuples)} laws")
     mat = multinom[:, None] * np.stack([model.distribution(t, field) for t in tuples])
     mat.setflags(write=False)
     return draws, mat
@@ -158,25 +145,31 @@ def _size_chain(q: int, M: int) -> np.ndarray:
     return chain
 
 
+def _chain(q: int, M: int) -> np.ndarray:
+    """``_size_chain(q, M)``, kept for the process but charged as a cold
+    build: each of its q*M laws eight numpy calls, and each of a law's
+    min(i, s) big-integer terms 4q cells, as the integers grow with q."""
+    terms = sum(min(s, M) * (2 * M - min(s, M) + 1) // 2 for s in range(1, q + 1))
+    budget.current().charge(q * M * 8 * budget.CALL + terms * 4 * q, f"the size chain, M={M}")
+    return _size_chain(q, M)
+
+
 def _folds(M: int, checks) -> bool:
     """Whether ``run`` folds the size chain into the check tables of these
-    degrees: while the folded tables' sum(T) * M*(M+1) entries, priced
-    as gemv entries, cost no more than the chain product they remove,
-    one numpy call."""
-    entries = sum(comb(M + d - 2, d - 1) for d in checks) * M * (M + 1)
-    return entries <= _CALL_CELLS * _ENTRIES_PER_CELL
+    degrees: while the folded tables hold at most 2**12 entries, sum(T) *
+    M*(M+1), which cost no more than the chain product they remove (a
+    gemv call is worth ~2**12 entries of a small one)."""
+    return sum(comb(M + d - 2, d - 1) for d in checks) * M * (M + 1) <= 2**12
 
 
-@cache
 def _folded_check(field: GF, M: int, d_c: int, model: SumsetSizeModel):
     """(draws, folded matrix) of the check half with the size chain folded
     in: row t is row t of the check matrix times the chain, so weights @
-    folded is H(w) with its mass column.  The check matrix it is built
-    from is not kept, as the folded path never reads it; and it is built
-    row by row, as a 2-D product would pull in the BLAS's gemm buffer for
-    a table this small."""
-    draws, mat = _check_matrices.__wrapped__(field, M, d_c, model)
-    chain = _size_chain(field.q, M)
+    folded is H(w) with its mass column.  It is built row by row, as a
+    2-D product would pull in the BLAS's gemm buffer for a table this
+    small."""
+    draws, mat = _check_matrices(field, M, d_c, model)
+    chain = budget.table(_chain, field.q, M)
     folded = np.stack([np.dot(row, chain) for row in mat])
     folded.setflags(write=False)
     return draws, folded
@@ -195,12 +188,6 @@ def _mix(dist: np.ndarray, terms, out=None) -> np.ndarray:
         else:
             out += np.dot(weights, mat)
     return out
-
-
-def _scaled(pairs) -> list:
-    """(draws, scale * matrix) for each (scale, (draws, matrix)) pair: the
-    check half's degree fractions folded into its matrices once per run."""
-    return [(draws, scale * mat) for scale, (draws, mat) in pairs]
 
 
 def _variable_half(h: np.ndarray, terms, w_sum: float) -> np.ndarray:
@@ -243,8 +230,8 @@ def check_update(
     z = _size_vector(z, field.q, "z")
     if z[M:].any():
         raise ValueError("variable-to-check sizes cannot exceed M")
-    _charge(M, checks=[d_c])
-    return _mix(z, [_check_matrices(field, M, d_c, model)])
+    _iteration_cells(field.q, M, checks=[d_c])
+    return _mix(z, [budget.table(_check_matrices, field, M, d_c, model)])
 
 
 def variable_update(w: np.ndarray, d_v: int, channel: PartialErasureChannel) -> np.ndarray:
@@ -254,8 +241,8 @@ def variable_update(w: np.ndarray, d_v: int, channel: PartialErasureChannel) -> 
         raise ValueError("variable degree must be at least 2")
     q, M, eps = channel.field.q, channel.M, channel.epsilon
     w = _size_vector(w, q, "w")
-    _charge(M, variables=[d_v])
-    h = np.dot(w, _size_chain(q, M)).reshape(M, M + 1)
+    _iteration_cells(q, M, variables=[d_v])
+    h = np.dot(w, budget.table(_chain, q, M)).reshape(M, M + 1)
     z = _variable_half(h, [(d_v - 2, eps)], 1.0)
     z[0] += 1.0 - eps
     return np.pad(z[:M], (0, q - M))
@@ -296,17 +283,22 @@ class DeResult:
 def run(cfg: DeConfig) -> DeResult:
     """Iterate density evolution until the failure probability drops
     below ``convergence_tol``, a fixed point is detected, or
-    ``max_iters`` is reached."""
+    ``max_iters`` is reached.  The run takes as many iterations as the
+    open budget's cells allow and raises ValueError if it needs more;
+    its tables, and then its iterations, are charged to that budget."""
     ch = cfg.channel
     field, M, eps = ch.field, ch.M, ch.epsilon
 
     rho, lam = cfg.degrees.rho_coeffs, cfg.degrees.lambda_coeffs
-    _charge(M, checks=rho, variables=lam)
-    if _folds(M, rho):
-        tables, chain = _folded_check, None
-    else:
-        tables, chain = _check_matrices, _size_chain(field.q, M)
-    chk = _scaled((rho[d], tables(field, M, d, cfg.size_model)) for d in sorted(rho))
+    price = _iteration_cells(field.q, M, rho, lam)
+    with budget.scope() as spend:
+        if _folds(M, rho):
+            tables, chain = _folded_check, None
+        else:
+            tables, chain = _check_matrices, budget.table(_chain, field.q, M)
+        built = {d: budget.table(tables, field, M, d, cfg.size_model) for d in rho}
+    # the degree fractions folded into copies of the tables, once per run
+    chk = [(built[d][0], rho[d] * built[d][1]) for d in sorted(rho)]
     var = [(d - 2, eps * lam[d]) for d in sorted(lam)]
     h = np.empty((M, M + 1))  # H(w), rewritten in place each iteration
     h_out = h.reshape(-1)
@@ -320,8 +312,9 @@ def run(cfg: DeConfig) -> DeResult:
     drift = 0.0
     stop_reason = "max_iters"
     conv_tol, fp_tol = cfg.convergence_tol, cfg.fixed_point_tol
+    allowed = min(cfg.max_iters, spend.left // price)
 
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, allowed + 1):
         if converged:
             break
         # H(w) and, in its mass column, the check output's mass w_sum.
@@ -356,6 +349,10 @@ def run(cfg: DeConfig) -> DeResult:
 
     if converged:
         stop_reason = "converged"
+    # a run that spent its allowance without a verdict is charged one
+    # iteration more, which the budget cannot pay: it is refused
+    short = stop_reason == "max_iters" and allowed < cfg.max_iters
+    spend.charge((len(trajectory) - 1 + short) * price, f"density evolution at eps={eps}")
     mass_ok = drift <= 1e-9
     if not mass_ok:
         warnings.warn("density evolution lost probability mass beyond 1e-9")
@@ -396,23 +393,25 @@ def threshold_search(
     def converges(eps: float) -> bool:
         return run(replace(cfg, channel=cfg.channel.with_epsilon(eps))).converged
 
-    if check_monotone:
-        flags = [converges(e) for e in np.linspace(0.0, 1.0, 17)]
-        last_true = max((i for i, f in enumerate(flags) if f), default=-1)
-        first_false = next((i for i, f in enumerate(flags) if not f), len(flags))
-        if last_true > first_false:
-            warnings.warn(
-                "density-evolution convergence is not monotone in epsilon; "
-                "the bisection threshold may be unreliable"
-            )
+    # every probe draws on the search's budget
+    with budget.scope():
+        if check_monotone:
+            flags = [converges(e) for e in np.linspace(0.0, 1.0, 17)]
+            last_true = max((i for i, f in enumerate(flags) if f), default=-1)
+            first_false = next((i for i, f in enumerate(flags) if not f), len(flags))
+            if last_true > first_false:
+                warnings.warn(
+                    "density-evolution convergence is not monotone in epsilon; "
+                    "the bisection threshold may be unreliable"
+                )
 
-    if converges(1.0):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol_eps:
-        mid = 0.5 * (lo + hi)
-        if converges(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        if converges(1.0):
+            return 1.0
+        lo, hi = 0.0, 1.0
+        while hi - lo > tol_eps:
+            mid = 0.5 * (lo + hi)
+            if converges(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo

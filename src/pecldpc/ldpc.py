@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import budget
 from .gf import GF
 
 
@@ -49,6 +50,9 @@ class TannerGraph:
         self.m = int(m) if m is not None else int(ec.max()) + 1 if ec.size else 0
         if self.n < 0 or self.m < 0:
             raise ValueError(f"graph sizes must be nonnegative, got n={self.n}, m={self.m}")
+        # a node takes its degree, its slots and the decoder's per-node
+        # arrays, at most ~2**8 bytes, so BYTES holds 2**22 of each kind
+        budget.over(max(self.n, self.m), budget.BYTES >> 8, f"{self.n} variables, {self.m} checks")
         if ev.size and (ev.min() < 0 or ev.max() >= self.n):
             raise ValueError("variable index out of range")
         if ec.size and (ec.min() < 0 or ec.max() >= self.m):

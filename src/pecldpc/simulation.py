@@ -13,16 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import budget
 from .channel import PartialErasureChannel
 from .decoder import STATUS_SUCCESS, decode
 from .ldpc import build_regular
-
-# trials one run may ask for: a million resolve a frame error rate near
-# 1e-5 (ten failures) and take about four hours at q = 4, n = 10,000
-# (~14 ms a trial on one x86-64 core), so a larger count is refused
-# rather than left to run for days; the CLI caps a simulate command's
-# trials summed over its (M, eps) points the same way
-MAX_TRIALS = 10**6
+from .symbol_sets import set_bytes
 
 
 @dataclass
@@ -57,16 +52,25 @@ def run_trials(
     (d_v, d_c)-regular graph of ``n`` variables, and aggregate.
 
     Each trial runs on its own generator seeded by (seed, trial index),
-    so reports are reproducible regardless of execution order.
+    so reports are reproducible regardless of execution order.  A run is
+    refused (ValueError) before any graph is built when its trials or
+    its edge-message arrays would pass the work budget: n * d_v sets of
+    ``set_bytes(q)`` may take 2**-6 of ``budget.BYTES``, as a decode
+    peaks at 40-95 times that array (the graph, the other message
+    arrays, the pass temporaries and, above q = 12, the spectra).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if trials > MAX_TRIALS:
-        raise ValueError(f"{trials} trials exceed the limit of {MAX_TRIALS}")
+    # a trial costs four numpy calls at the least (its generator, graph,
+    # channel draw and decode): 2**20, which at q = 4, n = 10,000 (~14 ms
+    # a trial on one x86-64 core) take about four hours
+    budget.over(trials, budget.ITEMS, f"{trials} trials exceed what a run may ask")
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
     if n < 1:
         raise ValueError(f"need at least one variable node, got n={n}")
+    need = n * max(d_v, 0) * set_bytes(channel.field.q)
+    budget.over(need, budget.BYTES >> 6, f"n={n}, d_v={d_v}: {need} bytes per edge-message array")
 
     successes = 0
     total_iters = 0

@@ -14,9 +14,9 @@ this module provides
   the map S -> aS + b keeps a uniform operand uniform, so the sizes
   still to come have the same law below every partial sumset of one
   orbit.  The chain keeps one integer count per orbit, adds one operand
-  at a time through the field's set layout, and is charged against
-  DEFAULT_WORK_CAP as it runs; the Monte Carlo estimate stands in for
-  laws over that cap,
+  at a time through the field's set layout, and charges each step to
+  the work budget before it runs; the Monte Carlo estimate stands in
+  for laws over a sixteenth of the budget,
 * two absorbing-Markov-chain approximations driven by the coverage
   transition matrix: a per-sum occupancy model ("balls") and a
   per-translate model ("union"),
@@ -32,7 +32,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import KW_ONLY, dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import prod
 from numbers import Integral
@@ -40,27 +39,19 @@ from typing import Sequence
 
 import numpy as np
 
+from . import budget
 from .combinatorics import _law, _law_exact, binom, intersection_dist
 from .gf import GF
 from .symbol_sets import index_masks, mask_dtype, masks_to_planes, set_bytes, set_layout
 
-DEFAULT_WORK_CAP = 10**8
 DEFAULT_MC_SAMPLES = 10**6
-# bound on the (sample, element) cells the Monte Carlo law draws at once
-# (chunk rows times q, at least one row): each of a chunk's temporaries
-# holds one float or complex per cell, a few MB at every q
-_MC_CELLS = 1 << 18
-# bytes of the (samples, q) set array a Monte Carlo law keeps (samples
-# times set_bytes(q)); 256 MiB admits DEFAULT_MC_SAMPLES at every
-# q <= 256 (244 MiB of bool rows at q = 256) and refuses counts whose
-# array could never be allocated
-MAX_MC_SET_BYTES = 2**28
 
 MODEL_KINDS = ("exact", "bound-lower", "bound-upper", "balls", "union")
 
 
 class EnumerationBudgetError(RuntimeError):
-    """The exact law's orbit chain would exceed the work cap."""
+    """The exact law's orbit chain would take more than a sixteenth of the
+    work budget, which the Monte Carlo law can replace."""
 
 
 @dataclass(frozen=True)
@@ -113,10 +104,11 @@ def bound_dist(sizes: Sequence[int], field: GF, which: str) -> np.ndarray:
 # -- exact distribution ------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _orbit_step(field: GF, key: int, size: int) -> tuple[tuple[int, int], ...]:
     """(orbit key, count) of key + B over the size-``size`` subsets B of
     GF(q) that hold 0; by translation, their law is that over all of them.
+    Charged ``_step_cells`` to the open budget, which builds each step
+    once.
 
     The key of a set is the least mask among its images under the affine
     maps that send x to 0 and y to 1, over the ordered pairs of members
@@ -125,6 +117,7 @@ def _orbit_step(field: GF, key: int, size: int) -> tuple[tuple[int, int], ...]:
     set of an AGL(1, q) orbit.  A set of more than q/2 members takes the
     complement of its complement's key (the full set: the full mask)."""
     q, sets = field.q, set_layout(field)
+    budget.current().charge(_step_cells(key.bit_count(), size, q), "an orbit step")
     subsets = [(0, *c) for c in combinations(range(1, q), size - 1)]
     state = sets.encode(np.array([key], dtype=mask_dtype(q)))
     masks = sets.to_masks(sets.sumsets(state, sets.from_members(np.array(subsets))))
@@ -153,6 +146,17 @@ def _orbit_step(field: GF, key: int, size: int) -> tuple[tuple[int, int], ...]:
     return tuple(Counter(keys.tolist()).items())
 
 
+def _step_cells(a: int, s: int, q: int) -> int:
+    """Cells of one orbit step from a set of ``a`` members through its
+    C(q-1, s-1) size-``s`` subsets: 2**8 numpy calls for the step, and
+    for each subset 40 per field element for the sumset and 8 per cube of
+    the size k of the flipped sumset, whose ordered member pairs and their
+    images the key reads; k is taken as the size of a union of ``a``
+    uniform s-sets, m = q (1 - (1 - s/q)**a), or of its complement."""
+    m = q * (1 - (1 - s / q) ** a)
+    return 2**8 * budget.CALL + binom(q - 1, s - 1) * (40 * q + int(8 * min(m, q - m) ** 3))
+
+
 def _exact_counts(sizes: Sequence[int], field: GF) -> list[int]:
     """Operand choices by sumset size (length q, index size-1), from the
     orbit chain; EnumerationBudgetError as for ``exact_dist``."""
@@ -165,17 +169,16 @@ def _exact_counts(sizes: Sequence[int], field: GF) -> list[int]:
     t = tuple(s for s in _norm_sizes(sizes, q) if s > 1)
     # orbit key -> number of operand choices so far, from {0}
     state, work = Counter({1: 1}), 0
-    for s in t:
-        # q * q per (orbit, subset) pair, the cells of the character
-        # transform that forms one sumset of q-element rows; charged
-        # whether or not the step is memoized
-        work += len(state) * binom(q - 1, s - 1) * q * q
-        if work > DEFAULT_WORK_CAP:
-            raise EnumerationBudgetError(f"{t} in GF({q}): work cap ({DEFAULT_WORK_CAP}) exceeded")
-        nxt = Counter()
-        for key, count in state.items():
-            nxt.update({orbit: count * c for orbit, c in _orbit_step(field, key, s)})
-        state = nxt
+    with budget.scope():
+        for s in t:
+            # the law alone, every step priced as if built cold
+            work += sum(_step_cells(key.bit_count(), s, q) for key in state)
+            what = f"the chain of {t} in GF({q}): {work} cells, over work cap ({budget.CELLS}) / 16"
+            budget.over(work, budget.CELLS >> 4, what, EnumerationBudgetError)
+            nxt = Counter()
+            for key, count in state.items():
+                nxt.update({o: count * c for o, c in budget.table(_orbit_step, field, key, s)})
+            state = nxt
     counts = [0] * q
     for key, count in state.items():
         counts[key.bit_count() - 1] += count
@@ -194,12 +197,14 @@ def exact_dist(sizes: Sequence[int], field: GF) -> np.ndarray:
 
     Where ``sumset_bounds`` meet, the law is the point mass there and
     takes no step; otherwise operands of size 1 are translates and take
-    no step either.  Each step is charged q**2 per (orbit, subset) pair,
-    memoized or not, and the chain raises EnumerationBudgetError once the
-    charge exceeds ``DEFAULT_WORK_CAP`` (read at call time), so whether a
-    law is refused depends only on the sizes, q and the cap;
-    ``monte_carlo_dist`` estimates such laws.  Each entry is one integer division of counts,
-    the float of its rational.
+    no step either.  Each step is priced per (orbit, subset) pair by
+    ``_step_cells`` and charged to the work budget before it runs, once
+    per budget; the chain raises EnumerationBudgetError
+    once its steps would take more than a sixteenth of ``budget.CELLS``
+    (read at call time), so whether a law is refused depends only on the
+    sizes, q and the budget; ``monte_carlo_dist`` estimates such laws.
+    Each entry is one integer division of counts, the float of its
+    rational.
     """
     return _law(_exact_counts(sizes, field))
 
@@ -209,20 +214,19 @@ def monte_carlo_dist(
 ) -> np.ndarray:
     """Estimate of ``exact_dist`` from ``samples`` random assignments
     drawn from ``rng``; ValueError when their sets would take more than
-    MAX_MC_SET_BYTES."""
+    a quarter of ``budget.BYTES``, which leaves room for their sizes and
+    the draws' chunks."""
     q = field.q
     t = _norm_sizes(sizes, q)
     if not isinstance(samples, Integral) or samples < 1:
         raise ValueError(f"monte_carlo needs a whole number of samples, at least 1, got {samples!r}")
     need = samples * set_bytes(q)
-    if need > MAX_MC_SET_BYTES:
-        raise ValueError(
-            f"{samples} Monte Carlo samples need {need} bytes of sets "
-            f"over GF({q}), above the limit of {MAX_MC_SET_BYTES}"
-        )
+    budget.over(need, budget.BYTES >> 2, f"{samples} Monte Carlo samples: {need} bytes of sets")
     sets = set_layout(field)
     acc = sets.zero_sets(samples)  # {0}, the sumset identity
-    rows = max(1, _MC_CELLS // q)
+    # chunks of BYTES >> 12 (sample, element) cells, at least one row:
+    # each of a chunk's temporaries holds one float or complex per cell
+    rows = max(1, (budget.BYTES >> 12) // q)
     for s in t:
         # draws in row chunks: consecutive rng.random calls continue one
         # stream, so the samples are those of a single (samples, q) call
@@ -239,8 +243,14 @@ def monte_carlo_dist(
 # -- Markov coverage models --------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _coverage_matrix_cached(step: int, q: int) -> np.ndarray:
+def coverage_transition_matrix(step: int, q: int) -> np.ndarray:
+    """Transition matrix of the covered-bin count when one random
+    step-sized subset is unioned into a current i-subset of a q-set.
+
+    Entry [i-1, j-1] is the probability of moving from i covered bins to
+    j = i + step - |overlap|; rows are stochastic, the matrix is upper
+    triangular in the state order 1..q, and state q is absorbing.
+    """
     if not 1 <= step <= q:
         raise ValueError(f"step {step} outside [1, {q}]")
     gamma = np.zeros((q, q))
@@ -253,28 +263,20 @@ def _coverage_matrix_cached(step: int, q: int) -> np.ndarray:
     return gamma
 
 
-def coverage_transition_matrix(step: int, q: int) -> np.ndarray:
-    """Transition matrix of the covered-bin count when one random
-    step-sized subset is unioned into a current i-subset of a q-set.
-
-    Entry [i-1, j-1] is the probability of moving from i covered bins to
-    j = i + step - |overlap|; rows are stochastic, the matrix is upper
-    triangular in the state order 1..q, and state q is absorbing.
-    """
-    return _coverage_matrix_cached(step, q).copy()
-
-
-@lru_cache(maxsize=None)
 def _chain_state(step: int, length: int, q: int) -> np.ndarray:
     """Row `step` of the coverage matrix power (length-1): occupancy
-    distribution after `length` random step-subsets."""
+    distribution after `length` random step-subsets.  Each step, a
+    q x q product and a compare, is charged five numpy calls and q*q
+    matrix entries before it runs."""
     v = np.zeros(q)
     v[step - 1] = 1.0
-    gamma = _coverage_matrix_cached(step, q)
-    for _ in range(length - 1):
-        # a step that returns its input would return it ever after
-        if np.array_equal(v, v := v @ gamma):
-            break
+    gamma = budget.table(coverage_transition_matrix, step, q)
+    with budget.scope() as spend:
+        for _ in range(length - 1):
+            spend.charge(5 * budget.CALL + q * q // budget.ENTRIES, "a coverage-walk step")
+            # a step that returns its input would return it ever after
+            if (v == (v := v @ gamma)).all():
+                break
     return v
 
 
@@ -283,7 +285,7 @@ def occupancy_dist(n_balls: int, q: int) -> np.ndarray:
     independent uniform throws into q bins."""
     if n_balls < 1:
         raise ValueError("need at least one ball")
-    return _chain_state(1, n_balls, q).copy()
+    return budget.table(_chain_state, 1, n_balls, q).copy()
 
 
 def _truncate_renorm(g: np.ndarray, lower: int) -> np.ndarray:
@@ -302,7 +304,7 @@ def _coverage_dist(sizes: Sequence[int], field: GF, batched: bool) -> np.ndarray
     if b.lower == b.upper:
         return _delta(field.q, b.lower)
     d = t[-1] if batched else 1
-    return _truncate_renorm(_chain_state(d, prod(t) // d, field.q), b.lower)
+    return _truncate_renorm(budget.table(_chain_state, d, prod(t) // d, field.q), b.lower)
 
 
 def balls_dist(sizes: Sequence[int], field: GF) -> np.ndarray:
@@ -325,7 +327,7 @@ class SumsetSizeModel:
     """Names one sumset-size law: `kind` is one of MODEL_KINDS.  With an
     ``mc_seed``, the exact law falls back to ``mc_samples`` Monte Carlo
     draws seeded by (mc_seed, q, sizes) where the exact law is over its
-    work cap.
+    share of the work budget.
     A model is a value: equal models give equal laws."""
 
     kind: str
@@ -344,11 +346,7 @@ class SumsetSizeModel:
             raise ValueError(f"mc_seed must be an integer or None, got {self.mc_seed!r}")
         # no set takes fewer than set_bytes(2) bytes, so a count over
         # this is refused by monte_carlo_dist at every field
-        if self.mc_samples * set_bytes(2) > MAX_MC_SET_BYTES:
-            raise ValueError(
-                f"mc_samples {self.mc_samples} exceeds the Monte Carlo limit of "
-                f"{MAX_MC_SET_BYTES} bytes of sets at every field"
-            )
+        budget.over(self.mc_samples * set_bytes(2), budget.BYTES >> 2, "set bytes at every field")
 
     def distribution(self, sizes: Sequence[int], field: GF) -> np.ndarray:
         """A fresh length-q law of the sumset size for ``sizes``."""

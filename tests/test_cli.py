@@ -116,9 +116,9 @@ def test_pm_table_exact_anchor(tmp_path):
 
 
 def test_pm_table_monte_carlo_above_q64(tmp_path):
-    # the exact law of (3, 3) at q=128 is over the work cap (its first
-    # step alone charges C(127, 2) * 128**2 > 10**8), so --mc-samples
-    # samples it
+    # the exact law of (3, 3) at q=128 is over its share of the work
+    # budget (its second step alone charges C(127, 2) pairs from each of
+    # 21 orbits), so --mc-samples samples it
     code, text = run_cli(
         ["pm-table", "--q", "128", "--sizes", "3,3", "--model", "exact", "--mc-samples", "1000"],
         tmp_path,
@@ -512,17 +512,42 @@ def test_exact_law_runs_bounded(q, sizes, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "q, sizes, model",
-    [(256, "50,50,50,50,50", "union"), (64, "16,16,16,16,16", "balls"), (256, "2,128", "union")],
+    "q, sizes, model, codes",
+    [(256, "50,50,50,50,50", "union", (0,)), (64, "16,16,16,16,16", "balls", (0,)),
+     (256, "2,128", "union", (0,)), (256, "50,50,50,50,50", "balls", (0, 2, 3))],
+    ids=["256-50,50,50,50,50-union", "64-16,16,16,16,16-balls", "256-2,128-union",
+         "256-50,50,50,50,50-balls"],
 )
-def test_coverage_models_run_bounded(q, sizes, model):
+def test_coverage_models_run_bounded(q, sizes, model, codes):
     # 50**4 batches of 50 and 16**5 balls: the coverage walk stops at the
     # first step that leaves its vector unchanged, where it once walked
     # every step (still running at 30 s, and 6.2 s); the 256 x 256
     # coverage matrix for batches of 128 took over 10 s when its
-    # pairwise counts came from an inclusion-exclusion
+    # pairwise counts came from an inclusion-exclusion.  50**5 balls at
+    # q=256 walk 190,351 steps before one returns its input (~5 s), so
+    # each step is charged to the work budget
     code, err = _run_limited(["pm-table", "--q", str(q), "--sizes", sizes, "--model", model])
-    assert code == 0, err
+    assert code in codes, err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # 816 exact laws, each under the law's share of the budget: the
+        # table is charged to one budget, not to 816
+        "--q 16 --M 16 --dv 3 --dc 4 --model exact",
+        # the check matmul (T*q) and forming H(w) (q*M*(M+1)) each iteration
+        "--q 256 --M 128 --dv 3 --dc 3 --model bound-upper",
+        # the coverage walks of 5,984 laws
+        "--q 64 --M 32 --dv 3 --dc 4 --model balls",
+        "--q 256 --M 2 --dv 3 --dc 362 --model union",
+    ],
+)
+def test_threshold_overruns_bounded(args):
+    # products no single factor's cap saw: each ran 8 s to minutes
+    # before every costly path charged one work budget
+    code, err = _run_limited(["threshold", *args.split()])
+    assert code in (0, 2, 3) and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,18 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from fractions import Fraction
-from functools import cache
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pecldpc
 from pecldpc import (
     GF,
     MODEL_KINDS,
@@ -221,7 +225,7 @@ def test_variable_update_matches_float_reference(q, M):
     ],
     ids=["2-3", "3-5", "unfolded"],
 )
-def test_mixture_iterations_match_float_reference(M, lam, rho, entries):
+def test_mixture_iterations_match_float_reference(M, lam, rho, entries, monkeypatch):
     # two-degree mixtures on both sides at q=16: two full iterations of
     # run against the ordered-tuple halves mixed by hand; the 3-5 mixture
     # has a gap between its variable degrees.  run folds the size chain
@@ -230,6 +234,9 @@ def test_mixture_iterations_match_float_reference(M, lam, rho, entries):
     # folded path and regular (3,4) at M=8 keeps the chain product
     import pecldpc.density_evolution as de_mod
 
+    folded = []
+    build = de_mod._folded_check
+    monkeypatch.setattr(de_mod, "_folded_check", lambda *a: folded.append(a) or build(*a))
     folds = entries <= 2**12
     assert sum(math.comb(M + d - 2, d - 1) for d in rho) * M * (M + 1) == entries
     assert de_mod._folds(M, rho) is folds
@@ -240,10 +247,9 @@ def test_mixture_iterations_match_float_reference(M, lam, rho, entries):
         ch, DegreeDistribution(lam, rho), model,
         max_iters=2, convergence_tol=0.0, fixed_point_tol=0.0,
     )
-    de_mod._folded_check.cache_clear()
     got = [pe for _, pe in run(cfg).trajectory]
     # the folded tables are built, once per check degree, only when run folds
-    assert de_mod._folded_check.cache_info().currsize == (len(rho) if folds else 0)
+    assert len(folded) == (len(rho) if folds else 0)
     z = initial_vtc_dist(ch)
     want = [1.0 - z[0]]
     for _ in range(2):
@@ -320,16 +326,12 @@ def test_run_reports_mass_drift(monkeypatch):
         draws, mat = built(*args)
         return draws, 1.001 * mat
 
-    monkeypatch.setattr(de_mod, "_check_matrices", cache(leaky))
+    monkeypatch.setattr(de_mod, "_check_matrices", leaky)
     # q=5, M=5, d_c=6 folds the chain into the check table, so the
-    # folded table is rebuilt from the leaky one
+    # folded table is built from the leaky one
     assert de_mod._folds(5, [6])
-    de_mod._folded_check.cache_clear()
-    try:
-        with pytest.warns(UserWarning, match="lost probability mass"):
-            r = run(bec_cfg(5, 0.4))
-    finally:
-        de_mod._folded_check.cache_clear()
+    with pytest.warns(UserWarning, match="lost probability mass"):
+        r = run(bec_cfg(5, 0.4))
     assert not r.mass_ok
     assert r.mass_drift == pytest.approx(1e-3, rel=1e-6)
 
@@ -342,13 +344,11 @@ def test_run_reports_variable_mass_drift(monkeypatch):
     law = de_mod.common_member_intersection_dist
     monkeypatch.setattr(de_mod, "common_member_intersection_dist", lambda *a: 1.001 * law(*a))
     de_mod._size_chain.cache_clear()
-    de_mod._folded_check.cache_clear()
     try:
         with pytest.warns(UserWarning, match="lost probability mass"):
             r = run(bec_cfg(5, 0.4))
     finally:
         de_mod._size_chain.cache_clear()
-        de_mod._folded_check.cache_clear()
     assert not r.mass_ok
     assert r.mass_drift == pytest.approx(1e-3, rel=1e-6)
 
@@ -506,41 +506,40 @@ def test_size_chain_matches_oracle(q):
 
 def test_de_matrices_built_once_and_read_only():
     import pecldpc.density_evolution as de_mod
+    from pecldpc import budget
 
     f, model = GF(4), SumsetSizeModel("exact")
     tuples, counts, multinom = de_mod._weight_tables(2, 5)
     assert isinstance(tuples, tuple)
-    assert de_mod._check_matrices(f, 2, 6, model) is de_mod._check_matrices(f, 2, 6, model)
-    assert de_mod._size_chain(4, 2) is de_mod._size_chain(4, 2)
-    assert de_mod._size_chain(4, 3) is not de_mod._size_chain(4, 2)
-    mats = (*de_mod._check_matrices(f, 2, 6, model), de_mod._size_chain(4, 2))
-    for arr in (counts, multinom, *mats):
+    # the tables are built once per work budget, and each budget builds
+    # its own
+    with budget.scope():
+        check = budget.table(de_mod._check_matrices, f, 2, 6, model)
+        chain = budget.table(de_mod._size_chain, 4, 2)
+        assert budget.table(de_mod._check_matrices, f, 2, 6, model) is check
+        assert budget.table(de_mod._size_chain, 4, 2) is chain
+        assert budget.table(de_mod._size_chain, 4, 3) is not chain
+        # the memo keys on the model's value: an equal model shares the
+        # check matrices, another kind gets its own
+        assert budget.table(de_mod._check_matrices, f, 2, 6, SumsetSizeModel("exact")) is check
+        assert budget.table(de_mod._check_matrices, f, 2, 6, SumsetSizeModel("union")) is not check
+    assert budget.table(de_mod._check_matrices, f, 2, 6, model) is not check
+    for arr in (counts, multinom, *check, chain):
         with pytest.raises(ValueError):
             arr[0] = 0
-    # the memo keys on the model's value: an equal model shares the check
-    # matrices, another kind gets its own
-    assert de_mod._check_matrices(f, 2, 6, SumsetSizeModel("exact")) is (
-        de_mod._check_matrices(f, 2, 6, model)
-    )
-    assert de_mod._check_matrices(f, 2, 6, SumsetSizeModel("union")) is not (
-        de_mod._check_matrices(f, 2, 6, model)
-    )
     # the folded check tables likewise, per field, M, degree and model
     # value: each row is its check matrix row times the size chain, the
     # draws are the check matrices' own, and the table is read-only
-    draws, folded = de_mod._folded_check(f, 2, 6, model)
-    assert de_mod._folded_check(f, 2, 6, model) is de_mod._folded_check(f, 2, 6, model)
-    assert de_mod._folded_check(f, 2, 6, SumsetSizeModel("exact")) is (
-        de_mod._folded_check(f, 2, 6, model)
-    )
-    assert de_mod._folded_check(f, 2, 6, SumsetSizeModel("union")) is not (
-        de_mod._folded_check(f, 2, 6, model)
-    )
-    assert de_mod._folded_check(f, 2, 5, model) is not de_mod._folded_check(f, 2, 6, model)
-    assert de_mod._folded_check(f, 3, 6, model) is not de_mod._folded_check(f, 2, 6, model)
-    assert de_mod._folded_check(GF(5), 2, 6, model) is not de_mod._folded_check(f, 2, 6, model)
-    assert draws is de_mod._check_matrices(f, 2, 6, model)[0]
-    mat, chain = de_mod._check_matrices(f, 2, 6, model)[1], de_mod._size_chain(4, 2)
+    with budget.scope():
+        draws, folded = budget.table(de_mod._folded_check, f, 2, 6, model)
+        for other in [
+            (f, 2, 6, SumsetSizeModel("union")), (f, 2, 5, model), (f, 3, 6, model),
+            (GF(5), 2, 6, model),
+        ]:
+            assert budget.table(de_mod._folded_check, *other)[1] is not folded
+        assert budget.table(de_mod._folded_check, f, 2, 6, SumsetSizeModel("exact"))[1] is folded
+    assert draws is check[0]
+    mat = check[1]
     assert folded.shape == (mat.shape[0], 2 * 3)
     np.testing.assert_allclose(folded, mat @ chain, rtol=1e-15, atol=0)
     with pytest.raises(ValueError):
@@ -742,3 +741,65 @@ def test_threshold_warns_on_non_monotone_convergence(monkeypatch):
     with pytest.warns(UserWarning, match="not monotone"):
         th = de_mod.threshold_search(bec_cfg(2, 0.0), check_monotone=True)
     assert th > 0.0
+
+
+# calls that the work budget refuses or admits: exact laws (refused by
+# their share of the budget), coverage walks (refused by the step that
+# would pass it) and threshold searches (refused by the probe that would)
+_BUDGET_CASES = """
+import pecldpc
+from pecldpc import GF, DeConfig, DegreeDistribution, PartialErasureChannel, SumsetSizeModel
+from pecldpc import balls_dist, exact_dist, threshold_search, union_model_dist
+
+
+def search(q, M, kind):
+    cfg = DeConfig(PartialErasureChannel(GF(q), M, 0.0), DegreeDistribution.regular(3, 6),
+                   SumsetSizeModel(kind))
+    return threshold_search(cfg, check_monotone=True)
+
+
+def outcomes():
+    calls = [
+        lambda: exact_dist((4, 4, 4), GF(16)).tolist(),
+        lambda: exact_dist((2, 2), GF(5)).tolist(),
+        lambda: union_model_dist((9, 9, 9, 9), GF(256)).tolist(),
+        lambda: balls_dist((16, 16, 16, 16, 16), GF(64)).tolist(),
+        lambda: search(4, 2, "exact"),
+        lambda: search(8, 3, "union"),
+        lambda: search(16, 4, "exact"),
+    ]
+    out = []
+    for call in calls:
+        try:
+            out.append(repr(call()))
+        except (ValueError, pecldpc.EnumerationBudgetError) as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+"""
+
+
+def test_refusals_do_not_depend_on_caches(monkeypatch):
+    # at a small budget the same inputs are refused, with the same
+    # message, in a fresh process and in one whose caches (the orbit
+    # steps, the intersection counts, the draw tables) are warm from the
+    # same calls at the default budget; what is admitted stays admitted,
+    # with the default budget's answer
+    cells = 20_000_000
+    cases = {}
+    exec(_BUDGET_CASES, cases)
+    default = cases["outcomes"]()
+    assert not any("Error" in o for o in default), default
+    src = Path(pecldpc.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    script = _BUDGET_CASES + f"pecldpc.budget.CELLS = {cells}\nprint(*outcomes(), sep='\\n')\n"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    fresh = proc.stdout.splitlines()
+    monkeypatch.setattr(pecldpc.budget, "CELLS", cells)
+    assert cases["outcomes"]() == fresh
+    refused = [o.split(":")[0] for o in fresh if "Error" in o]
+    assert sorted(refused) == ["EnumerationBudgetError"] * 2 + ["ValueError"] * 2, fresh
+    assert [o for o in fresh if "Error" not in o] == [
+        d for d, o in zip(default, fresh) if "Error" not in o
+    ]

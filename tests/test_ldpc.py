@@ -190,3 +190,10 @@ def test_degree_distribution_validation():
     with pytest.raises(ValueError):
         DegreeDistribution({3: 1.5, 4: -0.5}, {6: 1.0})  # negative fraction
     DegreeDistribution({2: 0.4, 3: 0.6}, {5: 0.25, 6: 0.75})  # valid irregular
+
+
+def test_from_text_refuses_oversized_header():
+    # the header sizes the per-node arrays before any edge is read, so a
+    # graph of more nodes than the byte budget holds is refused first
+    with pytest.raises(ValueError, match="checks, above the limit"):
+        TannerGraph.from_text("4 3 100000000000\n0 0 1\n")

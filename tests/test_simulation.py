@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pecldpc
 from pecldpc import GF, PartialErasureChannel, build_regular, decode, run_trials
 
 from oracles import random_codeword, translate_mask
@@ -136,3 +142,30 @@ def test_nonzero_codeword_decodes_like_zero_word(q):
                     ]
         if word.status == "success":
             assert [s.mask for s in word.estimate] == [1 << cv for cv in c]
+
+
+_LIMITED_TRIALS = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from pecldpc import GF, PartialErasureChannel, run_trials
+try:
+    run_trials(PartialErasureChannel(GF(4), 2, 0.5), n=10**9, d_v=3, d_c=6, trials=1,
+               max_iters=10, seed=0)
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_run_trials_refuses_oversized_runs():
+    # the bounds the CLI had, now in the library: the edge-message array
+    # of n=10**9 is refused before any graph is built (in a child process
+    # under a 1 GiB limit, where an unchecked allocation would fail), and
+    # a trial count beyond the cell budget before any trial runs
+    src = Path(pecldpc.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _LIMITED_TRIALS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "edge-message array" in proc.stdout
+    with pytest.raises(ValueError, match="trials exceed"):
+        run_trials(channel(4, 2, 0.5), n=12, d_v=3, d_c=6, trials=10**12, max_iters=10, seed=0)

@@ -154,7 +154,7 @@ def test_exact_q16_laws_match_monte_carlo(sizes):
 
 
 def test_exact_budget_cap(monkeypatch):
-    monkeypatch.setattr(pecldpc.sumset_models, "DEFAULT_WORK_CAP", 10)
+    monkeypatch.setattr(pecldpc.budget, "CELLS", 10)
     with pytest.raises(EnumerationBudgetError, match=r"work cap \(10\)"):
         exact_dist([4, 4, 4], GF(8))
 
@@ -223,15 +223,17 @@ def test_monte_carlo_needs_samples():
 
 def test_monte_carlo_samples_capped():
     ss = pecldpc.sumset_models
-    # the default sample count fits at every field
-    assert ss.DEFAULT_MC_SAMPLES * set_bytes(256) <= ss.MAX_MC_SET_BYTES
+    # the sampled sets may take a quarter of the byte budget, and the
+    # default sample count fits at every field
+    set_cap = pecldpc.budget.BYTES // 4
+    assert ss.DEFAULT_MC_SAMPLES * set_bytes(256) <= set_cap
     # 10**8 samples of 16-byte sets: refused before any is drawn
     with pytest.raises(ValueError, match="above the limit"):
         monte_carlo_dist((2, 2), GF(16), 10**8, np.random.default_rng(1))
     # a count over the cap at the smallest set size is refused by the model
-    SumsetSizeModel("exact", mc_samples=ss.MAX_MC_SET_BYTES // 2)
+    SumsetSizeModel("exact", mc_samples=set_cap // 2)
     with pytest.raises(ValueError, match="at every field"):
-        SumsetSizeModel("exact", mc_samples=ss.MAX_MC_SET_BYTES // 2 + 1)
+        SumsetSizeModel("exact", mc_samples=set_cap // 2 + 1)
 
 
 # ---------------------------------------------------------
@@ -382,9 +384,9 @@ def test_model_calls_module_level_laws(monkeypatch):
 
 def test_exact_model_mc_fallback(monkeypatch):
     f = GF(5)
-    # the reference law is computed under the default cap
+    # the reference law is computed under the default budget
     want = exact_dist([2, 2], f)
-    monkeypatch.setattr(pecldpc.sumset_models, "DEFAULT_WORK_CAP", 10)
+    monkeypatch.setattr(pecldpc.budget, "CELLS", 10)
     with pytest.raises(EnumerationBudgetError):
         SumsetSizeModel("exact").distribution([2, 2], f)
     fallback = SumsetSizeModel("exact", mc_samples=50_000, mc_seed=3)
