@@ -44,18 +44,14 @@ class PartialErasureChannel:
         return PartialErasureChannel(self.field, self.M, epsilon)
 
     def transmit(self, x: int, rng: np.random.Generator) -> SymbolSet:
-        """One channel use: {x} or a uniform M-superset of x."""
-        q = self.field.q
-        if not 0 <= x < q:
-            raise ValueError(f"symbol {x} outside GF({q})")
-        if rng.random() >= self.epsilon:
-            return SymbolSet(self.field, (x,))
-        others = [e for e in range(q) if e != x]
-        companions = rng.choice(len(others), size=self.M - 1, replace=False)
-        mask = 1 << x
-        for idx in companions:
-            mask |= 1 << others[int(idx)]
-        return SymbolSet.from_mask(self.field, mask)
+        """One channel use: {x} or a uniform M-superset of x, drawn as
+        the output for a zero symbol translated by x (a uniform set
+        holding x is x plus a uniform set holding 0)."""
+        f = self.field
+        if not 0 <= x < f.q:
+            raise ValueError(f"symbol {x} outside GF({f.q})")
+        zero = SymbolSet.from_mask(f, int(self.transmit_zero_word(1, rng)[0]))
+        return SymbolSet(f, (f.add(x, e) for e in zero))
 
     def transmit_zero_word(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Channel outputs for an all-zero codeword as a bitmask array,

@@ -6,15 +6,15 @@ a chain that meets one set at a time: a size-s set meets a fixed i-set
 in exactly j members in binom(i, j) * binom(q - i, s - j) ways, so each
 step is a sum of positive terms.  Probabilities are ratios of those
 counts, available both as exact `Fraction` vectors and as float vectors
-for the density-evolution loops, each entry one integer division.  The
-counts are the only memo, keyed on the sorted size tuple, since callers
-re-query the same tuples.
+for the density-evolution loops, each entry one integer division.
+Nothing here is memoized: the callers that re-read laws keep what they
+build (density evolution its size chain, the coverage models their
+matrices).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from typing import Sequence
 
@@ -37,7 +37,6 @@ def _norm(sizes: Sequence[int], q: int) -> tuple[int, ...]:
     return t
 
 
-@lru_cache(maxsize=None)
 def _counts(sizes: tuple[int, ...], q: int) -> tuple[int, ...]:
     # the smallest set alone: binom(q, mu) choices, each its own
     # intersection; then meet one more set at a time

@@ -70,6 +70,7 @@ from .gf import GF
 from .ldpc import DegreeDistribution
 from .sumset_models import SumsetSizeModel
 
+CONVERGENCE_TOL = 1e-10
 FIXED_POINT_TOL = 1e-13
 
 
@@ -136,9 +137,12 @@ def _size_chain(q: int, M: int) -> np.ndarray:
     is the float sum of those M chances, the row's mass."""
     chain = np.zeros((q, M, M + 1))
     for s in range(1, q + 1):
-        for i in range(1, M + 1):
-            law = common_member_intersection_dist((i, s), q)
-            chain[s - 1, i - 1, : len(law) - 1] = law[1:]
+        # the law of (i, s) is the law of (s, i): each pair is met once
+        for i in range(1, min(s, M) + 1):
+            law = common_member_intersection_dist((i, s), q)[1:]
+            chain[s - 1, i - 1, : len(law)] = law
+            if s <= M:
+                chain[i - 1, s - 1, : len(law)] = law
     chain[:, :, M] = chain[:, :, :M].sum(axis=2)
     chain = chain.reshape(q, M * (M + 1))
     chain.setflags(write=False)
@@ -148,7 +152,8 @@ def _size_chain(q: int, M: int) -> np.ndarray:
 def _chain(q: int, M: int) -> np.ndarray:
     """``_size_chain(q, M)``, kept for the process but charged as a cold
     build: each of its q*M laws eight numpy calls, and each of a law's
-    min(i, s) big-integer terms 4q cells, as the integers grow with q."""
+    min(i, s) big-integer terms 4q cells, as the integers grow with q
+    (the build meets a pair with both sizes at most M once, not twice)."""
     terms = sum(min(s, M) * (2 * M - min(s, M) + 1) // 2 for s in range(1, q + 1))
     budget.current().charge(q * M * 8 * budget.CALL + terms * 4 * q, f"the size chain, M={M}")
     return _size_chain(q, M)
@@ -250,13 +255,16 @@ def variable_update(w: np.ndarray, d_v: int, channel: PartialErasureChannel) -> 
 
 @dataclass
 class DeConfig:
+    """One density-evolution run: ``run`` stops when the failure
+    probability falls below ``CONVERGENCE_TOL``, on a stable non-trivial
+    fixed point (a step below ``FIXED_POINT_TOL``), or after
+    ``max_iters`` iterations.  The two tolerances are module constants,
+    read on every call."""
+
     channel: PartialErasureChannel
     degrees: DegreeDistribution
     size_model: SumsetSizeModel
     max_iters: int = 2000
-    convergence_tol: float = 1e-10
-    # stop early on a stable non-trivial fixed point; 0 disables
-    fixed_point_tol: float = FIXED_POINT_TOL
 
 
 @dataclass
@@ -282,7 +290,7 @@ class DeResult:
 
 def run(cfg: DeConfig) -> DeResult:
     """Iterate density evolution until the failure probability drops
-    below ``convergence_tol``, a fixed point is detected, or
+    below ``CONVERGENCE_TOL``, a fixed point is detected, or
     ``max_iters`` is reached.  The run takes as many iterations as the
     open budget's cells allow and raises ValueError if it needs more;
     its tables, and then its iterations, are charged to that budget."""
@@ -307,16 +315,15 @@ def run(cfg: DeConfig) -> DeResult:
     z = initial_vtc_dist(ch)[:M]
     pe = 1.0 - z.item(0)
     trajectory = [(0, pe)]
-    converged = pe < cfg.convergence_tol
     monotone = True
     drift = 0.0
-    stop_reason = "max_iters"
-    conv_tol, fp_tol = cfg.convergence_tol, cfg.fixed_point_tol
+    conv_tol, fp_tol = CONVERGENCE_TOL, FIXED_POINT_TOL
+    stop_reason = "converged" if pe < conv_tol else "max_iters"
     allowed = min(cfg.max_iters, spend.left // price)
 
-    for it in range(1, allowed + 1):
-        if converged:
-            break
+    it = 0
+    while stop_reason == "max_iters" and it < allowed:
+        it += 1
         # H(w) and, in its mass column, the check output's mass w_sum.
         # Mass is conserved exactly in exact arithmetic, but the
         # per-multiset products amplify float drift exponentially, so
@@ -341,14 +348,11 @@ def run(cfg: DeConfig) -> DeResult:
         if new_pe > pe + 1e-12:
             monotone = False
         if new_pe < conv_tol:
-            converged = True
-        elif fp_tol > 0 and abs(new_pe - pe) < fp_tol:
+            stop_reason = "converged"
+        elif abs(new_pe - pe) < fp_tol:
             stop_reason = "fixed_point"
-            break
         pe = new_pe
 
-    if converged:
-        stop_reason = "converged"
     # a run that spent its allowance without a verdict is charged one
     # iteration more, which the budget cannot pay: it is refused
     short = stop_reason == "max_iters" and allowed < cfg.max_iters
@@ -359,7 +363,7 @@ def run(cfg: DeConfig) -> DeResult:
     if not monotone:
         warnings.warn("failure probability increased across an iteration")
     return DeResult(
-        converged=converged,
+        converged=stop_reason == "converged",
         iterations=len(trajectory) - 1,
         trajectory=trajectory,
         stop_reason=stop_reason,

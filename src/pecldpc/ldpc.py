@@ -83,9 +83,6 @@ class TannerGraph:
             slots.flags.writeable = False
         self._slots = (chk_slots, var_slots)
 
-    def edges_of_check(self, j: int) -> np.ndarray:
-        return np.flatnonzero(self.edge_chk == j)
-
     def check_satisfied(self, assignment, j: int) -> bool:
         """True iff the label-weighted GF(q) sum over check j is zero."""
         assignment = np.asarray(assignment)
@@ -93,7 +90,7 @@ class TannerGraph:
             raise ValueError(f"assignment must have length {self.n}")
         f = self.field
         acc = 0
-        for e in self.edges_of_check(j):
+        for e in np.flatnonzero(self.edge_chk == j):
             acc = f.add(acc, f.mul(int(self.edge_label[e]), int(assignment[self.edge_var[e]])))
         return acc == 0
 
@@ -211,11 +208,3 @@ class DegreeDistribution:
     @classmethod
     def regular(cls, d_v: int, d_c: int) -> "DegreeDistribution":
         return cls({d_v: 1.0}, {d_c: 1.0})
-
-    @property
-    def max_var_degree(self) -> int:
-        return max(self.lambda_coeffs)
-
-    @property
-    def max_chk_degree(self) -> int:
-        return max(self.rho_coeffs)

@@ -14,6 +14,7 @@ from math import comb, prod
 import numpy as np
 import pytest
 
+import pecldpc.density_evolution as de_mod
 from pecldpc import (
     GF,
     DeConfig,
@@ -94,15 +95,17 @@ def test_criterion_01_capacity():
 @criterion(2, "M=q reduces to the scalar erasure recursion; threshold 0.4294")
 def test_criterion_02_bec_reduction():
     for q in (2, 4, 5):
-        cfg = de_config(
-            q, q, 0.0, max_iters=200, convergence_tol=0.0, fixed_point_tol=0.0
-        )
-        for eps in (0.35, 0.4294, 0.5):
-            r = run(replace(cfg, channel=cfg.channel.with_epsilon(eps)))
-            oracle = bec_trajectory(eps, 3, 6, 200)
-            assert len(r.trajectory) == 201
-            for (_, got), want in zip(r.trajectory, oracle):
-                assert abs(got - want) <= 1e-12
+        cfg = de_config(q, q, 0.0, max_iters=200)
+        # no early stop: every trajectory runs its 200 iterations
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(de_mod, "CONVERGENCE_TOL", 0.0)
+            mp.setattr(de_mod, "FIXED_POINT_TOL", 0.0)
+            for eps in (0.35, 0.4294, 0.5):
+                r = run(replace(cfg, channel=cfg.channel.with_epsilon(eps)))
+                oracle = bec_trajectory(eps, 3, 6, 200)
+                assert len(r.trajectory) == 201
+                for (_, got), want in zip(r.trajectory, oracle):
+                    assert abs(got - want) <= 1e-12
         th = threshold_search(de_config(q, q, 0.0))
         assert abs(th - 0.4294) <= 1e-3
         assert abs(th - bec_threshold(3, 6)) <= 2e-4

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import pecldpc.density_evolution as de_mod
 from pecldpc import (
     GF,
     DeConfig,
@@ -117,7 +118,7 @@ def test_decode_agrees_with_public_op_reference():
 # ---------------------------------------------------------
 # irregular degrees, M=q: matches the polynomial recursion
 # ---------------------------------------------------------
-def test_irregular_bec_reduction_termwise():
+def test_irregular_bec_reduction_termwise(monkeypatch):
     lam = {2: 0.5, 3: 0.5}
     rho = {5: 0.3, 6: 0.7}
     eps = 0.45
@@ -127,9 +128,9 @@ def test_irregular_bec_reduction_termwise():
         DegreeDistribution(lam, rho),
         SumsetSizeModel("exact"),
         max_iters=150,
-        convergence_tol=0.0,
-        fixed_point_tol=0.0,
     )
+    monkeypatch.setattr(de_mod, "CONVERGENCE_TOL", 0.0)
+    monkeypatch.setattr(de_mod, "FIXED_POINT_TOL", 0.0)
     r = run(cfg)
 
     def lam_poly(x):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import pecldpc
+import pecldpc.density_evolution as de_mod
 from pecldpc import (
     GF,
     MODEL_KINDS,
@@ -243,10 +244,9 @@ def test_mixture_iterations_match_float_reference(M, lam, rho, entries, monkeypa
     f, eps = GF(16), 0.6
     model = SumsetSizeModel("balls")
     ch = PartialErasureChannel(f, M, eps)
-    cfg = DeConfig(
-        ch, DegreeDistribution(lam, rho), model,
-        max_iters=2, convergence_tol=0.0, fixed_point_tol=0.0,
-    )
+    cfg = DeConfig(ch, DegreeDistribution(lam, rho), model, max_iters=2)
+    monkeypatch.setattr(de_mod, "CONVERGENCE_TOL", 0.0)
+    monkeypatch.setattr(de_mod, "FIXED_POINT_TOL", 0.0)
     got = [pe for _, pe in run(cfg).trajectory]
     # the folded tables are built, once per check degree, only when run folds
     assert len(folded) == (len(rho) if folds else 0)
@@ -361,10 +361,14 @@ def test_run_stop_reasons():
     r = run(bec_cfg(4, 0.6))
     assert not r.converged and r.stop_reason == "fixed_point"
     assert r.iterations < 2000
-    for cfg in (bec_cfg(4, 0.6, max_iters=5), bec_cfg(4, 0.6, fixed_point_tol=0.0, max_iters=300)):
-        r = run(cfg)
-        assert not r.converged and r.stop_reason == "max_iters"
-        assert r.iterations == cfg.max_iters
+    r = run(bec_cfg(4, 0.6, max_iters=5))
+    assert not r.converged and r.stop_reason == "max_iters"
+    assert r.iterations == 5
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(de_mod, "FIXED_POINT_TOL", 0.0)
+        r = run(bec_cfg(4, 0.6, max_iters=300))
+    assert not r.converged and r.stop_reason == "max_iters"
+    assert r.iterations == 300
     # a run that would converge, but needs more than the budget
     assert run(bec_cfg(4, 0.42, max_iters=10)).stop_reason == "max_iters"
 
@@ -399,9 +403,10 @@ def test_run_trajectory_pinned(case, want):
     assert r.mass_ok and r.monotone
 
 
-def test_bec_reduction_termwise():
-    cfg = bec_cfg(2, 0.41, max_iters=200, convergence_tol=0.0, fixed_point_tol=0.0)
-    r = run(cfg)
+def test_bec_reduction_termwise(monkeypatch):
+    monkeypatch.setattr(de_mod, "CONVERGENCE_TOL", 0.0)
+    monkeypatch.setattr(de_mod, "FIXED_POINT_TOL", 0.0)
+    r = run(bec_cfg(2, 0.41, max_iters=200))
     want = bec_trajectory(0.41, 3, 6, 200)
     assert len(r.trajectory) == 201
     for (it, got), expect in zip(r.trajectory, want):
@@ -419,7 +424,7 @@ def test_mixture_degrees_accepted():
     assert r.converged and r.mass_ok
 
 
-def test_irregular_mixture_matches_hand_mix():
+def test_irregular_mixture_matches_hand_mix(monkeypatch):
     # one update step of a two-degree mixture equals the convex
     # combination of the single-degree updates
     f = GF(4)
@@ -431,8 +436,9 @@ def test_irregular_mixture_matches_hand_mix():
     )
     deg = DegreeDistribution({3: 1.0}, {4: 0.25, 6: 0.75})
     ch = PartialErasureChannel(f, M, 0.5)
-    cfg = DeConfig(ch, deg, model, max_iters=1, convergence_tol=0.0, fixed_point_tol=0.0)
-    r = run(cfg)
+    monkeypatch.setattr(de_mod, "CONVERGENCE_TOL", 0.0)
+    monkeypatch.setattr(de_mod, "FIXED_POINT_TOL", 0.0)
+    r = run(DeConfig(ch, deg, model, max_iters=1))
     # reproduce iteration 1 by hand: z0 -> mixed w -> variable update
     z0 = initial_vtc_dist(ch)
     w = 0.25 * check_update(z0, 4, model, f, M) + 0.75 * check_update(z0, 6, model, f, M)
@@ -454,17 +460,16 @@ ORACLE_ENSEMBLES = {  # (lambda, rho), exact in binary floating point
 
 @pytest.mark.parametrize("q", [3, 4])
 @pytest.mark.parametrize("ensemble", ORACLE_ENSEMBLES)
-def test_run_matches_exact_rational_oracle(q, ensemble):
+def test_run_matches_exact_rational_oracle(q, ensemble, monkeypatch):
     # bounds the float path's drift: five iterations with renormalisation
     # against exact rational density evolution over ordered size tuples
     lam, rho = ORACLE_ENSEMBLES[ensemble]
     M, eps = 2, Fraction(1, 2)
     deg = DegreeDistribution(*({d: float(f) for d, f in c.items()} for c in (lam, rho)))
     ch = PartialErasureChannel(GF(q), M, float(eps))
-    cfg = DeConfig(
-        ch, deg, SumsetSizeModel("exact"), max_iters=5, convergence_tol=0.0, fixed_point_tol=0.0
-    )
-    got = [pe for _, pe in run(cfg).trajectory]
+    monkeypatch.setattr(de_mod, "CONVERGENCE_TOL", 0.0)
+    monkeypatch.setattr(de_mod, "FIXED_POINT_TOL", 0.0)
+    got = [pe for _, pe in run(DeConfig(ch, deg, SumsetSizeModel("exact"), max_iters=5)).trajectory]
     want = exact_de_trajectory(GF(q), M, eps, lam, rho, 5)
     assert len(got) == len(want) == 6
     assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
@@ -502,6 +507,20 @@ def test_size_chain_matches_oracle(q):
                     want = float(law[j]) if j < len(law) else 0.0
                     assert row[j - 1] == want, (M, s, i, j)
                 assert row[M] == row[:M].sum(), (M, s, i)
+
+
+@pytest.mark.parametrize("q, M", [(4, 1), (4, 4), (9, 3), (16, 5), (32, 32)])
+def test_size_chain_meets_each_pair_once(q, M, monkeypatch):
+    # the law of (i, s) is the law of (s, i), so a cold build reads each
+    # unordered size pair once: q*M pairs less the M(M-1)/2 repeats
+    law = de_mod.common_member_intersection_dist
+    calls = []
+    monkeypatch.setattr(
+        de_mod, "common_member_intersection_dist", lambda *a: calls.append(a) or law(*a)
+    )
+    de_mod._size_chain.__wrapped__(q, M)
+    assert len(calls) == q * M - M * (M - 1) // 2
+    assert len({tuple(sorted(sizes)) for sizes, _ in calls}) == len(calls)
 
 
 def test_de_matrices_built_once_and_read_only():

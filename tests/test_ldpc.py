@@ -179,7 +179,6 @@ def test_degree_distribution_regular():
     d = DegreeDistribution.regular(3, 6)
     assert d.lambda_coeffs == {3: 1.0}
     assert d.rho_coeffs == {6: 1.0}
-    assert (d.max_var_degree, d.max_chk_degree) == (3, 6)
 
 
 def test_degree_distribution_validation():
