@@ -44,13 +44,22 @@ variable term's scale eps*lambda_d is multiplied by (1/w_sum)**(d-1),
 one factor per product along H(w), and the output is divided by its
 mass once, its size-1 entry recomputed from the same floats.
 
-The check tables are built once per work budget (``budget``): a
-threshold search builds them for its first probe, and a model is a
-value, so equal models share them.  The size chain is kept for the
-process and charged once per budget as if it were built.  ``run`` folds the
-check degree fractions into copies of them once per call.  Each table
-and every probe's iterations are charged to the budget before they are
-computed.
+A run that cannot converge is ended by a proof.  The map F is monotone
+in stochastic order once its tables pass an order check (a check law
+rises with each incoming size, the size chain's laws with both sizes),
+so a law y below the current iterate with F(y) above y bounds every
+later failure probability from below by pe(y) (see ``run``).  A run
+whose tables fail the check (a Monte Carlo law, say) says so in
+``DeResult.certifiable`` and stops by the other rules alone.
+
+The check tables, and the order verdicts on them and on the size chain,
+are built once per work budget (``budget``): a threshold search builds
+them for its first probe, and a model is a value, so equal models share
+them.  The size chain is kept for the process and charged once per
+budget as if it were built.  ``run`` folds the check degree fractions
+into copies of the tables once per call.  Each table, each order check
+and every probe's map evaluations are charged to the budget before they
+are computed.
 """
 
 from __future__ import annotations
@@ -72,6 +81,21 @@ from .sumset_models import SumsetSizeModel
 
 CONVERGENCE_TOL = 1e-10
 FIXED_POINT_TOL = 1e-13
+# the divergence certificate is tried once a step of the failure
+# probability falls below CERTIFY_TOL, and then every fourth iteration
+CERTIFY_TOL = 1e-4
+# a certified point's successor lies this far above it in every CDF
+# entry; a table is ordered up to ORDER_SLACK, its CDFs' rounding
+CERTIFY_MARGIN = 1e-13
+ORDER_SLACK = 1e-15
+
+
+def stochastically_le(a, b, margin: float = 0.0) -> bool:
+    """Whether every law in ``a`` lies below its law in ``b`` in
+    stochastic order, the laws running along the last axis: each CDF
+    entry of a is at least b's plus ``margin`` (a negative margin is a
+    slack)."""
+    return bool((np.cumsum(a, axis=-1) >= np.cumsum(b, axis=-1) + margin).all())
 
 
 def _iteration_cells(q: int, M: int, checks=(), variables=()) -> int:
@@ -128,6 +152,29 @@ def _check_matrices(field: GF, M: int, d_c: int, model: SumsetSizeModel):
     return draws, mat
 
 
+def _check_ordered(field: GF, M: int, d_c: int, model: SumsetSizeModel) -> bool:
+    """Whether raising any one draw of a multiset by one never lowers the
+    check table's law in stochastic order.  Raising the last draw of each
+    size keeps a multiset sorted, so those steps are all of them, and in
+    the lexicographic order of the multisets, raising draw j (size s) of
+    k = d_c - 1 moves C(M - s + k - j - 2, k - j - 1) rows down.  Each
+    draw is charged eight numpy calls and each law entry compared 8
+    cells (two gathers, two sums and a comparison)."""
+    k = d_c - 1
+    _, draws, multinom = _weight_tables(M, k)
+    laws = budget.table(_check_matrices, field, M, d_c, model)[1]
+    # the multisets whose draw j is the last of its size, below M
+    lows = [np.flatnonzero(draws[j] < (draws[j + 1] if j + 1 < k else M - 1)) for j in range(k)]
+    pairs = sum(map(len, lows))
+    budget.current().charge(k * 8 * budget.CALL + pairs * field.q * 8, f"the order of {pairs} laws")
+    laws = laws / multinom[:, None]
+    for j, low in enumerate(lows):
+        rows = np.array([comb(M - s + k - j - 3, k - j - 1) for s in range(M - 1)], dtype=np.intp)
+        if not stochastically_le(laws[low], laws[low + rows[draws[j, low]]], -ORDER_SLACK):
+            return False
+    return True
+
+
 @cache
 def _size_chain(q: int, M: int) -> np.ndarray:
     """H_1..H_q as one (q, M*(M+1)) array of M blocks of M+1 entries:
@@ -151,12 +198,24 @@ def _size_chain(q: int, M: int) -> np.ndarray:
 
 def _chain(q: int, M: int) -> np.ndarray:
     """``_size_chain(q, M)``, kept for the process but charged as a cold
-    build: each of its q*M laws eight numpy calls, and each of a law's
-    min(i, s) big-integer terms 4q cells, as the integers grow with q
-    (the build meets a pair with both sizes at most M once, not twice)."""
-    terms = sum(min(s, M) * (2 * M - min(s, M) + 1) // 2 for s in range(1, q + 1))
-    budget.current().charge(q * M * 8 * budget.CALL + terms * 4 * q, f"the size chain, M={M}")
+    build of the laws it computes, one per unordered size pair (i <= s,
+    i <= M), q*M - M(M-1)/2 of them: each eight numpy calls, and each of
+    a law's i big-integer terms 4q cells, as the integers grow with q."""
+    laws = q * M - M * (M - 1) // 2
+    terms = sum(min(s, M) * (min(s, M) + 1) // 2 for s in range(1, q + 1))
+    budget.current().charge(laws * 8 * budget.CALL + terms * 4 * q, f"the size chain, M={M}")
     return _size_chain(q, M)
+
+
+def _chain_ordered(q: int, M: int) -> bool:
+    """Whether the size chain's laws H_{s,i} rise in stochastic order with
+    the incoming size s and with the message size i.  Each of the q*M*M
+    entries, compared twice, is charged 16 cells."""
+    budget.current().charge(q * M * M * 16, f"the order of the size chain, M={M}")
+    laws = budget.table(_chain, q, M).reshape(q, M, M + 1)[:, :, :M]
+    return stochastically_le(laws[:-1], laws[1:], -ORDER_SLACK) and stochastically_le(
+        laws[:, :-1], laws[:, 1:], -ORDER_SLACK
+    )
 
 
 def _folds(M: int, checks) -> bool:
@@ -173,7 +232,7 @@ def _folded_check(field: GF, M: int, d_c: int, model: SumsetSizeModel):
     folded is H(w) with its mass column.  It is built row by row, as a
     2-D product would pull in the BLAS's gemm buffer for a table this
     small."""
-    draws, mat = _check_matrices(field, M, d_c, model)
+    draws, mat = budget.table(_check_matrices, field, M, d_c, model)
     chain = budget.table(_chain, field.q, M)
     folded = np.stack([np.dot(row, chain) for row in mat])
     folded.setflags(write=False)
@@ -253,13 +312,33 @@ def variable_update(w: np.ndarray, d_v: int, channel: PartialErasureChannel) -> 
     return np.pad(z[:M], (0, q - M))
 
 
+def _below(older: np.ndarray, old: np.ndarray, z: np.ndarray, M: int):
+    """A size law y below z in stochastic order, a step along the last
+    three iterates past their limit, or None if their steps do not
+    shrink.  With C the CDF of z over sizes 1..M-1 and d = C - C(old),
+    rho = max|d| / max|C(old) - C(older)|; y's CDF is the running maximum
+    of min(max(C, C + t*d), 1) for t = 1.5*rho/(1-rho) + 1, a geometric
+    step beyond the limit of steps shrinking by rho, and the inner max
+    keeps y below z where d has an entry below 0."""
+    c = np.cumsum([older[: M - 1], old[: M - 1], z[: M - 1]], axis=1)
+    d = np.diff(c, axis=0)
+    prev, top = np.abs(d).max(axis=1).tolist()
+    if not top < prev:
+        return None
+    t = 1.5 * (top / prev) / (1.0 - top / prev) + 1.0
+    # max(C, C + t*d) is C + max(t*d, 0), bit for bit
+    cdf = np.maximum.accumulate(np.minimum(c[2] + np.maximum(t * d[1], 0.0), 1.0))
+    return np.diff(cdf, prepend=0.0, append=1.0)
+
+
 @dataclass
 class DeConfig:
     """One density-evolution run: ``run`` stops when the failure
     probability falls below ``CONVERGENCE_TOL``, on a stable non-trivial
-    fixed point (a step below ``FIXED_POINT_TOL``), or after
-    ``max_iters`` iterations.  The two tolerances are module constants,
-    read on every call."""
+    fixed point (a step below ``FIXED_POINT_TOL``), when a certificate
+    proves that it cannot converge (tried once a step falls below
+    ``CERTIFY_TOL``), or after ``max_iters`` iterations.  The
+    tolerances are module constants, read on every call."""
 
     channel: PartialErasureChannel
     degrees: DegreeDistribution
@@ -272,10 +351,14 @@ class DeResult:
     """``trajectory`` records (iteration, failure probability = P(size
     of a variable-to-check message > 1)).  ``stop_reason`` says which
     stop rule ended the run: ``"converged"``, ``"fixed_point"`` (a
-    stable non-trivial fixed point) or ``"max_iters"`` (the iteration
-    budget ran out first).  ``monotone`` and ``mass_ok`` flag the runtime
-    sanity checks (warned about, never silently dropped); ``mass_drift``
-    is the largest |mass - 1| of either half's output before it was
+    stable non-trivial fixed point), ``"certified"`` (a proof that the
+    run cannot converge) or ``"max_iters"`` (the iteration budget ran
+    out first).  ``certifiable`` says whether the run's tables passed
+    the order check, so that the certificate was tried; a table that
+    fails it (a noisy Monte Carlo law, say) leaves the run to the other
+    rules.  ``monotone`` and ``mass_ok`` flag the runtime sanity checks
+    (warned about, never silently dropped); ``mass_drift`` is the
+    largest |mass - 1| of either half's output before it was
     renormalised, each mass read from the size chain's mass column, and
     ``mass_ok`` is ``mass_drift <= 1e-9``."""
 
@@ -283,6 +366,7 @@ class DeResult:
     iterations: int
     trajectory: list[tuple[int, float]]
     stop_reason: str
+    certifiable: bool = True
     monotone: bool = True
     mass_ok: bool = True
     mass_drift: float = 0.0
@@ -290,10 +374,28 @@ class DeResult:
 
 def run(cfg: DeConfig) -> DeResult:
     """Iterate density evolution until the failure probability drops
-    below ``CONVERGENCE_TOL``, a fixed point is detected, or
-    ``max_iters`` is reached.  The run takes as many iterations as the
-    open budget's cells allow and raises ValueError if it needs more;
-    its tables, and then its iterations, are charged to that budget."""
+    below ``CONVERGENCE_TOL``, a fixed point is detected, divergence is
+    certified, or ``max_iters`` is reached.  The run takes as many map
+    evaluations as the open budget's cells allow and raises ValueError if
+    it needs more; its tables, and then its evaluations (iterations and
+    certificate tries alike), are charged to that budget.
+
+    The certificate.  The map F is monotone in stochastic order when its
+    tables pass the order check: a check law rises with each incoming
+    size (``_check_ordered``), the size chain's laws H_{s,i} rise with s
+    and i (``_chain_ordered``), and mixing with the fixed (1-eps) e_1
+    keeps order (Richardson and Urbanke, Modern Coding Theory, ch. 3-4,
+    argue the same for degraded channels).  So if y <=st z_l and F(y)
+    >=st y, then z_{l+k} >=st F^k(y) >=st y for every k: the failure
+    probability never falls below pe(y), and if pe(y) > 10 *
+    ``CONVERGENCE_TOL`` the run cannot converge.  Once a step of the
+    failure probability falls below ``CERTIFY_TOL``, every fourth
+    iteration builds y from the last three iterates (``_below``) and
+    certifies if CDF(F(y)) <= CDF(y) - ``CERTIFY_MARGIN`` on every size
+    1..M-1.  The margin, 1e-13, stands against float error: F sums a few
+    products over M <= 4 entries on de-sweep, off by ~1e-15, and the
+    tables are ordered up to ``ORDER_SLACK`` = 1e-15.  Runs whose
+    tables fail the check are never certified."""
     ch = cfg.channel
     field, M, eps = ch.field, ch.M, ch.epsilon
 
@@ -305,32 +407,25 @@ def run(cfg: DeConfig) -> DeResult:
         else:
             tables, chain = _check_matrices, budget.table(_chain, field.q, M)
         built = {d: budget.table(tables, field, M, d, cfg.size_model) for d in rho}
+        certifiable = budget.table(_chain_ordered, field.q, M) and all(
+            budget.table(_check_ordered, field, M, d, cfg.size_model) for d in rho
+        )
     # the degree fractions folded into copies of the tables, once per run
     chk = [(built[d][0], rho[d] * built[d][1]) for d in sorted(rho)]
     var = [(d - 2, eps * lam[d]) for d in sorted(lam)]
-    h = np.empty((M, M + 1))  # H(w), rewritten in place each iteration
+    h = np.empty((M, M + 1))  # H(w), rewritten in place each evaluation
     h_out = h.reshape(-1)
     clean = 1.0 - eps
 
-    z = initial_vtc_dist(ch)[:M]
-    pe = 1.0 - z.item(0)
-    trajectory = [(0, pe)]
-    monotone = True
-    drift = 0.0
-    conv_tol, fp_tol = CONVERGENCE_TOL, FIXED_POINT_TOL
-    stop_reason = "converged" if pe < conv_tol else "max_iters"
-    allowed = min(cfg.max_iters, spend.left // price)
-
-    it = 0
-    while stop_reason == "max_iters" and it < allowed:
-        it += 1
-        # H(w) and, in its mass column, the check output's mass w_sum.
-        # Mass is conserved exactly in exact arithmetic, but the
-        # per-multiset products amplify float drift exponentially, so
-        # both halves are renormalised by their measured mass, as floats:
-        # H(w) inside the variable terms' scales, z by one division with
-        # its size-1 entry redone from the same float.  z keeps its mass
-        # in entry M, which no draw reads
+    def step(z):
+        # F(z) and the masses of its halves.  H(w) carries, in its mass
+        # column, the check output's mass w_sum.  Mass is conserved
+        # exactly in exact arithmetic, but the per-multiset products
+        # amplify float drift exponentially, so both halves are
+        # renormalised by their measured mass, as floats: H(w) inside the
+        # variable terms' scales, z by one division with its size-1 entry
+        # redone from the same float.  z keeps its mass in entry M, which
+        # no draw reads
         if chain is None:
             _mix(z, chk, h_out)
         else:
@@ -338,12 +433,31 @@ def run(cfg: DeConfig) -> DeResult:
         w_sum = h.item(M - 1, M)
         zz = _variable_half(h, var, w_sum)
         z_sum = zz.item(M) + clean
-        z = zz / z_sum
-        p1 = (zz.item(0) + clean) / z_sum
-        z[0] = p1
+        out = zz / z_sum
+        out[0] = (zz.item(0) + clean) / z_sum
+        return out, w_sum, z_sum
+
+    z = initial_vtc_dist(ch)[:M]
+    pe = 1.0 - z.item(0)
+    trajectory = [(0, pe)]
+    monotone = True
+    drift = 0.0
+    conv_tol, fp_tol, cert_tol = CONVERGENCE_TOL, FIXED_POINT_TOL, CERTIFY_TOL
+    stop_reason = "converged" if pe < conv_tol else "max_iters"
+    left = spend.left // price  # map evaluations the budget affords
+    allowed = min(cfg.max_iters, left)
+    # the first try needs three iterates
+    next_try = 2 if certifiable else cfg.max_iters + 1
+
+    it = tries = 0
+    old = z
+    while stop_reason == "max_iters" and it < allowed:
+        it += 1
+        older, old = old, z
+        z, w_sum, z_sum = step(z)
         drift = max(drift, abs(w_sum - 1.0), abs(z_sum - 1.0))
 
-        new_pe = 1.0 - p1
+        new_pe = 1.0 - z.item(0)
         trajectory.append((it, new_pe))
         if new_pe > pe + 1e-12:
             monotone = False
@@ -351,12 +465,22 @@ def run(cfg: DeConfig) -> DeResult:
             stop_reason = "converged"
         elif abs(new_pe - pe) < fp_tol:
             stop_reason = "fixed_point"
+        elif it >= next_try and abs(new_pe - pe) < cert_tol and it + tries < left:
+            next_try = it + 4
+            y = _below(older, old, z, M)
+            if y is not None:
+                tries += 1
+                allowed = min(allowed, left - tries)
+                if 1.0 - y.item(0) > 10 * conv_tol and stochastically_le(
+                    y[: M - 1], step(y)[0][: M - 1], CERTIFY_MARGIN
+                ):
+                    stop_reason = "certified"
         pe = new_pe
 
     # a run that spent its allowance without a verdict is charged one
-    # iteration more, which the budget cannot pay: it is refused
-    short = stop_reason == "max_iters" and allowed < cfg.max_iters
-    spend.charge((len(trajectory) - 1 + short) * price, f"density evolution at eps={eps}")
+    # evaluation more, which the budget cannot pay: it is refused
+    short = stop_reason == "max_iters" and it < cfg.max_iters
+    spend.charge((it + tries + short) * price, f"density evolution at eps={eps}")
     mass_ok = drift <= 1e-9
     if not mass_ok:
         warnings.warn("density evolution lost probability mass beyond 1e-9")
@@ -364,9 +488,10 @@ def run(cfg: DeConfig) -> DeResult:
         warnings.warn("failure probability increased across an iteration")
     return DeResult(
         converged=stop_reason == "converged",
-        iterations=len(trajectory) - 1,
+        iterations=it,
         trajectory=trajectory,
         stop_reason=stop_reason,
+        certifiable=certifiable,
         monotone=monotone,
         mass_ok=mass_ok,
         mass_drift=drift,

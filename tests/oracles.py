@@ -250,3 +250,30 @@ def occupancy_exact(n_balls: int, q: int) -> list[Fraction]:
         )
         out.append(Fraction(comb(q, m) * surj, q**n_balls))
     return out
+
+
+def brute_stochastically_le(a, b, margin=0.0) -> bool:
+    """Whether law ``a`` lies below law ``b`` in stochastic order: every
+    partial sum of a is at least b's plus ``margin``, all in exact
+    rationals (each float converted exactly)."""
+    margin = Fraction(margin)
+    cdf_a = cdf_b = Fraction(0)
+    for x, y in zip(a, b, strict=True):
+        cdf_a += Fraction(x)
+        cdf_b += Fraction(y)
+        if cdf_a < cdf_b + margin:
+            return False
+    return True
+
+
+def multiset_raises(max_size: int, k: int) -> list[tuple[tuple, tuple]]:
+    """Every (t, u): t a sorted k-tuple of sizes 1..max_size and u the
+    sorted tuple with one of t's draws raised by one."""
+    tuples = {t for t in product(range(1, max_size + 1), repeat=k) if list(t) == sorted(t)}
+    out = set()
+    for t in tuples:
+        for j in range(k):
+            u = tuple(sorted(t[:j] + (t[j] + 1,) + t[j + 1 :]))
+            if u in tuples:
+                out.add((t, u))
+    return sorted(out)

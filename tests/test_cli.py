@@ -481,7 +481,7 @@ def test_large_field_size_chain_runs_bounded():
                               "--model", "bound-upper"])
     assert code == 0, err
     # a variable step at M=128 is priced budget.CALL + M(M+1)/budget.ENTRIES
-    # cells, and the whole search charges ~94% of budget.CELLS
+    # cells, and the whole search charges ~81% of budget.CELLS
     code, err = _run_limited(["threshold", "--q", "256", "--M", "128", "--dv", "3", "--dc", "2",
                               "--model", "bound-upper"])
     assert code == 0, err

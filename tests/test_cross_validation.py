@@ -131,7 +131,9 @@ def test_irregular_bec_reduction_termwise(monkeypatch):
     )
     monkeypatch.setattr(de_mod, "CONVERGENCE_TOL", 0.0)
     monkeypatch.setattr(de_mod, "FIXED_POINT_TOL", 0.0)
+    monkeypatch.setattr(de_mod, "CERTIFY_TOL", 0.0)
     r = run(cfg)
+    assert r.iterations == 150
 
     def lam_poly(x):
         return sum(frac * x ** (d - 1) for d, frac in lam.items())

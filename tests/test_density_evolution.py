@@ -32,7 +32,14 @@ from pecldpc import (
 from pecldpc.combinatorics import common_member_intersection_dist
 from pecldpc.symbol_sets import set_layout
 
-from oracles import bec_threshold, bec_trajectory, brute_common_member_dist, exact_de_trajectory
+from oracles import (
+    bec_threshold,
+    bec_trajectory,
+    brute_common_member_dist,
+    brute_stochastically_le,
+    exact_de_trajectory,
+    multiset_raises,
+)
 
 
 def bec_cfg(q, eps, **kw):
@@ -305,7 +312,8 @@ def test_run_no_erasures_converges_immediately():
 
 def test_run_full_erasure_pinned():
     r = run(bec_cfg(4, 1.0, max_iters=50))
-    assert not r.converged
+    # an exact fixed point: the step is 0, so no certificate is tried
+    assert not r.converged and r.stop_reason == "fixed_point"
     assert all(pe == 1.0 for _, pe in r.trajectory)
 
 
@@ -357,15 +365,23 @@ def test_run_stop_reasons():
     assert run(bec_cfg(4, 0.0)).stop_reason == "converged"
     r = run(bec_cfg(4, 0.3))
     assert r.converged and r.stop_reason == "converged"
-    # above the BEC threshold 0.4294 the failure probability settles
+    # above the BEC threshold 0.4294 the failure probability settles:
+    # a certificate proves it within a few iterations, and without the
+    # certificate the step falls below FIXED_POINT_TOL
     r = run(bec_cfg(4, 0.6))
-    assert not r.converged and r.stop_reason == "fixed_point"
-    assert r.iterations < 2000
-    r = run(bec_cfg(4, 0.6, max_iters=5))
+    assert not r.converged and r.stop_reason == "certified" and r.certifiable
+    assert r.iterations < 10
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(de_mod, "CERTIFY_TOL", 0.0)
+        r = run(bec_cfg(4, 0.6))
+        assert not r.converged and r.stop_reason == "fixed_point"
+        assert r.iterations < 2000
+        r = run(bec_cfg(4, 0.6, max_iters=5))
     assert not r.converged and r.stop_reason == "max_iters"
     assert r.iterations == 5
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(de_mod, "FIXED_POINT_TOL", 0.0)
+        mp.setattr(de_mod, "CERTIFY_TOL", 0.0)
         r = run(bec_cfg(4, 0.6, max_iters=300))
     assert not r.converged and r.stop_reason == "max_iters"
     assert r.iterations == 300
@@ -383,14 +399,19 @@ TRAJECTORY_PINS = [
     ((16, 4, "balls", 0.76507568359375, {3: 1.0}, {6: 1.0}),
      (353, "converged", "f727f3afd037713fe72406ce56440b6119e8730c5c7b4de7664f3ebff0e70512")),
     ((4, 2, "union", 0.85089111328125 + 2**-14, {3: 1.0}, {6: 1.0}),
-     (1613, "fixed_point", "177a590b9e3329eba03a5791d32a466c8238999faa96cf95c34af8d7fc52fb00")),
+     (73, "certified", "32536b1171c6c6f3f8f1f6e80ae0bb1cdd414cfd11949ac1014de7999136479b")),
     ((8, 3, "union", 0.6, {2: 0.3, 3: 0.7}, {5: 0.4, 6: 0.6}),
      (20, "converged", "16483a185e9f79b651fd0905404a4a6e9d354a010c5c8712fd0bfb13b3afc2d4")),
+    # above the threshold 0.5242, with tables too large to fold the chain
+    ((16, 8, "bound-upper", 0.53, {3: 1.0}, {6: 1.0}),
+     (21, "certified", "cf22cca8783c805fd04ba10867fccec75270fe42c470683c25942050cac29bf5")),
 ]
 
 
 @pytest.mark.parametrize(
-    "case, want", TRAJECTORY_PINS, ids=["q8-exact", "q16-balls", "q4-union", "q8-irregular"]
+    "case, want",
+    TRAJECTORY_PINS,
+    ids=["q8-exact", "q16-balls", "q4-union", "q8-irregular", "q16-unfolded"],
 )
 def test_run_trajectory_pinned(case, want):
     # thresholds only see each probe's converged flag; this pins every
@@ -570,6 +591,137 @@ def test_de_matrices_built_once_and_read_only():
 
 
 # ---------------------------------------------------------
+# Stochastic order and the divergence certificate
+# ---------------------------------------------------------
+def test_stochastic_order_matches_oracle():
+    # dyadic laws, so the float CDFs are exact and the two must agree
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3, 5, 8):
+        for margin in (0.0, 1 / 128, -1 / 128):
+            for _ in range(60):
+                a, b = (rng.integers(0, 5, (3, n)) / 64 for _ in range(2))
+                if rng.random() < 0.5:  # nearly ordered pairs, ties among them
+                    b = np.maximum(a - rng.integers(0, 2, (3, n)) / 64, 0)
+                want = all(brute_stochastically_le(x, y, margin) for x, y in zip(a, b))
+                assert de_mod.stochastically_le(a, b, margin) is want
+                assert de_mod.stochastically_le(a[0], b[0], margin) is (
+                    brute_stochastically_le(a[0], b[0], margin)
+                )
+
+
+@pytest.mark.parametrize("M, d_c", [(2, 2), (2, 6), (3, 4), (4, 6), (5, 3), (3, 8)])
+def test_check_order_compares_every_raise(M, d_c, monkeypatch):
+    # with multiset t's law a point mass at t's own row index, each pair
+    # of laws the order check compares names its two multisets: every
+    # raise of one draw by one is compared, and nothing else
+    tuples, draws, multinom = de_mod._weight_tables(M, d_c - 1)
+    eye = multinom[:, None] * np.eye(len(tuples))
+    monkeypatch.setattr(de_mod, "_check_matrices", lambda *a: (draws, eye))
+    seen, order = [], de_mod.stochastically_le
+
+    def recording(a, b, margin=0.0):
+        seen.extend(zip(a.argmax(axis=1).tolist(), b.argmax(axis=1).tolist()))
+        return order(a, b, margin)
+
+    monkeypatch.setattr(de_mod, "stochastically_le", recording)
+    assert de_mod._check_ordered(GF(8), M, d_c, SumsetSizeModel("union"))
+    assert sorted((tuples[i], tuples[j]) for i, j in seen) == multiset_raises(M, d_c - 1)
+
+
+def test_unordered_tables_turn_certification_off(monkeypatch):
+    # one check law moved 1e-3 toward size 1 is below a law it must lie
+    # above; a size-chain law likewise.  Either turns the certificate off,
+    # and the run stops as it does without one
+    ch = PartialErasureChannel(GF(4), 2, 0.9)
+    cfg = DeConfig(ch, DegreeDistribution.regular(3, 6), SumsetSizeModel("exact"))
+    r = run(cfg)
+    assert r.stop_reason == "certified" and r.certifiable
+    built, chain = de_mod._check_matrices, de_mod._size_chain
+
+    def lowered_check(*args):
+        draws, mat = built(*args)
+        mat = mat.copy()
+        mat[-1] += mat[-1].sum() * 1e-3 * (np.eye(4)[0] - np.eye(4)[3])
+        return draws, mat
+
+    def lowered_chain(q, M):
+        out = chain(q, M).copy()
+        out[0, :2] += [-1e-3, 1e-3]  # H_{1,1}: mass from size 1 to 2
+        return out
+
+    for name, lowered in (("_check_matrices", lowered_check), ("_size_chain", lowered_chain)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(de_mod, name, lowered)
+            r = run(cfg)
+            mp.setattr(de_mod, "CERTIFY_TOL", 0.0)
+            plain = run(cfg)
+        assert not r.certifiable and r.stop_reason in ("fixed_point", "max_iters"), name
+        assert (r.trajectory, r.stop_reason) == (plain.trajectory, plain.stop_reason)
+
+
+def test_certificate_tries_are_charged(monkeypatch):
+    # each F(y) the certificate evaluates costs one iteration's cells
+    from pecldpc import budget
+
+    tries, below = [], de_mod._below
+    monkeypatch.setattr(de_mod, "_below", lambda *a: tries.append(a) or below(*a))
+    cfg = bec_cfg(4, 0.6)
+    price = de_mod._iteration_cells(4, 4, cfg.degrees.rho_coeffs, cfg.degrees.lambda_coeffs)
+    with budget.scope() as spend:
+        run(cfg)  # builds the tables
+        tries.clear()
+        left = spend.left
+        r = run(cfg)
+        assert r.stop_reason == "certified" and tries
+        assert left - spend.left == (r.iterations + len(tries)) * price
+
+
+def random_ordered_pair(rng, n: int, support: int):
+    """Laws z1 <=st z2 over n sizes, both on the first ``support``."""
+    cdf2 = np.sort(rng.random(support - 1))
+    cdf1 = np.maximum.accumulate(cdf2 + rng.random(support - 1) * (1 - cdf2))
+    z1, z2 = (np.zeros(n) for _ in range(2))
+    z1[:support] = np.diff(cdf1, prepend=0.0, append=1.0)
+    z2[:support] = np.diff(cdf2, prepend=0.0, append=1.0)
+    return z1, z2
+
+
+@pytest.mark.parametrize("q, M", [(4, 2), (4, 3), (8, 3), (9, 3)])
+def test_updates_keep_stochastic_order(q, M):
+    # the monotonicity the certificate rests on, through the ordered-
+    # tuple float references, which form no multiset and no size chain
+    f, rng = GF(q), np.random.default_rng([q, M, 23])
+    ch = PartialErasureChannel(f, M, 0.7)
+    for kind in MODEL_KINDS:
+        model = SumsetSizeModel(kind)
+        for d_c in (3, 4):
+            z1, z2 = random_ordered_pair(rng, q, M)
+            w1 = ordered_check_update(z1, d_c, model, f, M)
+            w2 = ordered_check_update(z2, d_c, model, f, M)
+            assert brute_stochastically_le(w1, w2, -1e-14), (kind, d_c)
+    for d_v in (2, 3):
+        w1, w2 = random_ordered_pair(rng, q, q)
+        z1, z2 = (ordered_variable_update(w, d_v, ch) for w in (w1, w2))
+        assert brute_stochastically_le(z1, z2, -1e-14), d_v
+
+
+@pytest.mark.parametrize("q, M", [(4, 2), (4, 3), (4, 4), (8, 2), (8, 3), (8, 4), (9, 3)])
+def test_threshold_order_proven_on_exact_tables(q, M):
+    # de-sweep's exact (3,6) check tables pass the order check, and on
+    # every multiset bound-lower <=st exact <=st bound-upper; by the
+    # monotone map, th(bound-upper) <= th(exact) <= th(bound-lower)
+    f = GF(q)
+    tuples = de_mod._weight_tables(M, 5)[0]
+    models = [SumsetSizeModel(k) for k in ("bound-lower", "exact", "bound-upper")]
+    for model in models:
+        assert de_mod._check_ordered(f, M, 6, model)
+    for t in tuples:
+        low, exact, up = (m.distribution(t, f) for m in models)
+        assert brute_stochastically_le(low, exact, -de_mod.ORDER_SLACK), t
+        assert brute_stochastically_le(exact, up, -de_mod.ORDER_SLACK), t
+
+
+# ---------------------------------------------------------
 # Threshold search
 # ---------------------------------------------------------
 def test_threshold_bec_anchor():
@@ -652,13 +804,41 @@ Q4_GRID_THRESHOLDS = {
 }
 
 
-def test_threshold_q4_grid_pinned():
+def record_certified(monkeypatch) -> list:
+    """The configs of every certified run from here on."""
+    real_run, certified = de_mod.run, []
+
+    def recording_run(cfg):
+        r = real_run(cfg)
+        if r.stop_reason == "certified":
+            certified.append(cfg)
+        return r
+
+    monkeypatch.setattr(de_mod, "run", recording_run)
+    return certified
+
+
+def assert_never_converge(certified, monkeypatch):
+    # each certified probe, run again without the certificate, ends
+    # without converging: the certificate ended no converging run
+    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(de_mod, "CERTIFY_TOL", 0.0)
+        for cfg in certified:
+            r = run(cfg)
+            assert r.stop_reason in ("fixed_point", "max_iters"), cfg
+
+
+def test_threshold_q4_grid_pinned(monkeypatch):
     deg = DegreeDistribution.regular(3, 6)
     got = {}
+    certified = record_certified(monkeypatch)
     for M, kind in Q4_GRID_THRESHOLDS:
         cfg = DeConfig(PartialErasureChannel(GF(4), M, 0.0), deg, SumsetSizeModel(kind))
-        got[M, kind] = threshold_search(cfg, tol_eps=1e-4, check_monotone=True).hex()
+        got[M, kind] = de_mod.threshold_search(cfg, tol_eps=1e-4, check_monotone=True).hex()
     assert got == Q4_GRID_THRESHOLDS
+    assert len(certified) > 50
+    assert_never_converge(certified, monkeypatch)
 
 
 # de-sweep's searches beyond q=4 with the same settings: q=8 (M=2,3,4)
@@ -697,14 +877,17 @@ LARGE_FIELD_THRESHOLDS = {
 }
 
 
-def test_threshold_large_fields_pinned():
+def test_threshold_large_fields_pinned(monkeypatch):
     deg = DegreeDistribution.regular(3, 6)
     fields = {q: GF(q) for q in (8, 9, 16)}
     got = {}
+    certified = record_certified(monkeypatch)
     for q, M, kind in LARGE_FIELD_THRESHOLDS:
         cfg = DeConfig(PartialErasureChannel(fields[q], M, 0.0), deg, SumsetSizeModel(kind))
-        got[q, M, kind] = threshold_search(cfg, tol_eps=1e-4, check_monotone=True).hex()
+        got[q, M, kind] = de_mod.threshold_search(cfg, tol_eps=1e-4, check_monotone=True).hex()
     assert got == LARGE_FIELD_THRESHOLDS
+    assert len(certified) > 100
+    assert_never_converge(certified, monkeypatch)
 
 
 def test_threshold_probes_each_epsilon_once(monkeypatch):
@@ -786,6 +969,7 @@ def outcomes():
         lambda: search(4, 2, "exact"),
         lambda: search(8, 3, "union"),
         lambda: search(16, 4, "exact"),
+        lambda: search(16, 8, "bound-upper"),
     ]
     out = []
     for call in calls:

@@ -175,12 +175,16 @@ def test_monte_carlo_draws_pinned():
     assert mc.tolist() == [c / 40_000 for c in counts]
 
 
+# the child's own peak (VmHWM, in kB) belongs to its address space; its
+# ru_maxrss would not, as Linux carries that over from the forking
+# process across execve, so it could read the test suite's own peak
 _MC_PEAK = """
-import resource
+import re
 import numpy as np
 from pecldpc import GF, monte_carlo_dist
 law = monte_carlo_dist((2, 2, 3), GF(256), 20_000, np.random.default_rng(5))
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+with open("/proc/self/status") as fh:
+    print(int(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1)) // 1024)
 print(*(law * 20_000).round().astype(int))
 """
 
