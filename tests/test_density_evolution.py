@@ -818,10 +818,9 @@ def record_certified(monkeypatch) -> list:
     return certified
 
 
-def assert_never_converge(certified, monkeypatch):
+def assert_never_converge(certified):
     # each certified probe, run again without the certificate, ends
     # without converging: the certificate ended no converging run
-    monkeypatch.undo()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(de_mod, "CERTIFY_TOL", 0.0)
         for cfg in certified:
@@ -838,7 +837,7 @@ def test_threshold_q4_grid_pinned(monkeypatch):
         got[M, kind] = de_mod.threshold_search(cfg, tol_eps=1e-4, check_monotone=True).hex()
     assert got == Q4_GRID_THRESHOLDS
     assert len(certified) > 50
-    assert_never_converge(certified, monkeypatch)
+    assert_never_converge(certified)
 
 
 # de-sweep's searches beyond q=4 with the same settings: q=8 (M=2,3,4)
@@ -887,7 +886,7 @@ def test_threshold_large_fields_pinned(monkeypatch):
         got[q, M, kind] = de_mod.threshold_search(cfg, tol_eps=1e-4, check_monotone=True).hex()
     assert got == LARGE_FIELD_THRESHOLDS
     assert len(certified) > 100
-    assert_never_converge(certified, monkeypatch)
+    assert_never_converge(certified)
 
 
 def test_threshold_probes_each_epsilon_once(monkeypatch):
