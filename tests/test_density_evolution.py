@@ -659,6 +659,26 @@ def test_unordered_tables_turn_certification_off(monkeypatch):
         assert (r.trajectory, r.stop_reason) == (plain.trajectory, plain.stop_reason)
 
 
+def test_monte_carlo_tables_are_not_certified(monkeypatch):
+    # the exact law refused on every multiset with three operands above
+    # size 1: the seeded Monte Carlo laws that stand in are noisy enough
+    # to break the order, so the run is left to the other stop rules
+    import pecldpc.sumset_models as ss
+
+    exact = ss.exact_dist
+
+    def refusing(sizes, field):
+        if sum(s > 1 for s in sizes) >= 3:
+            raise pecldpc.EnumerationBudgetError("refused for the test")
+        return exact(sizes, field)
+
+    monkeypatch.setattr(ss, "exact_dist", refusing)
+    model = SumsetSizeModel("exact", mc_samples=2000, mc_seed=1)
+    ch = PartialErasureChannel(GF(8), 4, 0.95)
+    r = run(DeConfig(ch, DegreeDistribution.regular(3, 6), model))
+    assert not r.certifiable and r.stop_reason == "fixed_point"
+
+
 def test_certificate_tries_are_charged(monkeypatch):
     # each F(y) the certificate evaluates costs one iteration's cells
     from pecldpc import budget
