@@ -12,8 +12,9 @@ so whether an input is refused depends on the input alone, never on a
 timer or on what a cache holds.  A call opens a budget (``scope``)
 unless its caller has one open, so a search's tables, laws and probes
 draw on the search's budget, and what they build (check tables,
-coverage matrices and walks, the exact law's orbit steps) is built once
-per budget: every budget starts cold.  The size chain, kept for the
+coverage matrices, the exact law's orbit steps) is built once per
+budget, and each coverage walk is walked on from the longest state the
+budget holds: every budget starts cold.  The size chain, kept for the
 process, is charged once per budget as if it were built.
 """
 

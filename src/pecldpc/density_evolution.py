@@ -67,7 +67,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from functools import cache
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from math import comb, factorial, prod
 
 import numpy as np
@@ -313,22 +313,33 @@ def variable_update(w: np.ndarray, d_v: int, channel: PartialErasureChannel) -> 
 
 
 def _below(older: np.ndarray, old: np.ndarray, z: np.ndarray, M: int):
-    """A size law y below z in stochastic order, a step along the last
-    three iterates past their limit, or None if their steps do not
-    shrink.  With C the CDF of z over sizes 1..M-1 and d = C - C(old),
-    rho = max|d| / max|C(old) - C(older)|; y's CDF is the running maximum
-    of min(max(C, C + t*d), 1) for t = 1.5*rho/(1-rho) + 1, a geometric
-    step beyond the limit of steps shrinking by rho, and the inner max
-    keeps y below z where d has an entry below 0."""
-    c = np.cumsum([older[: M - 1], old[: M - 1], z[: M - 1]], axis=1)
-    d = np.diff(c, axis=0)
-    prev, top = np.abs(d).max(axis=1).tolist()
+    """A size law y below z in stochastic order, as a list of M floats, a
+    step along the last three iterates past their limit, or None if their
+    steps do not shrink.  With C the CDF of z over sizes 1..M-1 and d = C
+    - C(old), rho = max|d| / max|C(old) - C(older)|; y's CDF is the
+    running maximum of min(max(C, C + t*d), 1) for t = 1.5*rho/(1-rho) +
+    1, a geometric step beyond the limit of steps shrinking by rho, and
+    the inner max keeps y below z where d has an entry below 0.  Each CDF
+    is a running sum of Python floats, left to right, as numpy's cumsum
+    takes it: a try costs no numpy call on these few entries."""
+    c0, c1, c = (list(accumulate(v.tolist()[: M - 1])) for v in (older, old, z))
+    d = [b - a for a, b in zip(c1, c)]
+    prev = max(abs(b - a) for a, b in zip(c0, c1))
+    top = max(map(abs, d))
     if not top < prev:
         return None
     t = 1.5 * (top / prev) / (1.0 - top / prev) + 1.0
     # max(C, C + t*d) is C + max(t*d, 0), bit for bit
-    cdf = np.maximum.accumulate(np.minimum(c[2] + np.maximum(t * d[1], 0.0), 1.0))
-    return np.diff(cdf, prepend=0.0, append=1.0)
+    cdf = list(accumulate((min(x + max(t * e, 0.0), 1.0) for x, e in zip(c, d)), max))
+    return [b - a for a, b in zip([0.0, *cdf], [*cdf, 1.0])]
+
+
+def _rises(y, fy, M: int) -> bool:
+    """Whether the law ``fy`` lies above ``y`` by ``CERTIFY_MARGIN`` in
+    every CDF entry over sizes 1..M-1: ``stochastically_le(y[:M-1],
+    fy[:M-1], CERTIFY_MARGIN)`` on Python floats, bit for bit."""
+    cdfs = zip(accumulate(y[: M - 1]), accumulate(fy[: M - 1]))
+    return all(a >= b + CERTIFY_MARGIN for a, b in cdfs)
 
 
 @dataclass
@@ -392,10 +403,13 @@ def run(cfg: DeConfig) -> DeResult:
     failure probability falls below ``CERTIFY_TOL``, every fourth
     iteration builds y from the last three iterates (``_below``) and
     certifies if CDF(F(y)) <= CDF(y) - ``CERTIFY_MARGIN`` on every size
-    1..M-1.  The margin, 1e-13, stands against float error: F sums a few
-    products over M <= 4 entries on de-sweep, off by ~1e-15, and the
-    tables are ordered up to ``ORDER_SLACK`` = 1e-15.  Runs whose
-    tables fail the check are never certified."""
+    1..M-1 (``_rises``).  A try sums its CDFs as Python floats, left to
+    right as ``stochastically_le`` sums them, so its only numpy work is
+    the one evaluation F(y): most tries fail, on the plateaus of
+    converging runs.  The margin, 1e-13, stands against float error: F
+    sums a few products over M <= 4 entries on de-sweep, off by ~1e-15,
+    and the tables are ordered up to ``ORDER_SLACK`` = 1e-15.  Runs
+    whose tables fail the check are never certified."""
     ch = cfg.channel
     field, M, eps = ch.field, ch.M, ch.epsilon
 
@@ -471,9 +485,7 @@ def run(cfg: DeConfig) -> DeResult:
             if y is not None:
                 tries += 1
                 allowed = min(allowed, left - tries)
-                if 1.0 - y.item(0) > 10 * conv_tol and stochastically_le(
-                    y[: M - 1], step(y)[0][: M - 1], CERTIFY_MARGIN
-                ):
+                if 1.0 - y[0] > 10 * conv_tol and _rises(y, step(np.array(y))[0].tolist(), M):
                     stop_reason = "certified"
         pe = new_pe
 

@@ -29,6 +29,7 @@ All distributions are length-q vectors indexed by size-1.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import KW_ONLY, dataclass
 from fractions import Fraction
@@ -263,29 +264,58 @@ def coverage_transition_matrix(step: int, q: int) -> np.ndarray:
     return gamma
 
 
+class _Walk:
+    """A coverage walk of step-sized subsets into q bins, kept per work
+    budget: the lengths its calls have ended at, ascending, from length 1
+    (the point mass at ``step``), their states, and the length from
+    which it stands still (a step there returned its input), once it has
+    reached one."""
+
+    def __init__(self, step: int, q: int):
+        v = np.zeros(q)
+        v[step - 1] = 1.0
+        self.lengths, self.states, self.still = [1], [v], None
+
+
 def _chain_state(step: int, length: int, q: int) -> np.ndarray:
     """Row `step` of the coverage matrix power (length-1): occupancy
-    distribution after `length` random step-subsets.  Each step, a
-    q x q product and a compare, is charged five numpy calls and q*q
-    matrix entries before it runs."""
-    v = np.zeros(q)
-    v[step - 1] = 1.0
-    gamma = budget.table(coverage_transition_matrix, step, q)
+    distribution after `length` random step-subsets.  The open budget
+    keeps one walk per (step, q): a call walks on from the longest state
+    it holds at a length up to ``length`` and keeps the state it ends on,
+    so it charges only the steps it adds.  Each step, a q x q product and
+    a compare, is charged five numpy calls and q*q matrix entries before
+    it runs.  The state returned is the walk's own: callers copy it
+    before writing."""
     with budget.scope() as spend:
-        for _ in range(length - 1):
+        walk = budget.table(_Walk, step, q)
+        gamma = budget.table(coverage_transition_matrix, step, q)
+        if walk.still is not None:
+            length = min(length, walk.still)
+        i = bisect_right(walk.lengths, length) - 1
+        n, v = walk.lengths[i], walk.states[i]
+        while n < length:
             spend.charge(5 * budget.CALL + q * q // budget.ENTRIES, "a coverage-walk step")
+            n += 1
             # a step that returns its input would return it ever after
             if (v == (v := v @ gamma)).all():
+                walk.still = n
                 break
+        if n > walk.lengths[i]:
+            walk.lengths.insert(i + 1, n)
+            walk.states.insert(i + 1, v)
     return v
 
 
 def occupancy_dist(n_balls: int, q: int) -> np.ndarray:
     """Distribution of the number of occupied bins after n_balls
-    independent uniform throws into q bins."""
-    if n_balls < 1:
-        raise ValueError("need at least one ball")
-    return budget.table(_chain_state, 1, n_balls, q).copy()
+    independent uniform throws into q bins; ValueError when the q x q
+    coverage matrix would take more than ``budget.BYTES``."""
+    for name, value in (("n_balls", n_balls), ("q", q)):
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    n_balls, q = int(n_balls), int(q)  # a numpy integer would overflow below
+    budget.over(8 * q * q, budget.BYTES, f"a coverage matrix of {q} bins, in bytes")
+    return _chain_state(1, n_balls, q).copy()
 
 
 def _truncate_renorm(g: np.ndarray, lower: int) -> np.ndarray:
@@ -304,7 +334,7 @@ def _coverage_dist(sizes: Sequence[int], field: GF, batched: bool) -> np.ndarray
     if b.lower == b.upper:
         return _delta(field.q, b.lower)
     d = t[-1] if batched else 1
-    return _truncate_renorm(budget.table(_chain_state, d, prod(t) // d, field.q), b.lower)
+    return _truncate_renorm(_chain_state(d, prod(t) // d, field.q), b.lower)
 
 
 def balls_dist(sizes: Sequence[int], field: GF) -> np.ndarray:

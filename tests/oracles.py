@@ -9,6 +9,8 @@ from functools import cache
 from itertools import combinations, product
 from math import comb, lcm, prod
 
+import numpy as np
+
 from pecldpc import GF
 
 
@@ -277,3 +279,19 @@ def multiset_raises(max_size: int, k: int) -> list[tuple[tuple, tuple]]:
             if u in tuples:
                 out.add((t, u))
     return sorted(out)
+
+
+def numpy_below(older, old, z, M: int):
+    """The law y below z that the divergence certificate extrapolates
+    from three iterates, by its numpy formula: CDFs over sizes 1..M-1 by
+    cumsum, steps by diff, rho = max|d_2| / max|d_1|, t = 1.5*rho/(1-rho)
+    + 1, and y's CDF the running maximum of min(C + max(t*d_2, 0), 1);
+    None when the steps do not shrink.  y as a list of M floats."""
+    c = np.cumsum([older[: M - 1], old[: M - 1], z[: M - 1]], axis=1)
+    d = np.diff(c, axis=0)
+    prev, top = np.abs(d).max(axis=1).tolist()
+    if not top < prev:
+        return None
+    t = 1.5 * (top / prev) / (1.0 - top / prev) + 1.0
+    cdf = np.maximum.accumulate(np.minimum(c[2] + np.maximum(t * d[1], 0.0), 1.0))
+    return np.diff(cdf, prepend=0.0, append=1.0).tolist()

@@ -39,6 +39,7 @@ from oracles import (
     brute_stochastically_le,
     exact_de_trajectory,
     multiset_raises,
+    numpy_below,
 )
 
 
@@ -696,6 +697,52 @@ def test_certificate_tries_are_charged(monkeypatch):
         assert left - spend.left == (r.iterations + len(tries)) * price
 
 
+@pytest.mark.parametrize("M", range(2, 10))
+def test_below_matches_numpy_formula(M):
+    # seeded iterate triples: converging ones (steps shrinking by r < 1),
+    # some far enough along d that the CDF clips at 1, and growing ones,
+    # which take the None branch; y must equal the numpy formula's to
+    # the last bit
+    rng = np.random.default_rng(M)
+    seen = {"none": 0, "negative d": 0, "clipped": 0, "y": 0}
+    for _ in range(400):
+        limit = rng.dirichlet(np.ones(M))
+        step = rng.normal(size=M) * 10.0 ** rng.uniform(-12, 0)
+        r = rng.choice([rng.uniform(0.0, 1.0), rng.uniform(0.9, 0.999), rng.uniform(1.0, 1.5)])
+        older, old, z = (np.abs(limit + step * r**k) for k in range(3))
+        got, want = de_mod._below(older, old, z, M), numpy_below(older, old, z, M)
+        if want is None:
+            assert got is None
+            seen["none"] += 1
+            continue
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        d = np.cumsum(z[: M - 1]) - np.cumsum(old[: M - 1])
+        seen["y"] += 1
+        seen["negative d"] += bool((d < 0).any())
+        seen["clipped"] += got[-1] == 0.0
+    assert all(seen.values()), seen
+
+
+def test_certificate_order_test_matches_oracle(monkeypatch):
+    # the certificate's float-loop order test against exact rationals
+    # (dyadic laws and margins, so the float CDFs are exact) and against
+    # the tables' numpy order check on any floats
+    rng = np.random.default_rng(24)
+    for M in range(2, 10):
+        for margin in (de_mod.CERTIFY_MARGIN, 0.0, 1 / 128, -1 / 128):
+            monkeypatch.setattr(de_mod, "CERTIFY_MARGIN", margin)
+            for _ in range(40):
+                y, fy = (rng.integers(0, 5, M) / 64 for _ in range(2))
+                if rng.random() < 0.5:  # nearly ordered pairs, ties among them
+                    fy = np.maximum(y - rng.integers(0, 2, M) / 64, 0)
+                got = de_mod._rises(y.tolist(), fy.tolist(), M)
+                assert got is brute_stochastically_le(y[: M - 1], fy[: M - 1], margin)
+                y, fy = rng.dirichlet(np.ones(M)), rng.dirichlet(np.ones(M))
+                assert de_mod._rises(y.tolist(), fy.tolist(), M) is (
+                    de_mod.stochastically_le(y[: M - 1], fy[: M - 1], margin)
+                )
+
+
 def random_ordered_pair(rng, n: int, support: int):
     """Laws z1 <=st z2 over n sizes, both on the first ``support``."""
     cdf2 = np.sort(rng.random(support - 1))
@@ -907,6 +954,38 @@ def test_threshold_large_fields_pinned(monkeypatch):
     assert got == LARGE_FIELD_THRESHOLDS
     assert len(certified) > 100
     assert_never_converge(certified)
+
+
+# (q, M, model) -> sha256 over every probe of a (3,6) search with
+# check_monotone=True, in probe order: its eps, every failure
+# probability's float.hex, its iterations and its stop reason.  Both
+# searches read coverage walks and end probes by the certificate, so a
+# last-bit drift in a walk or a certificate try moves some probe
+PROBE_PINS = {
+    (16, 4, "balls"): "0a28165b93ee3d52f7462c904ff699d0bd146608170acc07c1df0670b4168f6f",
+    (8, 3, "union"): "613bf9169fdc64880ba18e698e8ed692ab9ce2554cfd0ecf014834450bd1c3bd",
+}
+
+
+def probe_digest(q, M, kind, monkeypatch) -> str:
+    real_run, probes = de_mod.run, []
+
+    def recording_run(cfg):
+        r = real_run(cfg)
+        pes = " ".join(pe.hex() for _, pe in r.trajectory)
+        probes.append(f"{cfg.channel.epsilon.hex()}:{pes}|{r.iterations}|{r.stop_reason}")
+        return r
+
+    monkeypatch.setattr(de_mod, "run", recording_run)
+    ch = PartialErasureChannel(GF(q), M, 0.0)
+    cfg = DeConfig(ch, DegreeDistribution.regular(3, 6), SumsetSizeModel(kind))
+    de_mod.threshold_search(cfg, tol_eps=1e-4, check_monotone=True)
+    return hashlib.sha256("\n".join(probes).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("key", list(PROBE_PINS), ids=["q16-balls", "q8-union"])
+def test_threshold_probes_pinned(key, monkeypatch):
+    assert probe_digest(*key, monkeypatch) == PROBE_PINS[key]
 
 
 def test_threshold_probes_each_epsilon_once(monkeypatch):

@@ -22,8 +22,10 @@ from pecldpc import (
     monte_carlo_dist,
     occupancy_dist,
     sumset_bounds,
+    budget,
     union_model_dist,
 )
+from pecldpc.sumset_models import _chain_state
 from pecldpc.symbol_sets import set_bytes
 
 from oracles import brute_sumset_dist, occupancy_exact
@@ -292,6 +294,57 @@ def test_occupancy_matches_closed_form():
             got = occupancy_dist(n_balls, q)
             want = [float(p) for p in occupancy_exact(n_balls, q)]
             assert np.abs(got - np.array(want)).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "n_balls, q",
+    [(3, 0), (3, -2), (2.5, 4), (True, 4), (0, 4), (3, 4.0), (3, True), ("3", 4)],
+)
+def test_occupancy_refuses_bad_arguments(n_balls, q):
+    with pytest.raises(ValueError, match="must be an integer of at least 1"):
+        occupancy_dist(n_balls, q)
+
+
+def test_occupancy_refuses_oversized_fields():
+    # the q x q coverage matrix is refused before it is allocated, a
+    # numpy integer q too, whose 8*q*q would wrap around
+    for q in (2**20, np.int64(2**40)):
+        with pytest.raises(ValueError, match=f"coverage matrix of {q} bins"):
+            occupancy_dist(3, q)
+
+
+@pytest.mark.parametrize("step, q", [(1, 4), (2, 4), (3, 8)])
+def test_walks_resume_within_a_budget(step, q):
+    # lengths asked in shuffled order in one budget, some past the early
+    # stop, each give a cold walk's state (a fresh budget each).  The
+    # walk stands still from length ``still`` on; a request walks on from
+    # the longest length the budget has stored at or below it and pays
+    # for those steps only, so lengths asked in rising order pay for each
+    # step once
+    gamma = coverage_transition_matrix(step, q)
+    v, still = np.eye(q)[step - 1], 1
+    while True:  # the walk's steps, one by one, up to one that returns its input
+        still += 1
+        if (v == (v := v @ gamma)).all():
+            break
+    lengths = [1, 2, 3, still // 3, still // 2, still - 2, still - 1, still, still + 2, 3 * still, 2]
+    np.random.default_rng(step).shuffle(lengths)
+    price = 5 * budget.CALL + q * q // budget.ENTRIES
+    stored, steps = {1}, 0
+    for n in lengths:
+        n = min(n, still)
+        steps += n - max(k for k in stored if k <= n)
+        stored.add(n)
+    with budget.scope() as spend:
+        got = [_chain_state(step, n, q).copy() for n in lengths]
+        assert budget.CELLS - spend.left == steps * price
+    for n, state in zip(lengths, got):
+        with budget.scope():
+            assert np.array_equal(state, _chain_state(step, n, q)), n
+    with budget.scope() as spend:
+        for n in sorted(lengths):
+            _chain_state(step, n, q)
+        assert budget.CELLS - spend.left == (still - 1) * price
 
 
 # ---------------------------------------------------------
