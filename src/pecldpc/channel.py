@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .combinatorics import binom
+from .combinatorics import as_int, binom
 from .gf import GF
 from .symbol_sets import SymbolSet, index_masks, mask_dtype
 
@@ -30,6 +30,7 @@ class PartialErasureChannel:
     """
 
     def __init__(self, field: GF, M: int, epsilon: float):
+        M = as_int(M, "M")
         if not 2 <= M <= field.q:
             raise ValueError(f"M must be in [2, q]; got M={M}, q={field.q}")
         if not 0.0 <= epsilon <= 1.0:

@@ -6,7 +6,10 @@ bisection per size model, ``simulate`` runs finite-length Monte Carlo
 trials, ``pm-table`` dumps sumset-size distributions, ``decode-trace``
 replays one decoding run from graph/received files.  Everything emits
 CSV (header comment line with the invocation and seed, then a header
-row); identical flags and seed give byte-identical output.
+row); identical flags and seed give byte-identical output.  The list
+flags (``--M``, ``--sizes``, ``--model``) take comma-separated values
+and refuse an empty list; ``--eps`` and ``--eps-grid`` exclude each
+other, and one of them is required where they appear.
 
 Exit codes: 0 ok; 2 a validation error or a refusal by the work
 budget (``budget``); 3 an exact law whose orbit chain would take more
@@ -37,8 +40,7 @@ from .symbol_sets import SymbolSet
 
 
 def _parse_eps(args) -> list[float]:
-    if (args.eps is None) == (args.eps_grid is None):
-        raise ValueError("give exactly one of --eps or --eps-grid start:stop:step")
+    # argparse takes exactly one of --eps and --eps-grid
     if args.eps is not None:
         grid = [args.eps]
     else:
@@ -68,19 +70,27 @@ def _parse_eps(args) -> list[float]:
     return grid
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ValueError(f"bad {what} list {text!r}") from None
+def _list_of(item):
+    """The argparse type of a comma-separated list of ``item`` values: a
+    malformed or empty list is a usage error (exit 2)."""
+
+    def parse(text: str) -> list:
+        try:
+            values = [item(tok.strip()) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad list {text!r}") from None
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty list {text!r}")
+        return values
+
+    return parse
 
 
 def _models(args) -> list[SumsetSizeModel]:
     """The --model list as models, built before any work: an unknown
     kind is refused by the model itself."""
     mc = {} if args.mc_samples is None else dict(mc_samples=args.mc_samples, mc_seed=args.seed)
-    kinds = (tok.strip() for tok in args.model.split(","))
-    return [SumsetSizeModel(kind, **(mc if kind == "exact" else {})) for kind in kinds if kind]
+    return [SumsetSizeModel(kind, **(mc if kind == "exact" else {})) for kind in args.model]
 
 
 def _emit(args, invocation: list[str], header: list[str], rows) -> None:
@@ -113,46 +123,40 @@ def _emit(args, invocation: list[str], header: list[str], rows) -> None:
             fh.close()
 
 
-# -- subcommands -------------------------------------------------------------
+# -- subcommands: each returns its CSV header and rows -----------------------
 
 
-def _cmd_capacity(args, argv):
-    field = GF(args.q)
+def _cmd_capacity(args):
+    field, grid = GF(args.q), _parse_eps(args)
     rows = []
-    for m in _parse_int_list(args.M, "--M"):
-        for eps in _parse_eps(args):
+    for m in args.M:
+        for eps in grid:
             ch = PartialErasureChannel(field, m, eps)
             rows.append((args.q, m, eps, ch.capacity(), ch.capacity("bits")))
-    _emit(args, argv, ["q", "M", "epsilon", "capacity_qary", "capacity_bits"], rows)
-    return 0
+    return ["q", "M", "epsilon", "capacity_qary", "capacity_bits"], rows
 
 
-def _cmd_threshold(args, argv):
+def _cmd_threshold(args):
     field = GF(args.q)
     degrees = DegreeDistribution.regular(args.dv, args.dc)
     models = _models(args)
     rows = []
-    for m in _parse_int_list(args.M, "--M"):
+    for m in args.M:
         for model in models:
-            cfg = DeConfig(
-                channel=PartialErasureChannel(field, m, 0.0),
-                degrees=degrees,
-                size_model=model,
-                max_iters=args.max_iters,
-            )
+            ch = PartialErasureChannel(field, m, 0.0)
+            cfg = DeConfig(channel=ch, degrees=degrees, size_model=model, max_iters=args.max_iters)
             th = threshold_search(cfg, tol_eps=args.tol, check_monotone=args.check_monotone)
             rows.append((args.q, m, args.dv, args.dc, model.kind, th))
-    _emit(args, argv, ["q", "M", "d_v", "d_c", "model", "epsilon_threshold"], rows)
-    return 0
+    return ["q", "M", "d_v", "d_c", "model", "epsilon_threshold"], rows
 
 
-def _cmd_simulate(args, argv):
-    field = GF(args.q)
-    ms, grid = _parse_int_list(args.M, "--M"), _parse_eps(args)
+def _cmd_simulate(args):
+    field, grid = GF(args.q), _parse_eps(args)
     # each (M, eps) point runs its own trials: cap the run, not each call
-    budget.over(len(ms) * len(grid) * args.trials, budget.ITEMS, "a run's trials exceed its share")
+    total = len(args.M) * len(grid) * args.trials
+    budget.over(total, budget.ITEMS, "a run's trials exceed its share")
     rows = []
-    for m in ms:
+    for m in args.M:
         for eps in grid:
             report = run_trials(
                 PartialErasureChannel(field, m, eps),
@@ -170,32 +174,24 @@ def _cmd_simulate(args, argv):
                     report.avg_iterations, report.residual_symbol_error_rate,
                 )
             )
-    _emit(
-        args,
-        argv,
-        [
-            "q", "M", "d_v", "d_c", "n", "epsilon", "trials", "successes",
-            "success_rate", "avg_iterations", "residual_symbol_error_rate",
-        ],
-        rows,
-    )
-    return 0
+    header = [
+        "q", "M", "d_v", "d_c", "n", "epsilon", "trials", "successes",
+        "success_rate", "avg_iterations", "residual_symbol_error_rate",
+    ]
+    return header, rows
 
 
-def _cmd_pm_table(args, argv):
+def _cmd_pm_table(args):
     field = GF(args.q)
-    # an empty --sizes is refused by the laws
-    sizes = _parse_int_list(args.sizes, "--sizes")
     rows = []
     for model in _models(args):
-        dist = model.distribution(sizes, field)
+        dist = model.distribution(args.sizes, field)
         for m, p in enumerate(dist, start=1):
-            rows.append((args.q, "+".join(str(s) for s in sizes), m, float(p), model.kind))
-    _emit(args, argv, ["q", "sizes", "m", "probability", "model"], rows)
-    return 0
+            rows.append((args.q, "+".join(map(str, args.sizes)), m, float(p), model.kind))
+    return ["q", "sizes", "m", "probability", "model"], rows
 
 
-def _cmd_decode_trace(args, argv):
+def _cmd_decode_trace(args):
     with open(args.graph) as fh:
         text = fh.read()
     with open(args.received) as fh:
@@ -208,9 +204,7 @@ def _cmd_decode_trace(args, argv):
     graph = TannerGraph.from_text(text)
     field = graph.field
     received = [SymbolSet.parse(field, line) for line in lines]
-    result = decode(
-        graph, received, max_iters=args.max_iters, record_messages=True
-    )
+    result = decode(graph, received, max_iters=args.max_iters, record_messages=True)
 
     # (text, size) of each distinct mask, formatted once for the run
     labels = {}
@@ -237,13 +231,7 @@ def _cmd_decode_trace(args, argv):
             yield (result.iterations, "posterior", "", v, "", *label(mask))
         yield (result.iterations, "status", "", "", "", result.status, "")
 
-    _emit(
-        args,
-        argv,
-        ["iteration", "kind", "edge", "variable", "check", "message", "size"],
-        rows(),
-    )
-    return 0
+    return ["iteration", "kind", "edge", "variable", "check", "message", "size"], rows()
 
 
 # -- parser ------------------------------------------------------------------
@@ -256,63 +244,57 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", type=str, default=None, help="output CSV path")
+    # each flag that several subcommands share is declared once, on a
+    # parent parser; --max-iters is not, as its default differs (DE 2000,
+    # decoding 100)
+    field, sizes, degrees, eps, models, io = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6)
+    )
+    field.add_argument("--q", type=int, required=True)
+    ints = _list_of(int)
+    sizes.add_argument("--M", type=ints, required=True, help="set size(s), comma separated")
+    degrees.add_argument("--dv", type=int, required=True)
+    degrees.add_argument("--dc", type=int, required=True)
+    one_eps = eps.add_mutually_exclusive_group(required=True)
+    one_eps.add_argument("--eps", type=float)
+    one_eps.add_argument("--eps-grid", help="start:stop:step")
+    models.add_argument("--model", type=_list_of(str), default=",".join(MODEL_KINDS))
+    models.add_argument("--mc-samples", type=int)
+    io.add_argument("--seed", type=int, default=0)
+    io.add_argument("--out", help="output CSV path")
 
-    p = sub.add_parser("capacity", help="closed-form capacity over an epsilon grid")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--M", type=str, required=True, help="set size(s), comma separated")
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--eps-grid", type=str, default=None, help="start:stop:step")
-    common(p)
-    p.set_defaults(func=_cmd_capacity)
+    def command(name, func, help, *parents):
+        p = sub.add_parser(name, help=help, parents=[*parents, io])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("threshold", help="density-evolution decoding thresholds")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--M", type=str, required=True, help="set size(s), comma separated")
-    p.add_argument("--dv", type=int, required=True)
-    p.add_argument("--dc", type=int, required=True)
-    p.add_argument("--model", type=str, default=",".join(MODEL_KINDS))
+    command("capacity", _cmd_capacity, "closed-form capacity over an epsilon grid",
+            field, sizes, eps)
+
+    p = command("threshold", _cmd_threshold, "density-evolution decoding thresholds",
+                field, sizes, degrees, models)
     p.add_argument("--max-iters", type=int, default=2000)
     p.add_argument("--tol", type=float, default=1e-4, help="bisection tolerance")
-    p.add_argument("--mc-samples", type=int, default=None)
     p.add_argument(
         "--check-monotone",
         action=argparse.BooleanOptionalAction,
         default=True,
         help="probe a grid to confirm convergence is monotone in epsilon",
     )
-    common(p)
-    p.set_defaults(func=_cmd_threshold)
 
-    p = sub.add_parser("simulate", help="finite-length Monte Carlo decoding trials")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--M", type=str, required=True)
-    p.add_argument("--dv", type=int, required=True)
-    p.add_argument("--dc", type=int, required=True)
+    p = command("simulate", _cmd_simulate, "finite-length Monte Carlo decoding trials",
+                field, sizes, degrees, eps)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--eps-grid", type=str, default=None, help="start:stop:step")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--max-iters", type=int, default=100)
-    common(p)
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("pm-table", help="sumset-size distribution tables")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--sizes", type=str, required=True, help="operand sizes, comma separated")
-    p.add_argument("--model", type=str, default=",".join(MODEL_KINDS))
-    p.add_argument("--mc-samples", type=int, default=None)
-    common(p)
-    p.set_defaults(func=_cmd_pm_table)
+    p = command("pm-table", _cmd_pm_table, "sumset-size distribution tables", field, models)
+    p.add_argument("--sizes", type=ints, required=True, help="operand sizes, comma separated")
 
-    p = sub.add_parser("decode-trace", help="replay one decoding run with full messages")
-    p.add_argument("--graph", type=str, required=True, help="graph file ('q n m' header)")
-    p.add_argument("--received", type=str, required=True, help="one set per line")
+    p = command("decode-trace", _cmd_decode_trace, "replay one decoding run with full messages")
+    p.add_argument("--graph", required=True, help="graph file ('q n m' header)")
+    p.add_argument("--received", required=True, help="one set per line")
     p.add_argument("--max-iters", type=int, default=100)
-    common(p)
-    p.set_defaults(func=_cmd_decode_trace)
 
     return parser
 
@@ -326,7 +308,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args, list(argv))
+        header, rows = args.func(args)
+        _emit(args, argv, header, rows)
     except EnumerationBudgetError as exc:
         print(
             f"error: {exc}\nhint: pass --mc-samples to approximate the exact "
@@ -337,6 +320,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, DecodingInconsistency) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

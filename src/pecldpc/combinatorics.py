@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -28,8 +29,18 @@ def binom(n: int, k: int) -> int:
     return comb(n, k)
 
 
+def as_int(value, name: str, least: int | None = None) -> int:
+    """``value`` as an int, or ValueError if it is not an integer (a
+    numpy integer is one, a bool is not) or lies below ``least``."""
+    whole = isinstance(value, Integral) and not isinstance(value, bool)
+    if not whole or (least is not None and value < least):
+        at_least = "" if least is None else f" of at least {least}"
+        raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
+    return int(value)
+
+
 def _norm(sizes: Sequence[int], q: int) -> tuple[int, ...]:
-    t = tuple(sorted(sizes))
+    t = tuple(sorted(as_int(s, "a size") for s in sizes))
     if not t:
         raise ValueError("size tuple must be nonempty")
     if t[0] < 0 or t[-1] > q:

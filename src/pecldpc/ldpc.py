@@ -16,11 +16,14 @@ once, on first use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
 from . import budget
+from .combinatorics import as_int
 from .gf import GF
 
 
@@ -198,10 +201,10 @@ class DegreeDistribution:
             if not coeffs:
                 raise ValueError(f"{name} coefficients are empty")
             for deg, frac in coeffs.items():
-                if deg < 2:
-                    raise ValueError(f"{name} degree {deg} below 2")
-                if frac < 0:
-                    raise ValueError(f"{name}_{deg} is negative")
+                as_int(deg, f"{name} degree", 2)
+                # a NaN fraction would pass the sum check below
+                if isinstance(frac, bool) or not isinstance(frac, Real) or not 0 <= frac < inf:
+                    raise ValueError(f"{name}_{deg} must be finite and nonnegative, got {frac!r}")
             if abs(sum(coeffs.values()) - 1.0) > 1e-9:
                 raise ValueError(f"{name} coefficients must sum to 1")
 

@@ -35,13 +35,12 @@ from dataclasses import KW_ONLY, dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import prod
-from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
 from . import budget
-from .combinatorics import _law, _law_exact, binom, intersection_dist
+from .combinatorics import _law, _law_exact, as_int, binom, intersection_dist
 from .gf import GF
 from .symbol_sets import index_masks, mask_dtype, masks_to_planes, set_bytes, set_layout
 
@@ -68,7 +67,7 @@ class SumsetBounds:
 
 
 def _norm_sizes(sizes: Sequence[int], q: int) -> tuple[int, ...]:
-    t = tuple(sorted(sizes))
+    t = tuple(sorted(as_int(s, "a size") for s in sizes))
     if not t:
         raise ValueError("size tuple must be nonempty")
     if t[0] < 1 or t[-1] > q:
@@ -219,8 +218,7 @@ def monte_carlo_dist(
     the draws' chunks."""
     q = field.q
     t = _norm_sizes(sizes, q)
-    if not isinstance(samples, Integral) or samples < 1:
-        raise ValueError(f"monte_carlo needs a whole number of samples, at least 1, got {samples!r}")
+    samples = as_int(samples, "samples", 1)
     need = samples * set_bytes(q)
     budget.over(need, budget.BYTES >> 2, f"{samples} Monte Carlo samples: {need} bytes of sets")
     sets = set_layout(field)
@@ -251,9 +249,14 @@ def coverage_transition_matrix(step: int, q: int) -> np.ndarray:
     Entry [i-1, j-1] is the probability of moving from i covered bins to
     j = i + step - |overlap|; rows are stochastic, the matrix is upper
     triangular in the state order 1..q, and state q is absorbing.
+    ValueError when step or q is not an integer of at least 1, when step
+    exceeds q, or when the matrix would take more than ``budget.BYTES``.
     """
-    if not 1 <= step <= q:
+    # as ints: a numpy integer q would wrap around in 8*q*q
+    step, q = as_int(step, "step", 1), as_int(q, "q", 1)
+    if step > q:
         raise ValueError(f"step {step} outside [1, {q}]")
+    budget.over(8 * q * q, budget.BYTES, f"a coverage matrix of {q} bins, in bytes")
     gamma = np.zeros((q, q))
     for i in range(1, q + 1):
         t = intersection_dist((i, step), q)
@@ -287,8 +290,9 @@ def _chain_state(step: int, length: int, q: int) -> np.ndarray:
     it runs.  The state returned is the walk's own: callers copy it
     before writing."""
     with budget.scope() as spend:
-        walk = budget.table(_Walk, step, q)
+        # the matrix first: it refuses a step or q that no walk can take
         gamma = budget.table(coverage_transition_matrix, step, q)
+        walk = budget.table(_Walk, step, q)
         if walk.still is not None:
             length = min(length, walk.still)
         i = bisect_right(walk.lengths, length) - 1
@@ -308,14 +312,10 @@ def _chain_state(step: int, length: int, q: int) -> np.ndarray:
 
 def occupancy_dist(n_balls: int, q: int) -> np.ndarray:
     """Distribution of the number of occupied bins after n_balls
-    independent uniform throws into q bins; ValueError when the q x q
-    coverage matrix would take more than ``budget.BYTES``."""
-    for name, value in (("n_balls", n_balls), ("q", q)):
-        if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
-    n_balls, q = int(n_balls), int(q)  # a numpy integer would overflow below
-    budget.over(8 * q * q, budget.BYTES, f"a coverage matrix of {q} bins, in bytes")
-    return _chain_state(1, n_balls, q).copy()
+    independent uniform throws into q bins; ValueError as for
+    ``coverage_transition_matrix``, and when n_balls is not an integer of
+    at least 1."""
+    return _chain_state(1, as_int(n_balls, "n_balls", 1), q).copy()
 
 
 def _truncate_renorm(g: np.ndarray, lower: int) -> np.ndarray:
@@ -368,15 +368,13 @@ class SumsetSizeModel:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}; choose from {MODEL_KINDS}")
-        # numpy integers are Integral too; a float count or seed would
-        # fail deep inside the sampler
-        if not isinstance(self.mc_samples, Integral) or self.mc_samples < 1:
-            raise ValueError(f"mc_samples must be an integer of at least 1, got {self.mc_samples!r}")
-        if self.mc_seed is not None and not isinstance(self.mc_seed, Integral):
-            raise ValueError(f"mc_seed must be an integer or None, got {self.mc_seed!r}")
+        # a float count or seed would fail deep inside the sampler
+        samples = as_int(self.mc_samples, "mc_samples", 1)
+        if self.mc_seed is not None:
+            as_int(self.mc_seed, "mc_seed")
         # no set takes fewer than set_bytes(2) bytes, so a count over
         # this is refused by monte_carlo_dist at every field
-        budget.over(self.mc_samples * set_bytes(2), budget.BYTES >> 2, "set bytes at every field")
+        budget.over(samples * set_bytes(2), budget.BYTES >> 2, "set bytes at every field")
 
     def distribution(self, sizes: Sequence[int], field: GF) -> np.ndarray:
         """A fresh length-q law of the sumset size for ``sizes``."""

@@ -24,6 +24,10 @@ def test_parameter_validation():
         PartialErasureChannel(f, 2, -0.1)
     with pytest.raises(ValueError):
         PartialErasureChannel(f, 2, 1.1)
+    # a non-integer M raised a raw TypeError from binom
+    for M in (2.5, True, "2"):
+        with pytest.raises(ValueError, match="M must be an integer"):
+            PartialErasureChannel(f, M, 0.5)
 
 
 def test_i_max():
@@ -91,6 +95,9 @@ def test_transmit_output_contract():
         out = ch.transmit(x, rng)
         assert x in out
         assert len(out) in (1, 3)
+    for x in (-1, 5):
+        with pytest.raises(ValueError, match="outside GF"):
+            ch.transmit(x, rng)
 
 
 def test_transmit_law_three_sigma():

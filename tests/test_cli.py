@@ -668,3 +668,70 @@ def test_stdout_default(capsys):
     out = capsys.readouterr().out
     assert out.startswith("# pecldpc capacity")
     assert "0.75" in out
+
+
+# every subcommand's option strings and their defaults
+_ALL_MODELS = "exact,bound-lower,bound-upper,balls,union"
+_OUTPUT = {("--seed",): 0, ("--out",): None}
+_OPTIONS = {
+    "capacity": {("--q",): None, ("--M",): None, ("--eps",): None, ("--eps-grid",): None},
+    "threshold": {
+        ("--q",): None, ("--M",): None, ("--dv",): None, ("--dc",): None,
+        ("--model",): _ALL_MODELS, ("--mc-samples",): None, ("--max-iters",): 2000,
+        ("--tol",): 1e-4, ("--check-monotone", "--no-check-monotone"): True,
+    },
+    "simulate": {
+        ("--q",): None, ("--M",): None, ("--dv",): None, ("--dc",): None, ("--n",): None,
+        ("--eps",): None, ("--eps-grid",): None, ("--trials",): 100, ("--max-iters",): 100,
+    },
+    "pm-table": {
+        ("--q",): None, ("--sizes",): None, ("--model",): _ALL_MODELS, ("--mc-samples",): None,
+    },
+    "decode-trace": {("--graph",): None, ("--received",): None, ("--max-iters",): 100},
+}
+
+
+def test_subcommand_options_pinned():
+    from argparse import _SubParsersAction
+
+    from pecldpc.cli import _build_parser
+
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, _SubParsersAction)]
+    assert set(sub.choices) == set(_OPTIONS)
+    for name, parser in sub.choices.items():
+        options = {
+            tuple(a.option_strings): a.default
+            for a in parser._actions
+            if a.option_strings and a.dest != "help"
+        }
+        assert options == {**_OPTIONS[name], **_OUTPUT}, name
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        "capacity --q 4 --M , --eps 0.5",
+        "threshold --q 4 --M , --dv 3 --dc 6",
+        "threshold --q 4 --M 2 --dv 3 --dc 6 --model ,",
+        "simulate --q 4 --M , --dv 3 --dc 6 --n 12 --eps 0.5",
+        "pm-table --q 4 --sizes 2,2 --model ,",
+        "pm-table --q 4 --sizes ,",
+    ],
+)
+def test_empty_lists_refused(args, capsys):
+    # an empty --M or --model list once wrote a header-only CSV and exit 0
+    assert main(args.split()) == 2
+    captured = capsys.readouterr()
+    assert "empty list" in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("command", ["capacity", "simulate"])
+def test_eps_flags_exclude_each_other(command, capsys):
+    args = [command, "--q", "4", "--M", "2"]
+    if command == "simulate":
+        args += ["--dv", "3", "--dc", "6", "--n", "12", "--trials", "1"]
+    assert main(args) == 2
+    assert "--eps" in capsys.readouterr().err
+    assert main(args + ["--eps", "0.5", "--eps-grid", "0:1:0.5"]) == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert main(args + ["--eps", "0.5", "--out", os.devnull]) == 0

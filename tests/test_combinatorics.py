@@ -90,6 +90,17 @@ def test_count_argument_validation():
         intersection_counts([2, 6], 5)  # size above universe
     with pytest.raises(ValueError):
         intersection_counts([], 5)
+    # non-integer sizes, bools among them
+    for sizes in ([2.5, 3], [True, 3], [2, float("nan")]):
+        with pytest.raises(ValueError, match="must be an integer"):
+            intersection_dist(sizes, 8)
+    with pytest.raises(ValueError, match=">= 1"):
+        common_member_intersection_dist((0, 2), 4)
+
+
+def test_intersection_count_values():
+    # a 2-set and a 3-set of 5 symbols: C(5, 2) * C(2, m) * C(3, 3 - m)
+    assert [intersection_count([2, 3], m, 5) for m in range(3)] == [10, 60, 30]
 
 
 # ---------------------------------------------------------

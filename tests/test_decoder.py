@@ -91,6 +91,14 @@ def test_vtc_examples():
     assert vtc_message(S(f, 1, 3), []) == S(f, 1, 3)
     with pytest.raises(DecodingInconsistency):
         vtc_message(S(f, 1, 2), [S(f, 3, 4)])
+    with pytest.raises(ValueError, match="nonempty"):
+        vtc_message(SymbolSet(f), [S(f, 0)])
+
+
+def test_ctv_without_incoming_edges():
+    # a degree-1 check pins its variable to 0
+    for q in (4, 5):
+        assert ctv_message([], 1, GF(q)) == S(GF(q), 0)
 
 
 # ---------------------------------------------------------
@@ -153,6 +161,8 @@ def test_received_length_checked():
     g = worked_graph()
     with pytest.raises(ValueError):
         decode(g, [S(g.field, 0)])
+    with pytest.raises(ValueError, match="does not match"):
+        decode(g, [S(GF(4), 0)] * g.n)
 
 
 def small_graph(q):

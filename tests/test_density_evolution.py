@@ -82,6 +82,17 @@ def test_check_update_validation():
         check_update(np.array([0.5, 0.5, 0, 0]), 1, SumsetSizeModel("exact"), f, 2)
     with pytest.raises(ValueError):
         check_update(np.array([0.5, 0, 0.5, 0]), 3, SumsetSizeModel("exact"), f, 2)
+    # a non-integer M or degree raised a raw TypeError deep inside
+    for d_c, M in ((6, 2.5), (6, True), (5.5, 2)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            check_update(np.array([0.5, 0.5, 0, 0]), d_c, SumsetSizeModel("exact"), f, M)
+
+
+def test_variable_update_validation():
+    ch = PartialErasureChannel(GF(4), 2, 0.5)
+    for d_v in (1, 0, 2.5):
+        with pytest.raises(ValueError, match="variable degree"):
+            variable_update(np.array([0.1, 0.2, 0.3, 0.4]), d_v, ch)
 
 
 def test_variable_update_trivial_cases():
@@ -589,6 +600,24 @@ def test_de_matrices_built_once_and_read_only():
     w = check_update(np.array([0.5, 0.5, 0, 0]), 6, model, f, 2)
     w[0] = 0.0
     assert check_update(np.array([0.5, 0.5, 0, 0]), 6, model, f, 2)[0] > 0.0
+
+
+@pytest.mark.parametrize("kind", ["balls", "union"])
+def test_check_tables_hold_no_subnormals(kind):
+    # the coverage walks' tails underflow into subnormal floats, which
+    # slow every product over a table: the (16, M=8, d_c=5) balls table
+    # held 92 of them (union 13).  Entries below the least normal float
+    # are zeroed, and every other entry is its law's times its multinomial
+    from pecldpc import budget
+
+    f, model, tiny = GF(16), SumsetSizeModel(kind), np.finfo(float).tiny
+    tuples, _, multinom = de_mod._weight_tables(8, 4)
+    with budget.scope():
+        mat = de_mod._check_matrices(f, 8, 5, model)[1]
+        laws = np.stack([model.distribution(t, f) for t in tuples])
+    assert ((laws > 0) & (laws < tiny)).any()
+    assert not ((mat > 0) & (mat < tiny)).any()
+    np.testing.assert_array_equal(mat, multinom[:, None] * np.where(laws < tiny, 0.0, laws))
 
 
 # ---------------------------------------------------------

@@ -134,6 +134,10 @@ def test_graph_validation():
         TannerGraph(f, [0, 1], [0, 0], [2, 5])  # label outside field
     with pytest.raises(ValueError):
         TannerGraph(f, [0, 3], [0, 0], [1, 2], n=2)  # var index out of range
+    with pytest.raises(ValueError, match="check index"):
+        TannerGraph(f, [0, 1], [0, 2], [1, 2], m=2)
+    with pytest.raises(ValueError, match="index-aligned"):
+        TannerGraph(f, [0, 1], [0], [1, 2])
     with pytest.raises(ValueError):
         worked_graph().check_satisfied([0, 0], 0)
 
@@ -188,6 +192,13 @@ def test_degree_distribution_validation():
         DegreeDistribution({1: 1.0}, {6: 1.0})  # degree below 2
     with pytest.raises(ValueError):
         DegreeDistribution({3: 1.5, 4: -0.5}, {6: 1.0})  # negative fraction
+    with pytest.raises(ValueError, match="empty"):
+        DegreeDistribution({}, {6: 1.0})
+    # each gave a silent answer (a NaN fraction passes the sum check, and
+    # a search on it returned threshold 0.0) or a raw TypeError later
+    for lam in ({3: math.nan}, {3: math.inf}, {3: True}, {3: "1"}, {2.5: 1.0}, {True: 1.0}):
+        with pytest.raises(ValueError):
+            DegreeDistribution(lam, {6: 1.0})
     DegreeDistribution({2: 0.4, 3: 0.6}, {5: 0.25, 6: 0.75})  # valid irregular
 
 

@@ -48,6 +48,22 @@ def test_bounds_universe_member():
     assert b.lower == b.upper == 4
 
 
+@pytest.mark.parametrize(
+    "law",
+    [
+        sumset_bounds, exact_dist, balls_dist, union_model_dist,
+        lambda t, f: bound_dist(t, f, "upper"),
+    ],
+    ids=["bounds", "exact", "balls", "union", "bound-upper"],
+)
+@pytest.mark.parametrize("sizes", [(2.5, 3), (True, 3), (2, float("nan")), (), (0, 2), (2, 9)])
+def test_laws_refuse_bad_sizes(law, sizes):
+    # non-integer sizes once gave answers (balls_dist a law, sumset_bounds
+    # an upper bound of 7.5) or a raw TypeError (exact_dist)
+    with pytest.raises(ValueError, match="size"):
+        law(sizes, GF(8))
+
+
 def test_bounds_single_set():
     b = sumset_bounds([3], GF(5))
     assert (b.lower, b.upper) == (3, 3)
@@ -303,6 +319,20 @@ def test_occupancy_matches_closed_form():
 def test_occupancy_refuses_bad_arguments(n_balls, q):
     with pytest.raises(ValueError, match="must be an integer of at least 1"):
         occupancy_dist(n_balls, q)
+
+
+@pytest.mark.parametrize(
+    "step, q, message",
+    [
+        (0, 4, "step must be an integer of at least 1"), (5, 4, r"step 5 outside \[1, 4\]"),
+        (1.5, 4, "step must be"), (1, 4.0, "q must be"), (True, 4, "step must be"),
+        # 7.28 TiB: refused before numpy is asked for it
+        (1, 10**6, "coverage matrix of 1000000 bins"),
+    ],
+)
+def test_coverage_matrix_refuses_bad_arguments(step, q, message):
+    with pytest.raises(ValueError, match=message):
+        coverage_transition_matrix(step, q)
 
 
 def test_occupancy_refuses_oversized_fields():

@@ -329,6 +329,8 @@ def test_layout_of_each_field():
         for table in (*sets.scale, sets.popcount):
             assert table.nbytes <= 1 << 16
     assert type(set_layout(GF(17))) is SetPlanes
+    with pytest.raises(ValueError, match="q <= 16"):
+        MaskTables(GF(17))
 
 
 def test_set_bytes_charge_planes_above_pair_tables():
