@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .combinatorics import as_int, binom
+from .combinatorics import as_int, binom, is_real
 from .gf import GF
 from .symbol_sets import SymbolSet, index_masks, mask_dtype
 
@@ -26,15 +26,15 @@ class PartialErasureChannel:
     M : int
         Size of the revealed set on an erasure event, 2 <= M <= q.
     epsilon : float
-        Partial-erasure probability.
+        Partial-erasure probability, a real number in [0, 1].
     """
 
     def __init__(self, field: GF, M: int, epsilon: float):
-        M = as_int(M, "M")
-        if not 2 <= M <= field.q:
-            raise ValueError(f"M must be in [2, q]; got M={M}, q={field.q}")
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+        M = as_int(M, "M", 2)
+        if M > field.q:
+            raise ValueError(f"M must be at most q; got M={M}, q={field.q}")
+        if not is_real(epsilon) or not 0.0 <= epsilon <= 1.0:
+            raise ValueError(f"epsilon must be a real number in [0, 1], got {epsilon!r}")
         self.field = field
         self.M = M
         self.epsilon = float(epsilon)
@@ -49,21 +49,22 @@ class PartialErasureChannel:
         the output for a zero symbol translated by x (a uniform set
         holding x is x plus a uniform set holding 0)."""
         f = self.field
-        if not 0 <= x < f.q:
+        if not 0 <= as_int(x, "symbol") < f.q:
             raise ValueError(f"symbol {x} outside GF({f.q})")
         zero = SymbolSet.from_mask(f, int(self.transmit_zero_word(1, rng)[0]))
         return SymbolSet(f, (f.add(x, e) for e in zero))
 
     def transmit_zero_word(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Channel outputs for an all-zero codeword as a bitmask array,
-        in the dtype of ``mask_dtype(q)``.
+        in the dtype of ``mask_dtype(q)``; ``n`` is an integer of at
+        least 0 (ValueError otherwise).
 
         Vectorized companion draw: the M-1 smallest of q-1 uniform keys
         per erased row pick the companions, so every (M-1)-subset of the
         nonzero symbols is equally likely.  Only which keys are smallest
         matters, not their order, so a partial selection suffices.
         """
-        q = self.field.q
+        q, n = self.field.q, as_int(n, "n", 0)
         masks = np.ones(n, dtype=mask_dtype(q))
         erased = rng.random(n) < self.epsilon
         k = int(erased.sum())

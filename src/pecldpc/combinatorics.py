@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +31,8 @@ def binom(n: int, k: int) -> int:
 
 def as_int(value, name: str, least: int | None = None) -> int:
     """``value`` as an int, or ValueError if it is not an integer (a
-    numpy integer is one, a bool is not) or lies below ``least``."""
+    numpy integer is one, a bool is not) or lies below ``least``.  Every
+    count, size, degree, index and seed of the public API passes here."""
     whole = isinstance(value, Integral) and not isinstance(value, bool)
     if not whole or (least is not None and value < least):
         at_least = "" if least is None else f" of at least {least}"
@@ -39,13 +40,22 @@ def as_int(value, name: str, least: int | None = None) -> int:
     return int(value)
 
 
-def _norm(sizes: Sequence[int], q: int) -> tuple[int, ...]:
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number (a numpy float is one, a bool
+    is not); NaN and the infinities are, so callers bound it."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _norm(sizes: Sequence[int], q: int, least: int = 0) -> tuple[tuple[int, ...], int]:
+    """(sizes sorted, q) as ints, or ValueError unless there is a size and
+    each lies in [least, q]."""
+    q = as_int(q, "q")
     t = tuple(sorted(as_int(s, "a size") for s in sizes))
     if not t:
         raise ValueError("size tuple must be nonempty")
-    if t[0] < 0 or t[-1] > q:
-        raise ValueError(f"sizes {t} out of range for a {q}-element universe")
-    return t
+    if t[0] < least or t[-1] > q:
+        raise ValueError(f"sizes must be >= {least} and <= q={q}, got {t}")
+    return t, q
 
 
 def _counts(sizes: tuple[int, ...], q: int) -> tuple[int, ...]:
@@ -68,21 +78,19 @@ def _counts(sizes: tuple[int, ...], q: int) -> tuple[int, ...]:
 def intersection_count(sizes: Sequence[int], m: int, q: int) -> int:
     """Number of ordered tuples of subsets (of the given sizes, inside a
     q-element universe) whose intersection has size exactly m."""
-    t = _norm(sizes, q)
-    if not 0 <= m <= t[0]:
-        raise ValueError(f"m={m} outside [0, {t[0]}]")
+    t, q = _norm(sizes, q)
+    if as_int(m, "m", 0) > t[0]:
+        raise ValueError(f"m={m} above the least size {t[0]}")
     return _counts(t, q)[m]
 
 
 def intersection_counts(sizes: Sequence[int], q: int) -> list[int]:
     """All counts for m = 0 .. min(sizes)."""
-    return list(_counts(_norm(sizes, q), q))
+    return list(_counts(*_norm(sizes, q)))
 
 
 def _common_counts(sizes: Sequence[int], q: int) -> tuple[int, ...]:
-    t = _norm(sizes, q)
-    if t[0] < 1:
-        raise ValueError("all sizes must be >= 1")
+    t, q = _norm(sizes, q, 1)
     return (0,) + _counts(tuple(s - 1 for s in t), q - 1)
 
 
@@ -101,11 +109,11 @@ def _law(counts: Sequence[int]) -> np.ndarray:
 def intersection_dist_exact(sizes: Sequence[int], q: int) -> tuple[Fraction, ...]:
     """Distribution of the intersection size of uniform random subsets
     with the given sizes; entry m is P(|intersection| = m), m = 0..min."""
-    return _law_exact(_counts(_norm(sizes, q), q))
+    return _law_exact(_counts(*_norm(sizes, q)))
 
 
 def intersection_dist(sizes: Sequence[int], q: int) -> np.ndarray:
-    return _law(_counts(_norm(sizes, q), q))
+    return _law(_counts(*_norm(sizes, q)))
 
 
 def common_member_intersection_dist_exact(

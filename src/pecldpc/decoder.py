@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import budget
+from .combinatorics import as_int
 from .gf import GF
 from .ldpc import TannerGraph
 from .symbol_sets import SymbolSet, intersect, leave_one_out, mask_dtype, set_layout, sumset
@@ -52,11 +53,12 @@ def ctv_message(incoming, out_label: int, field: GF) -> SymbolSet:
     ``incoming`` holds (set, label) pairs for the check's other edges;
     the result is every value of the target variable that satisfies the
     parity equation: the sumset of the incoming sets scaled by
-    -label/out_label.
+    -label/out_label.  Labels must be nonzero elements of the field
+    (ValueError).
     """
     incoming = list(incoming)
     for label in [out_label] + [label for _, label in incoming]:
-        if not 0 < label < field.q:
+        if as_int(label, "an edge label", 1) >= field.q:
             raise ValueError(f"edge labels must be nonzero elements of GF({field.q})")
     if any(s.field.q != field.q for s, _ in incoming):
         raise ValueError("sets belong to different fields")
@@ -139,10 +141,10 @@ def decode(
     as a bitmask array.  Masks that are not integers, are negative or
     name an element outside the field raise ValueError; an empty set
     raises DecodingInconsistency.  Zero ``max_iters`` returns the channel
-    sets as the posterior; a negative one raises ValueError.
+    sets as the posterior; one that is not an integer of at least 0 (a
+    float, a bool, a negative count) raises ValueError.
     """
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
+    max_iters = as_int(max_iters, "max_iters", 0)
     field = graph.field
     sets = set_layout(field)
     n_edges = graph.n_edges
@@ -243,8 +245,8 @@ def _received_masks(graph: TannerGraph, received) -> np.ndarray:
     if masks.ndim != 1 or len(masks) != graph.n:
         raise ValueError(f"expected {graph.n} received sets, got shape {masks.shape}")
     if masks.dtype == object:
-        if not all(isinstance(m, (int, np.integer)) for m in masks):
-            raise ValueError("received masks must be integers")
+        for m in masks:
+            as_int(m, "a received mask")
     elif masks.dtype.kind not in "iu":
         raise ValueError(f"received masks must be integers, not {masks.dtype}")
     if (masks < 0).any():

@@ -74,7 +74,7 @@ import numpy as np
 
 from . import budget
 from .channel import PartialErasureChannel
-from .combinatorics import as_int, common_member_intersection_dist
+from .combinatorics import as_int, common_member_intersection_dist, is_real
 from .gf import GF
 from .ldpc import DegreeDistribution
 from .sumset_models import SumsetSizeModel
@@ -294,9 +294,9 @@ def check_update(
 ) -> np.ndarray:
     """Size distribution of a check output given the incoming edge-size
     distribution z (length q, supported on 1..M)."""
-    d_c, M = as_int(d_c, "check degree", 2), as_int(M, "M")
-    if not 1 <= M <= field.q:
-        raise ValueError(f"M must lie in 1..q={field.q}, got {M}")
+    d_c, M = as_int(d_c, "check degree", 2), as_int(M, "M", 1)
+    if M > field.q:
+        raise ValueError(f"M must be at most q={field.q}, got {M}")
     z = _size_vector(z, field.q, "z")
     if z[M:].any():
         raise ValueError("variable-to-check sizes cannot exceed M")
@@ -354,12 +354,17 @@ class DeConfig:
     fixed point (a step below ``FIXED_POINT_TOL``), when a certificate
     proves that it cannot converge (tried once a step falls below
     ``CERTIFY_TOL``), or after ``max_iters`` iterations.  The
-    tolerances are module constants, read on every call."""
+    tolerances are module constants, read on every call.  A ``max_iters``
+    that is not an integer of at least 1 (a float, a bool, 0) is refused
+    (ValueError): every probe with eps > 0 would fail."""
 
     channel: PartialErasureChannel
     degrees: DegreeDistribution
     size_model: SumsetSizeModel
     max_iters: int = 2000
+
+    def __post_init__(self):
+        as_int(self.max_iters, "max_iters", 1)
 
 
 @dataclass
@@ -526,14 +531,13 @@ def threshold_search(
 
     ``check_monotone`` additionally probes a coarse grid and warns if
     convergence is not monotone in epsilon (the bisection assumes it).
-    Each epsilon is run at most once.
+    Each epsilon is run at most once.  A ``tol_eps`` that is not a real
+    number of at least 2**-52 is refused (ValueError).
     """
     # below 2**-52 the midpoint of two adjacent floats in [0, 1] is one
     # of them, so the bisection would never narrow to within tol_eps
-    if not tol_eps >= 2.0**-52:
-        raise ValueError(f"bisection tolerance must be at least 2**-52, got {tol_eps}")
-    if cfg.max_iters < 1:  # every probe with eps > 0 would fail
-        raise ValueError(f"max_iters must be at least 1, got {cfg.max_iters}")
+    if not is_real(tol_eps) or not tol_eps >= 2.0**-52:
+        raise ValueError(f"bisection tolerance must be a real number >= 2**-52, got {tol_eps!r}")
 
     @cache
     def converges(eps: float) -> bool:

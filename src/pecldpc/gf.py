@@ -22,6 +22,8 @@ from itertools import product
 
 import numpy as np
 
+from .combinatorics import as_int
+
 MAX_Q = 256
 
 
@@ -78,7 +80,8 @@ class GF:
     Parameters
     ----------
     q : int
-        Field order, 2 <= q <= 256, prime or prime power.
+        Field order, 2 <= q <= 256, prime or prime power; a numpy
+        integer is one, a bool or a float is refused (ValueError).
 
     Attributes
     ----------
@@ -98,8 +101,9 @@ class GF:
     """
 
     def __init__(self, q: int):
-        if not isinstance(q, int) or q < 2 or q > MAX_Q:
-            raise ValueError(f"q must be an integer in [2, {MAX_Q}], got {q}")
+        q = as_int(q, "q", 2)
+        if q > MAX_Q:
+            raise ValueError(f"q must be at most {MAX_Q}, got {q}")
         p = _smallest_prime_factor(q)
         s = 0
         n = q

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
 from . import budget
-from .combinatorics import as_int
+from .combinatorics import as_int, is_real
 from .gf import GF
 
 
@@ -34,13 +33,21 @@ class TannerGraph:
     ``edge_var[e]`` to check ``edge_chk[e]`` with label ``edge_label[e]``.
     Do not change them after construction: the degrees and slot arrays
     derived from them are kept.
+
+    Refused (ValueError): edge arrays that do not hold 64-bit integers
+    (floats, bools, Python ints beyond 64 bits) or are not 1-d and
+    aligned, labels that are not nonzero field elements, indices outside
+    the graph, and ``n`` or ``m`` that is not a nonnegative integer.
+    Without them, ``n`` and ``m`` are one more than the largest index.
     """
 
     def __init__(self, field: GF, edge_var, edge_chk, edge_label, n=None, m=None):
-        try:
-            ev, ec, el = (np.asarray(a, dtype=np.int64) for a in (edge_var, edge_chk, edge_label))
-        except OverflowError:
-            raise ValueError("edge entries must fit in 64-bit integers") from None
+        # integer arrays are not copied; an empty list holds floats
+        raw = [np.asarray(a) for a in (edge_var, edge_chk, edge_label)]
+        if any(a.size and a.dtype.kind not in "iu" for a in raw):
+            kinds = ", ".join(str(a.dtype) for a in raw)
+            raise ValueError(f"edge entries must be 64-bit integers, got {kinds} arrays")
+        ev, ec, el = (np.asarray(a, dtype=np.int64) for a in raw)
         if not (ev.shape == ec.shape == el.shape) or ev.ndim != 1:
             raise ValueError("edge arrays must be 1-d and index-aligned")
         if ev.size and ((el < 1).any() or (el >= field.q).any()):
@@ -49,8 +56,8 @@ class TannerGraph:
         self.edge_var = ev
         self.edge_chk = ec
         self.edge_label = el
-        self.n = int(n) if n is not None else int(ev.max()) + 1 if ev.size else 0
-        self.m = int(m) if m is not None else int(ec.max()) + 1 if ec.size else 0
+        self.n = as_int(n, "n") if n is not None else int(ev.max()) + 1 if ev.size else 0
+        self.m = as_int(m, "m") if m is not None else int(ec.max()) + 1 if ec.size else 0
         if self.n < 0 or self.m < 0:
             raise ValueError(f"graph sizes must be nonnegative, got n={self.n}, m={self.m}")
         # a node takes its degree, its slots and the decoder's per-node
@@ -91,6 +98,8 @@ class TannerGraph:
         assignment = np.asarray(assignment)
         if assignment.shape != (self.n,):
             raise ValueError(f"assignment must have length {self.n}")
+        if as_int(j, "check index", 0) >= self.m:
+            raise ValueError(f"check index {j} outside the graph's {self.m} checks")
         f = self.field
         acc = 0
         for e in np.flatnonzero(self.edge_chk == j):
@@ -158,9 +167,10 @@ def build_regular(
     variable order and matched to a random permutation of check
     sockets; labels are uniform over the nonzero field elements.  The
     slot arrays come from the same permutation, without a sort.
+    ValueError unless n is an integer of at least 0 and d_v and d_c are
+    integers of at least 2.
     """
-    if d_v < 2 or d_c < 2:
-        raise ValueError("degrees must be at least 2")
+    n, d_v, d_c = as_int(n, "n", 0), as_int(d_v, "d_v", 2), as_int(d_c, "d_c", 2)
     if (n * d_v) % d_c != 0:
         raise ValueError(f"n*d_v = {n * d_v} not divisible by d_c = {d_c}")
     m = n * d_v // d_c
@@ -203,7 +213,7 @@ class DegreeDistribution:
             for deg, frac in coeffs.items():
                 as_int(deg, f"{name} degree", 2)
                 # a NaN fraction would pass the sum check below
-                if isinstance(frac, bool) or not isinstance(frac, Real) or not 0 <= frac < inf:
+                if not is_real(frac) or not 0 <= frac < inf:
                     raise ValueError(f"{name}_{deg} must be finite and nonnegative, got {frac!r}")
             if abs(sum(coeffs.values()) - 1.0) > 1e-9:
                 raise ValueError(f"{name} coefficients must sum to 1")

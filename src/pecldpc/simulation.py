@@ -15,6 +15,7 @@ import numpy as np
 
 from . import budget
 from .channel import PartialErasureChannel
+from .combinatorics import as_int
 from .decoder import STATUS_SUCCESS, decode
 from .ldpc import build_regular
 from .symbol_sets import set_bytes
@@ -53,23 +54,25 @@ def run_trials(
 
     Each trial runs on its own generator seeded by (seed, trial index),
     so reports are reproducible regardless of execution order.  A run is
-    refused (ValueError) before any graph is built when its trials or
-    its edge-message arrays would pass the work budget: n * d_v sets of
-    ``set_bytes(q)`` may take 2**-6 of ``budget.BYTES``, as a decode
-    peaks at 40-95 times that array (the graph, the other message
-    arrays, the pass temporaries and, above q = 12, the spectra).
+    refused (ValueError) before any graph is built when ``trials`` or
+    ``n`` is not an integer of at least 1, ``max_iters`` or ``seed`` not
+    one of at least 0, or ``d_v`` or ``d_c`` not one of at least 2, or
+    when its trials or its edge-message arrays would pass the work
+    budget: n * d_v sets of ``set_bytes(q)`` may take 2**-6 of
+    ``budget.BYTES``, as a decode peaks at 40-95 times that array (the
+    graph, the other message arrays, the pass temporaries and, above
+    q = 12, the spectra).
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    trials, max_iters = as_int(trials, "trials", 1), as_int(max_iters, "max_iters", 0)
+    n, d_v, d_c = as_int(n, "n"), as_int(d_v, "d_v", 2), as_int(d_c, "d_c", 2)
+    seed = as_int(seed, "seed", 0)
     # a trial costs four numpy calls at the least (its generator, graph,
     # channel draw and decode): 2**20, which at q = 4, n = 10,000 (~14 ms
     # a trial on one x86-64 core) take about four hours
     budget.over(trials, budget.ITEMS, f"{trials} trials exceed what a run may ask")
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
     if n < 1:
         raise ValueError(f"need at least one variable node, got n={n}")
-    need = n * max(d_v, 0) * set_bytes(channel.field.q)
+    need = n * d_v * set_bytes(channel.field.q)
     budget.over(need, budget.BYTES >> 6, f"n={n}, d_v={d_v}: {need} bytes per edge-message array")
 
     successes = 0

@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import budget
-from .combinatorics import _law, _law_exact, as_int, binom, intersection_dist
+from .combinatorics import _law, _law_exact, _norm, as_int, binom, intersection_dist
 from .gf import GF
 from .symbol_sets import index_masks, mask_dtype, masks_to_planes, set_bytes, set_layout
 
@@ -66,18 +66,8 @@ class SumsetBounds:
     upper: int
 
 
-def _norm_sizes(sizes: Sequence[int], q: int) -> tuple[int, ...]:
-    t = tuple(sorted(as_int(s, "a size") for s in sizes))
-    if not t:
-        raise ValueError("size tuple must be nonempty")
-    if t[0] < 1 or t[-1] > q:
-        raise ValueError(f"sizes {t} out of range for GF({q})")
-    return t
-
-
 def sumset_bounds(sizes: Sequence[int], field: GF) -> SumsetBounds:
-    q = field.q
-    t = _norm_sizes(sizes, q)
+    t, q = _norm(sizes, field.q, 1)
     if len(t) >= 2 and t[-1] + t[-2] > q:
         return SumsetBounds(lower=q, upper=q)
     k = len(t)
@@ -166,7 +156,7 @@ def _exact_counts(sizes: Sequence[int], field: GF) -> list[int]:
         return [int(s == b.lower) for s in range(1, q + 1)]
     # a size-1 operand is a translate, whose step maps every orbit to
     # itself; with the bounds apart, two or more larger operands are left
-    t = tuple(s for s in _norm_sizes(sizes, q) if s > 1)
+    t = tuple(s for s in _norm(sizes, q, 1)[0] if s > 1)
     # orbit key -> number of operand choices so far, from {0}
     state, work = Counter({1: 1}), 0
     with budget.scope():
@@ -216,8 +206,7 @@ def monte_carlo_dist(
     drawn from ``rng``; ValueError when their sets would take more than
     a quarter of ``budget.BYTES``, which leaves room for their sizes and
     the draws' chunks."""
-    q = field.q
-    t = _norm_sizes(sizes, q)
+    t, q = _norm(sizes, field.q, 1)
     samples = as_int(samples, "samples", 1)
     need = samples * set_bytes(q)
     budget.over(need, budget.BYTES >> 2, f"{samples} Monte Carlo samples: {need} bytes of sets")
@@ -329,7 +318,7 @@ def _truncate_renorm(g: np.ndarray, lower: int) -> np.ndarray:
 
 def _coverage_dist(sizes: Sequence[int], field: GF, batched: bool) -> np.ndarray:
     # the prod(sizes) sums in batches of one (balls) or max(sizes) (union)
-    t = _norm_sizes(sizes, field.q)
+    t = _norm(sizes, field.q, 1)[0]
     b = sumset_bounds(t, field)
     if b.lower == b.upper:
         return _delta(field.q, b.lower)
@@ -357,7 +346,8 @@ class SumsetSizeModel:
     """Names one sumset-size law: `kind` is one of MODEL_KINDS.  With an
     ``mc_seed``, the exact law falls back to ``mc_samples`` Monte Carlo
     draws seeded by (mc_seed, q, sizes) where the exact law is over its
-    share of the work budget.
+    share of the work budget.  ``mc_samples`` must be an integer of at
+    least 1 and ``mc_seed`` one of at least 0 (ValueError).
     A model is a value: equal models give equal laws."""
 
     kind: str
@@ -371,14 +361,14 @@ class SumsetSizeModel:
         # a float count or seed would fail deep inside the sampler
         samples = as_int(self.mc_samples, "mc_samples", 1)
         if self.mc_seed is not None:
-            as_int(self.mc_seed, "mc_seed")
+            as_int(self.mc_seed, "mc_seed", 0)
         # no set takes fewer than set_bytes(2) bytes, so a count over
         # this is refused by monte_carlo_dist at every field
         budget.over(samples * set_bytes(2), budget.BYTES >> 2, "set bytes at every field")
 
     def distribution(self, sizes: Sequence[int], field: GF) -> np.ndarray:
         """A fresh length-q law of the sumset size for ``sizes``."""
-        t = _norm_sizes(sizes, field.q)
+        t = _norm(sizes, field.q, 1)[0]
         # each law through its module-level name, so a wrapper put there
         # (a tracer, a test's counter) sees every call
         if self.kind == "exact":

@@ -34,6 +34,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .combinatorics import as_int
 from .gf import GF
 
 # fields whose sets fit one uint16 word take the mask layout
@@ -100,7 +101,9 @@ class SymbolSet:
     def __init__(self, field: GF, elements: Iterable[int] = ()):
         mask = 0
         for e in elements:
-            if not 0 <= e < field.q:
+            # as an int: 1 << np.int64(e) wraps at 64 bits
+            e = as_int(e, "element", 0)
+            if e >= field.q:
                 raise ValueError(f"element {e} outside GF({field.q})")
             mask |= 1 << e
         self.field = field
@@ -129,7 +132,8 @@ class SymbolSet:
         return self.mask.bit_count()
 
     def __contains__(self, e: int) -> bool:
-        return bool((self.mask >> e) & 1)
+        e = as_int(e, "element")
+        return e >= 0 and bool((self.mask >> e) & 1)
 
     def __iter__(self) -> Iterator[int]:
         m = self.mask
@@ -159,8 +163,8 @@ class SymbolSet:
 
     def scale(self, a: int) -> "SymbolSet":
         """{a*x : x in self}; a must be a nonzero field element."""
-        if not 0 < a < self.field.q:
-            raise ValueError(f"scaling by {a} is not invertible in GF({self.field.q})")
+        if as_int(a, "scale factor", 1) >= self.field.q:
+            raise ValueError(f"scale factor {a} outside GF({self.field.q})")
         sets = set_layout(self.field)
         out = sets.scaled(_encode(self.field, [self.mask]), np.array([a]))
         return SymbolSet.from_mask(self.field, int(sets.to_masks(out)[0]))

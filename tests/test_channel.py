@@ -30,6 +30,23 @@ def test_parameter_validation():
             PartialErasureChannel(f, M, 0.5)
 
 
+@pytest.mark.parametrize("bad", [2.5, True, float("nan")])
+def test_counts_and_symbols_must_be_integers(bad):
+    # 2.5 raised raw TypeErrors, and True passed as 1
+    ch, rng = make(4, 2, 0.5), np.random.default_rng(1)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        ch.transmit_zero_word(bad, rng)
+    with pytest.raises(ValueError, match="symbol must be an integer"):
+        ch.transmit(bad, rng)
+
+
+@pytest.mark.parametrize("eps", [None, "0.5", True])
+def test_epsilon_must_be_real(eps):
+    # None and a string raised raw TypeErrors, and True passed as 1.0
+    with pytest.raises(ValueError, match="epsilon must be a real number"):
+        PartialErasureChannel(GF(4), 2, eps)
+
+
 def test_i_max():
     assert make(4, 2, 0.5).i_max == 3
     assert make(5, 3, 0.5).i_max == 6

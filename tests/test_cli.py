@@ -99,6 +99,21 @@ def test_iteration_limits_rejected(tmp_path, capsys):
     assert code == 0 and rows_of(text)[1][9] == "0"  # avg_iterations
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["pm-table", "--q", "4", "--sizes", "2,2", "--model", "exact", "--mc-samples", "10"],
+        ["simulate", "--q", "4", "--M", "2", "--n", "12", "--dv", "3", "--dc", "6", "--eps", "0.5"],
+    ],
+    ids=["pm-table", "simulate"],
+)
+def test_negative_seed_refused(capsys, args):
+    # pm-table exited 0, as the exact law drew nothing; simulate exited 2
+    # with numpy's unnamed "expected non-negative integer"
+    assert main(args + ["--seed", "-1"]) == 2
+    assert "seed must be an integer of at least 0" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------
 # pm-table
 # ---------------------------------------------------------

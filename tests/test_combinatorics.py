@@ -96,6 +96,13 @@ def test_count_argument_validation():
             intersection_dist(sizes, 8)
     with pytest.raises(ValueError, match=">= 1"):
         common_member_intersection_dist((0, 2), 4)
+    # q and m too: a float q raised a raw TypeError, and m=True counted
+    # as intersection size 1
+    for bad in (2.5, True, float("nan")):
+        with pytest.raises(ValueError, match="q must be an integer"):
+            intersection_dist([2, 3], bad)
+        with pytest.raises(ValueError, match="m must be an integer"):
+            intersection_count([2, 3], bad, 8)
 
 
 def test_intersection_count_values():

@@ -74,6 +74,16 @@ def test_ctv_rejects_zero_labels():
             ctv_message(bad, 3, f)
 
 
+@pytest.mark.parametrize("bad", [1.5, True, float("nan")])
+def test_ctv_labels_must_be_integers(bad):
+    # 1.5 raised a raw TypeError, and True passed as the label 1
+    f = GF(5)
+    with pytest.raises(ValueError, match="edge label must be an integer"):
+        ctv_message([(S(f, 0, 1), bad)], 1, f)
+    with pytest.raises(ValueError, match="edge label must be an integer"):
+        ctv_message([(S(f, 0, 1), 2)], bad, f)
+
+
 def test_ctv_refuses_sets_of_another_field():
     with pytest.raises(ValueError, match="different fields"):
         ctv_message([(SymbolSet(GF(4), [0, 1]), 1)], 1, GF(5))
@@ -201,6 +211,11 @@ def test_iteration_limit():
     res = decode(g, received, max_iters=0)
     assert res.iterations == 0
     assert [s.mask for s in res.estimate] == [int(m) for m in received]
+    # a count that is not an integer answered (2.5 and True as a bound on
+    # the loop, NaN as zero iterations)
+    for bad in (2.5, True, float("nan")):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            decode(g, received, max_iters=bad)
 
 
 def test_received_masks_must_be_integers():

@@ -827,7 +827,8 @@ def test_threshold_bec_anchor():
 
 
 def test_threshold_rejects_unusable_tolerance():
-    for tol in (0.0, -1.0, 1e-300, float("nan")):
+    # None and a string raised raw TypeErrors, and True bisected at 1.0
+    for tol in (0.0, -1.0, 1e-300, float("nan"), None, "a", True):
         with pytest.raises(ValueError):
             threshold_search(bec_cfg(2, 0.0), tol_eps=tol)
 
@@ -1038,7 +1039,8 @@ def test_threshold_probes_each_epsilon_once(monkeypatch):
 
 
 def test_threshold_rejects_iteration_limits_below_one():
-    for max_iters in (0, -3):
+    # DeConfig refuses them; it took 2.5, True and NaN, and a search answered
+    for max_iters in (0, -3, 2.5, True, float("nan")):
         with pytest.raises(ValueError, match="max_iters"):
             threshold_search(bec_cfg(4, 0.0, max_iters=max_iters))
 

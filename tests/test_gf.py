@@ -35,6 +35,12 @@ def test_rejects_non_prime_powers_and_range(bad):
         GF(bad)
 
 
+def test_numpy_integer_order():
+    # every other entry point takes numpy integers; GF refused them
+    assert GF(np.int64(4)) == GF(4)
+    assert type(GF(np.uint8(9)).q) is int
+
+
 def test_tables_deterministic():
     a, b = GF(9), GF(9)
     assert np.array_equal(a.mul_table, b.mul_table)

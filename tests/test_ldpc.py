@@ -140,6 +140,31 @@ def test_graph_validation():
         TannerGraph(f, [0, 1], [0], [1, 2])
     with pytest.raises(ValueError):
         worked_graph().check_satisfied([0, 0], 0)
+    # float and bool entries were truncated to indices and labels, and
+    # n=2.5 to n=2
+    for edges in ([0.5, 1.7], [True, False]):
+        with pytest.raises(ValueError, match="64-bit integers"):
+            TannerGraph(f, edges, [0, 0], [1, 2])
+    with pytest.raises(ValueError, match="64-bit integers"):
+        TannerGraph(f, [0, 1], [0, 0], [1.0, 2.0])
+    g = build_regular(12, 3, 6, f, np.random.default_rng(1))
+    for bad in (2.5, True, float("nan")):
+        for name in ("n", "m"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                TannerGraph(f, [0, 1], [0, 0], [1, 2], **{name: bad})
+        for k, name in enumerate(("n", "d_v", "d_c")):
+            args = [12, 3, 6]
+            args[k] = bad
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                build_regular(*args, f, np.random.default_rng(1))
+        # a check index that names no check found no edges: True
+        with pytest.raises(ValueError, match="check index must be an integer"):
+            g.check_satisfied(np.zeros(g.n, dtype=int), bad)
+    with pytest.raises(ValueError, match="check index"):
+        g.check_satisfied(np.zeros(g.n, dtype=int), g.m)
+    # n=12.0 raised a raw AxisError
+    with pytest.raises(ValueError, match="n must be an integer"):
+        build_regular(12.0, 3, 6, f, np.random.default_rng(1))
 
 
 # ---------------------------------------------------------

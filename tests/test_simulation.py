@@ -99,6 +99,16 @@ def test_argument_validation():
     # zero iterations is legal: only the channel output is counted
     rep = run_trials(channel(4, 2, 0.0), n=12, d_v=3, d_c=6, trials=2, max_iters=0, seed=0)
     assert rep.successes == 2 and rep.avg_iterations == 0.0
+    # every count and the seed is an integer (trials=2.5 raised a raw
+    # TypeError, max_iters=2.5 answered), and a negative seed is refused
+    # by name, not by numpy's "expected non-negative integer"
+    kw = dict(n=12, d_v=3, d_c=6, trials=2, max_iters=5, seed=0)
+    for name in kw:
+        for bad in (2.5, True, float("nan")):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                run_trials(channel(4, 2, 0.1), **{**kw, name: bad})
+    with pytest.raises(ValueError, match="seed must be an integer of at least 0"):
+        run_trials(channel(4, 2, 0.1), **{**kw, "seed": -1})
 
 
 @pytest.mark.parametrize("q", [64, 128])

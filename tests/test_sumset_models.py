@@ -232,7 +232,8 @@ def test_monte_carlo_needs_samples():
             monte_carlo_dist((2, 2), f, samples, np.random.default_rng(1))
         with pytest.raises(ValueError):
             SumsetSizeModel("exact", mc_samples=samples, mc_seed=1)
-    for seed in (1.5, 1.0, "1"):
+    # -1 was refused by numpy, unnamed, and only where a law was sampled
+    for seed in (1.5, 1.0, "1", -1):
         with pytest.raises(ValueError, match="mc_seed"):
             SumsetSizeModel("exact", mc_seed=seed)
     # Python and numpy integers are counts and seeds alike

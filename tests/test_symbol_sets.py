@@ -47,6 +47,25 @@ def test_element_range_checked():
         SymbolSet.parse(f, "0,9")
 
 
+@pytest.mark.parametrize("bad", [2.5, True, float("nan")])
+def test_elements_and_factors_must_be_integers(bad):
+    # 2.5 raised raw TypeErrors, and True passed as 1
+    f = GF(4)
+    with pytest.raises(ValueError, match="element must be an integer"):
+        SymbolSet(f, [bad])
+    with pytest.raises(ValueError, match="scale factor must be an integer"):
+        S(f, 1).scale(bad)
+
+
+def test_numpy_integer_elements():
+    # 1 << np.int64(200) wrapped at 64 bits: the set came out empty
+    f = GF(256)
+    assert SymbolSet(f, [np.int64(200), np.uint8(3)]) == SymbolSet(f, [200, 3])
+    # and membership by a numpy integer overflowed on such a mask
+    s = SymbolSet(f, [200, 3])
+    assert np.int64(200) in s and np.uint8(3) in s and np.int64(4) not in s and -1 not in s
+
+
 def test_full_set():
     f = GF(4)
     assert list(SymbolSet.full(f)) == [0, 1, 2, 3]
