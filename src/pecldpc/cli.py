@@ -2,7 +2,9 @@
 
 Subcommands mirror the analysis surface: ``capacity`` evaluates the
 closed form over an epsilon grid, ``threshold`` runs density-evolution
-bisection per size model, ``simulate`` runs finite-length Monte Carlo
+bisection per size model (and warns on stderr when a model's check
+tables fail the order check, so that the bisection's monotonicity in
+epsilon is unproven), ``simulate`` runs finite-length Monte Carlo
 trials, ``pm-table`` dumps sumset-size distributions, ``decode-trace``
 replays one decoding run from graph/received files.  Everything emits
 CSV (header comment line with the invocation and seed, then a header
@@ -145,7 +147,7 @@ def _cmd_threshold(args):
         for model in models:
             ch = PartialErasureChannel(field, m, 0.0)
             cfg = DeConfig(channel=ch, degrees=degrees, size_model=model, max_iters=args.max_iters)
-            th = threshold_search(cfg, tol_eps=args.tol, check_monotone=args.check_monotone)
+            th = threshold_search(cfg, tol_eps=args.tol, check_monotone=True)
             rows.append((args.q, m, args.dv, args.dc, model.kind, th))
     return ["q", "M", "d_v", "d_c", "model", "epsilon_threshold"], rows
 
@@ -275,12 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 field, sizes, degrees, models)
     p.add_argument("--max-iters", type=int, default=2000)
     p.add_argument("--tol", type=float, default=1e-4, help="bisection tolerance")
-    p.add_argument(
-        "--check-monotone",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="probe a grid to confirm convergence is monotone in epsilon",
-    )
 
     p = command("simulate", _cmd_simulate, "finite-length Monte Carlo decoding trials",
                 field, sizes, degrees, eps)

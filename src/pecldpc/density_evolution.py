@@ -527,40 +527,50 @@ def threshold_search(
     check_monotone: bool = False,
 ) -> float:
     """Largest erasure probability (to within ``tol_eps``) at which
-    density evolution still converges, by bisection on [0, 1].
+    density evolution still converges, by bisection on [0, 1].  Each
+    probe is a distinct epsilon, run once.  A ``tol_eps`` that is not a
+    real number of at least 2**-52 is refused (ValueError).
 
-    ``check_monotone`` additionally probes a coarse grid and warns if
-    convergence is not monotone in epsilon (the bisection assumes it).
-    Each epsilon is run at most once.  A ``tol_eps`` that is not a real
-    number of at least 2**-52 is refused (ValueError).
+    The bisection needs the verdict monotone in epsilon, and it is
+    wherever the tables pass the order check (``DeResult.certifiable``):
+    F_eps(z) = (1-eps) e_1 + eps G(z) with G free of eps and G(z) >=st
+    e_1, so F_eps rises with eps, as does the start law (1-eps) e_1 +
+    eps e_M; by induction z_l(eps1) <=st z_l(eps2) at every l when eps1
+    < eps2 (Richardson and Urbanke, Modern Coding Theory, ch. 3-4), and
+    so pe_l(eps1) <= pe_l(eps2).  A run whose failure probability falls
+    below ``CONVERGENCE_TOL`` within ``max_iters`` at eps2 falls below it
+    no later at eps1, where no certificate can stop it first.  The proof
+    covers the exact map, up to float rounding.  It does not cover the
+    ``FIXED_POINT_TOL`` stop, a heuristic that could in principle end a
+    converging probe early.
+
+    ``check_monotone`` warns, once, when the first probe reports that the
+    tables fail the order check (noisy Monte Carlo laws, say), so that
+    monotonicity in epsilon is unproven.  The order check depends on the
+    tables alone, not on epsilon, so one probe decides it.
     """
     # below 2**-52 the midpoint of two adjacent floats in [0, 1] is one
     # of them, so the bisection would never narrow to within tol_eps
     if not is_real(tol_eps) or not tol_eps >= 2.0**-52:
         raise ValueError(f"bisection tolerance must be a real number >= 2**-52, got {tol_eps!r}")
 
-    @cache
-    def converges(eps: float) -> bool:
-        return run(replace(cfg, channel=cfg.channel.with_epsilon(eps))).converged
+    def probe(eps: float) -> DeResult:
+        return run(replace(cfg, channel=cfg.channel.with_epsilon(eps)))
 
     # every probe draws on the search's budget
     with budget.scope():
-        if check_monotone:
-            flags = [converges(e) for e in np.linspace(0.0, 1.0, 17)]
-            last_true = max((i for i, f in enumerate(flags) if f), default=-1)
-            first_false = next((i for i, f in enumerate(flags) if not f), len(flags))
-            if last_true > first_false:
-                warnings.warn(
-                    "density-evolution convergence is not monotone in epsilon; "
-                    "the bisection threshold may be unreliable"
-                )
-
-        if converges(1.0):
+        top = probe(1.0)
+        if check_monotone and not top.certifiable:
+            warnings.warn(
+                "convergence is not proven monotone in epsilon: the check tables "
+                "fail the order check; the bisection threshold may be unreliable"
+            )
+        if top.converged:
             return 1.0
         lo, hi = 0.0, 1.0
         while hi - lo > tol_eps:
             mid = 0.5 * (lo + hi)
-            if converges(mid):
+            if probe(mid).converged:
                 lo = mid
             else:
                 hi = mid

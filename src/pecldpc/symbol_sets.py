@@ -111,9 +111,13 @@ class SymbolSet:
 
     @classmethod
     def from_mask(cls, field: GF, mask: int) -> "SymbolSet":
+        """The set whose members are the 1 bits of ``mask``, an integer in
+        [0, 2**q) (ValueError otherwise)."""
         s = cls.__new__(cls)
         s.field = field
-        s.mask = mask
+        s.mask = as_int(mask, "a set mask", 0)
+        if s.mask >> field.q:
+            raise ValueError(f"set mask {mask:#x} names an element outside GF({field.q})")
         return s
 
     @classmethod

@@ -274,7 +274,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         ["capacity", "--q", "4", "--M", "2,3,4", "--eps-grid", "0:1:0.05"],
         [
             "threshold", "--q", "4", "--M", "4", "--dv", "3", "--dc", "6",
-            "--model", "exact,union", "--tol", "1e-3", "--no-check-monotone",
+            "--model", "exact,union", "--tol", "1e-3",
         ],
         [
             "simulate", "--q", "4", "--M", "2", "--dv", "3", "--dc", "6",

@@ -59,7 +59,7 @@ def test_threshold_rows(tmp_path):
     code, text = run_cli(
         [
             "threshold", "--q", "2", "--M", "2", "--dv", "3", "--dc", "6",
-            "--model", "exact,balls", "--tol", "1e-3", "--no-check-monotone",
+            "--model", "exact,balls", "--tol", "1e-3",
         ],
         tmp_path,
     )
@@ -75,7 +75,7 @@ def test_threshold_rows(tmp_path):
 def test_threshold_rejects_unusable_tolerance(capsys):
     args = [
         "threshold", "--q", "4", "--M", "2", "--dv", "3", "--dc", "6",
-        "--model", "bound-upper", "--no-check-monotone",
+        "--model", "bound-upper",
     ]
     for tol in ("0", "-1", "1e-300", "nan"):
         assert main(args + ["--tol", tol]) == 2
@@ -693,7 +693,7 @@ _OPTIONS = {
     "threshold": {
         ("--q",): None, ("--M",): None, ("--dv",): None, ("--dc",): None,
         ("--model",): _ALL_MODELS, ("--mc-samples",): None, ("--max-iters",): 2000,
-        ("--tol",): 1e-4, ("--check-monotone", "--no-check-monotone"): True,
+        ("--tol",): 1e-4,
     },
     "simulate": {
         ("--q",): None, ("--M",): None, ("--dv",): None, ("--dc",): None, ("--n",): None,

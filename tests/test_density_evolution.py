@@ -420,11 +420,10 @@ TRAJECTORY_PINS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "case, want",
-    TRAJECTORY_PINS,
-    ids=["q8-exact", "q16-balls", "q4-union", "q8-irregular", "q16-unfolded"],
-)
+TRAJECTORY_IDS = ["q8-exact", "q16-balls", "q4-union", "q8-irregular", "q16-unfolded"]
+
+
+@pytest.mark.parametrize("case, want", TRAJECTORY_PINS, ids=TRAJECTORY_IDS)
 def test_run_trajectory_pinned(case, want):
     # thresholds only see each probe's converged flag; this pins every
     # float of the trajectory, bit for bit
@@ -434,6 +433,36 @@ def test_run_trajectory_pinned(case, want):
     text = " ".join(pe.hex() for _, pe in r.trajectory) + f"|{r.iterations}|{r.stop_reason}"
     assert (r.iterations, r.stop_reason, hashlib.sha256(text.encode()).hexdigest()) == want
     assert r.mass_ok and r.monotone
+
+
+@pytest.mark.parametrize("case", [c for c, _ in TRAJECTORY_PINS], ids=TRAJECTORY_IDS)
+def test_failure_probability_monotone_in_eps(case, monkeypatch):
+    # the bisection's premise, proven wherever the tables pass the order
+    # check: eps1 < eps2 gives pe_l(eps1) <= pe_l(eps2) at every l.  The
+    # stop rules are off, so each run iterates until max_iters, or until
+    # its failure probability rounds below 0 (the converged stop at
+    # CONVERGENCE_TOL = 0); the prefix both runs reach is compared.  The
+    # slack is ORDER_SLACK: the tables are ordered up to it, their CDFs'
+    # rounding, and pe = 1 - z_1 rounds as a CDF entry does: the largest
+    # excess here is 2**-52, at q=8 (exact), where a run's pe rounds to
+    # -2**-52 and the run below it holds 0.0
+    for name in ("CONVERGENCE_TOL", "FIXED_POINT_TOL", "CERTIFY_TOL"):
+        monkeypatch.setattr(de_mod, name, 0.0)
+    q, M, kind, eps, lam, rho = case
+    field, deg, model = GF(q), DegreeDistribution(lam, rho), SumsetSizeModel(kind)
+    rng = np.random.default_rng(27)
+    # pairs anywhere in [0, 1], and pairs near the pinned eps, which sits
+    # at a threshold, where the trajectories run long plateaus
+    pairs = [sorted(rng.uniform(0.0, 1.0, 2)) for _ in range(3)]
+    pairs += [sorted(eps + rng.uniform(-0.01, 0.01, 2)) for _ in range(3)]
+    for pair in pairs:
+        runs = [
+            run(DeConfig(PartialErasureChannel(field, M, e), deg, model, max_iters=150))
+            for e in pair
+        ]
+        assert all(r.certifiable for r in runs)
+        for (it, low), (_, high) in zip(runs[0].trajectory, runs[1].trajectory):
+            assert low <= high + de_mod.ORDER_SLACK, (pair, it, low, high)
 
 
 def test_bec_reduction_termwise(monkeypatch):
@@ -689,10 +718,10 @@ def test_unordered_tables_turn_certification_off(monkeypatch):
         assert (r.trajectory, r.stop_reason) == (plain.trajectory, plain.stop_reason)
 
 
-def test_monte_carlo_tables_are_not_certified(monkeypatch):
-    # the exact law refused on every multiset with three operands above
-    # size 1: the seeded Monte Carlo laws that stand in are noisy enough
-    # to break the order, so the run is left to the other stop rules
+def monte_carlo_cfg(monkeypatch, eps) -> DeConfig:
+    """A (3,6) run at GF(8), M=4 whose exact law is refused on every
+    multiset with three operands above size 1: the seeded Monte Carlo
+    laws that stand in are noisy enough to break the order."""
     import pecldpc.sumset_models as ss
 
     exact = ss.exact_dist
@@ -704,8 +733,13 @@ def test_monte_carlo_tables_are_not_certified(monkeypatch):
 
     monkeypatch.setattr(ss, "exact_dist", refusing)
     model = SumsetSizeModel("exact", mc_samples=2000, mc_seed=1)
-    ch = PartialErasureChannel(GF(8), 4, 0.95)
-    r = run(DeConfig(ch, DegreeDistribution.regular(3, 6), model))
+    ch = PartialErasureChannel(GF(8), 4, eps)
+    return DeConfig(ch, DegreeDistribution.regular(3, 6), model)
+
+
+def test_monte_carlo_tables_are_not_certified(monkeypatch):
+    # the run is left to the other stop rules
+    r = run(monte_carlo_cfg(monkeypatch, 0.95))
     assert not r.certifiable and r.stop_reason == "fixed_point"
 
 
@@ -880,8 +914,8 @@ def test_threshold_model_ordering_large_fields(q, M):
 
 
 # thresholds of `pecldpc threshold --q 4 --M 2,3,4 --dv 3 --dc 6` (the CLI
-# defaults: tol 1e-4, 2000 iterations, monotone grid on); a change to the
-# DE arithmetic must keep them bit for bit
+# defaults: tol 1e-4, 2000 iterations); a change to the DE arithmetic
+# must keep them bit for bit
 Q4_GRID_THRESHOLDS = {
     (2, "exact"): "0x1.a458000000000p-1",
     (2, "bound-lower"): "0x1.0000000000000p+0",
@@ -990,10 +1024,11 @@ def test_threshold_large_fields_pinned(monkeypatch):
 # check_monotone=True, in probe order: its eps, every failure
 # probability's float.hex, its iterations and its stop reason.  Both
 # searches read coverage walks and end probes by the certificate, so a
-# last-bit drift in a walk or a certificate try moves some probe
+# last-bit drift in a walk or a certificate try moves some probe.  Each
+# search probes 1.0 and then its 14 bisection points
 PROBE_PINS = {
-    (16, 4, "balls"): "0a28165b93ee3d52f7462c904ff699d0bd146608170acc07c1df0670b4168f6f",
-    (8, 3, "union"): "613bf9169fdc64880ba18e698e8ed692ab9ce2554cfd0ecf014834450bd1c3bd",
+    (16, 4, "balls"): "4b015b20e1d13049e28dbce1e89825a038e1643ba77952e6fc3c68c4f453d41f",
+    (8, 3, "union"): "a4437b2e5c6563708e85832258c901400e1246630eb61ecf356bc32dc113b2f3",
 }
 
 
@@ -1030,9 +1065,9 @@ def test_threshold_probes_each_epsilon_once(monkeypatch):
     monkeypatch.setattr(de_mod, "run", counting_run)
     th = de_mod.threshold_search(bec_cfg(2, 0.0), check_monotone=True)
     assert len(probed) == len(set(probed))
-    # the 17-point grid holds 1.0 and the first four bisection points,
-    # so only the last 10 of the 14 bisection steps need a new run
-    assert len(probed) == 17 + 10
+    # 1.0, then 14 bisection steps to within 1e-4: the monotonicity check
+    # reads the first probe's order check and runs no probe of its own
+    assert len(probed) == 1 + 14
     probed.clear()
     assert de_mod.threshold_search(bec_cfg(2, 0.0)) == th
     assert len(probed) == 1 + 14
@@ -1052,26 +1087,19 @@ def test_threshold_monotone_check_runs_clean():
     assert 0.42 < th < 0.44
 
 
-def test_threshold_warns_on_non_monotone_convergence(monkeypatch):
-    import pecldpc.density_evolution as de_mod
-
-    from pecldpc.density_evolution import DeResult
-
-    def fake_run(cfg):
-        eps = cfg.channel.epsilon
-        # converges on a weird island above a failing stretch
-        ok = eps < 0.2 or 0.6 < eps < 0.7
-        return DeResult(
-            converged=ok,
-            iterations=1,
-            trajectory=[(0, eps)],
-            stop_reason="converged" if ok else "max_iters",
-        )
-
-    monkeypatch.setattr(de_mod, "run", fake_run)
-    with pytest.warns(UserWarning, match="not monotone"):
-        th = de_mod.threshold_search(bec_cfg(2, 0.0), check_monotone=True)
-    assert th > 0.0
+def test_threshold_warns_when_tables_fail_the_order_check(monkeypatch):
+    # Monte Carlo check tables break the order, so the bisection's
+    # monotonicity in eps is unproven: the search says so, once
+    cfg = monte_carlo_cfg(monkeypatch, 0.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        th = de_mod.threshold_search(cfg, tol_eps=0.2, check_monotone=True)
+        unchecked = de_mod.threshold_search(cfg, tol_eps=0.2)
+    assert th == unchecked
+    assert [str(w.message) for w in caught] == [
+        "convergence is not proven monotone in epsilon: the check tables fail the order "
+        "check; the bisection threshold may be unreliable"
+    ]
 
 
 # calls that the work budget refuses or admits: exact laws (refused by
@@ -1131,7 +1159,9 @@ def test_refusals_do_not_depend_on_caches(monkeypatch):
     monkeypatch.setattr(pecldpc.budget, "CELLS", cells)
     assert cases["outcomes"]() == fresh
     refused = [o.split(":")[0] for o in fresh if "Error" in o]
-    assert sorted(refused) == ["EnumerationBudgetError"] * 2 + ["ValueError"] * 2, fresh
+    assert sorted(refused) == ["EnumerationBudgetError"] * 2 + ["ValueError"], fresh
+    # the (16, 8, bound-upper) search, 15 probes, fits the small budget
+    assert fresh[-1] == repr(0.52423095703125), fresh
     assert [o for o in fresh if "Error" not in o] == [
         d for d, o in zip(default, fresh) if "Error" not in o
     ]

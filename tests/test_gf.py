@@ -153,6 +153,20 @@ def test_div_matches_inv():
             assert f.sub(a, b) == f.add(a, f.neg(b))
 
 
+@pytest.mark.parametrize("bad", [-1, "q", 2.5])
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "neg", "inv", "div"])
+def test_element_ops_refuse_non_elements(op, bad):
+    # the list lookups went unchecked: GF(5).add(-1, 0) answered 4,
+    # inv(-2) answered 2, add(1, 7) raised a raw IndexError and a float
+    # a raw TypeError
+    f = GF(5)
+    bad = f.q if bad == "q" else bad
+    calls = [(bad,)] if op in ("neg", "inv") else [(bad, 1), (1, bad)]
+    for args in calls:
+        with pytest.raises(ValueError, match=r"integers in \[0, 5\)"):
+            getattr(f, op)(*args)
+
+
 # ---------------------------------------------------------
 # Field axioms (exhaustive for small orders)
 # ---------------------------------------------------------

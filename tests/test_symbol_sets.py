@@ -49,12 +49,16 @@ def test_element_range_checked():
 
 @pytest.mark.parametrize("bad", [2.5, True, float("nan")])
 def test_elements_and_factors_must_be_integers(bad):
-    # 2.5 raised raw TypeErrors, and True passed as 1
+    # 2.5 raised raw TypeErrors, and True passed as 1; from_mask took any
+    # mask, 1 << 10 as the set {10} of GF(4), and 2.5 failed on iteration
     f = GF(4)
     with pytest.raises(ValueError, match="element must be an integer"):
         SymbolSet(f, [bad])
     with pytest.raises(ValueError, match="scale factor must be an integer"):
         S(f, 1).scale(bad)
+    for mask in (bad, -1, 1 << 10):
+        with pytest.raises(ValueError, match="set mask"):
+            SymbolSet.from_mask(f, mask)
 
 
 def test_numpy_integer_elements():
