@@ -52,14 +52,25 @@ later failure probability from below by pe(y) (see ``run``).  A run
 whose tables fail the check (a Monte Carlo law, say) says so in
 ``DeResult.certifiable`` and stops by the other rules alone.
 
-The check tables, and the order verdicts on them and on the size chain,
-are built once per work budget (``budget``): a threshold search builds
-them for its first probe, and a model is a value, so equal models share
-them.  The size chain is kept for the process and charged once per
+A run that must converge is ended by a proof too.  Once its tables keep
+singletons (a check law of all-singleton inputs, and each size-chain
+law of a singleton, is e_1), the failure probability obeys pe_{l+1} <=
+eps lambda(1 - rho(1 - pe_l)), the binary-erasure (BEC) recursion
+(Richardson and Urbanke, Modern Coding Theory, ch. 3), and any pe_l
+below that map's least positive fixed point converges to 0.  A lower
+envelope of the BEC curve, built once per degree distribution for the
+process, gives each run a proven point x_lo below that fixed point; the
+run stops at the first pe below it (see ``run``).  Tables that fail the
+check leave the run to ``CONVERGENCE_TOL``.
+
+The check tables, and the order and singleton verdicts on them and on
+the size chain, are built once per work budget (``budget``): a
+threshold search builds them for its first probe, and a model is a
+value, so equal models share them.  The size chain is kept for the process and charged once per
 budget as if it were built.  ``run`` folds the check degree fractions
-into copies of the tables once per call.  Each table, each order check
-and every probe's map evaluations are charged to the budget before they
-are computed.
+into copies of the tables once per call.  Each table, each order or
+singleton check and every probe's map evaluations are charged to the
+budget before they are computed.
 """
 
 from __future__ import annotations
@@ -68,7 +79,7 @@ import warnings
 from dataclasses import dataclass, replace
 from functools import cache
 from itertools import accumulate, combinations_with_replacement
-from math import comb, factorial, prod
+from math import comb, factorial, inf, prod
 
 import numpy as np
 
@@ -82,8 +93,11 @@ from .sumset_models import SumsetSizeModel
 CONVERGENCE_TOL = 1e-10
 FIXED_POINT_TOL = 1e-13
 # the divergence certificate is tried once a step of the failure
-# probability falls below CERTIFY_TOL, and then every fourth iteration
+# probability falls below CERTIFY_TOL; the gap to the next try is 4
+# iterations and doubles after each try that does not certify, up to
+# CERTIFY_MAX_GAP
 CERTIFY_TOL = 1e-4
+CERTIFY_MAX_GAP = 32
 # a certified point's successor lies this far above it in every CDF
 # entry; a table is ordered up to ORDER_SLACK, its CDFs' rounding
 CERTIFY_MARGIN = 1e-13
@@ -225,6 +239,84 @@ def _chain_ordered(q: int, M: int) -> bool:
     )
 
 
+def _keeps_singletons(field: GF, M: int, d_c: int, model: SumsetSizeModel) -> bool:
+    """Whether a singleton stays one: the check table's law of the
+    all-size-1 multiset (its row 0, of multinomial 1) is e_1, and so are
+    the size chain's laws H_{1,i} (a set met by a singleton) and H_{s,1}
+    (a singleton met by any set), exactly.  Then a check output is a
+    singleton whenever all its inputs are, and a variable output whenever
+    the channel is clean or any incoming message is one.  Charged four
+    numpy calls."""
+    budget.current().charge(4 * budget.CALL, f"the singletons of M={M}, d_c={d_c}")
+    law = budget.table(_check_matrices, field, M, d_c, model)[1][0]
+    laws = budget.table(_chain, field.q, M).reshape(field.q, M, M + 1)[:, :, :M]
+    one = np.eye(1, M)[0]
+    singles = (laws[0] == one).all() and (laws[:, 0] == one).all()
+    return law[0] == 1.0 and not law[1:].any() and singles
+
+
+@cache
+def _bec_envelope(lam: tuple, rho: tuple):
+    """(lefts, rising), a lower envelope of the binary-erasure (BEC)
+    curve c(x) = x / lambda(1 - rho(1 - x)) of these (degree, fraction)
+    pairs, each set of fractions divided by its sum.  ``rising`` rises,
+    and c >= -rising[k] on (lefts[k], lefts[k+1]] (on (lefts[k], 1] for
+    the last k), so c > eps on (0, lefts[k]] for the first k with
+    -rising[k] <= eps.
+
+    The bounds come from cells covering (0, 1].  On a cell [a, b] away
+    from 0, c >= a / lambda(1 - rho(1 - b)), as lambda(1 - rho(1 - x))
+    rises with x; on the cell at 0, 1 - rho(1 - y) <= rho'(1) y (1 - rho(1
+    - y) is concave), so c(y) >= y / lambda(rho'(1) y), which falls with
+    y.  Only the cells where the running minimum of the bounds falls are
+    kept: lefts[k] is such a cell's left end and -rising[k] that minimum.
+
+    The cells start geometric, 2**12 of them from 2**-32 to 1.  Six times
+    over, the 512 cells whose bounds lie lowest below the least value of
+    c at a cell end are cut in eight, so the envelope's minimum comes
+    close to c's, the BEC threshold, where it lies inside (0, 1].  1 - (1
+    - x)**k is taken as -expm1(k log1p(-x)), free of cancellation near
+    0, and each bound is lowered by 2**-26 of itself against float
+    rounding and the fractions' sums, which lie within 1e-9 of 1.  A
+    build takes a few milliseconds a degree and is not charged: ``run``
+    asks for it only after ``_iteration_cells`` has bounded the
+    degrees."""
+    lam_sum, rho_sum = sum(f for _, f in lam), sum(f for _, f in rho)
+
+    def g(x):  # lambda(1 - rho(1 - x))
+        u = sum(f / rho_sum * -np.expm1((d - 1) * np.log1p(-x)) for d, f in rho)
+        return sum(f / lam_sum * u ** (d - 1) for d, f in lam)
+
+    edges = np.geomspace(2.0**-32, 1.0, 2**12 + 1)
+    # a bound is infinite where g underflows, and log1p(-1) is -inf
+    with np.errstate(divide="ignore", over="ignore"):
+        for _ in range(6):
+            bound = edges[:-1] / g(edges[1:])
+            low = np.flatnonzero(bound < (edges / g(edges)).min())
+            low = low[np.argsort(bound[low])[:512]]
+            cuts = edges[low, None] + (edges[low + 1] - edges[low])[:, None] * np.arange(1, 8) / 8
+            edges = np.sort(np.concatenate([edges, cuts.ravel()]))
+        slope = sum(f / rho_sum * (d - 1) for d, f in rho)
+        at_zero = sum(f / lam_sum * slope * (slope * edges[0]) ** (d - 2) for d, f in lam)
+        bound = np.concatenate([[1.0 / np.float64(at_zero)], edges[:-1] / g(edges[1:])])
+    floor = np.minimum.accumulate(bound * (1.0 - 2.0**-26))
+    falls = np.flatnonzero(floor < np.concatenate([[inf], floor[:-1]]))
+    lefts = np.concatenate([[0.0], edges[:-1]])[falls]
+    return lefts, -floor[falls]
+
+
+def _basin_edge(lam: dict, rho: dict, eps: float) -> float:
+    """A proven lower bound x_lo of the least positive fixed point x* of
+    the BEC map x -> eps lambda(1 - rho(1 - x)): the left end of the first
+    cell of ``_bec_envelope`` whose bound reaches eps, so that c > eps,
+    and the map lies below x, on (0, x_lo).  0 where the map rises above
+    x next to 0; inf when eps lies below the whole envelope, as below the
+    BEC threshold min c."""
+    lefts, rising = _bec_envelope(tuple(sorted(lam.items())), tuple(sorted(rho.items())))
+    k = int(np.searchsorted(rising, -eps))
+    return float(lefts[k]) if k < len(lefts) else inf
+
+
 def _folds(M: int, checks) -> bool:
     """Whether ``run`` folds the size chain into the check tables of these
     degrees: while the folded tables hold at most 2**12 entries, sum(T) *
@@ -350,11 +442,12 @@ def _rises(y, fy, M: int) -> bool:
 @dataclass
 class DeConfig:
     """One density-evolution run: ``run`` stops when the failure
-    probability falls below ``CONVERGENCE_TOL``, on a stable non-trivial
-    fixed point (a step below ``FIXED_POINT_TOL``), when a certificate
-    proves that it cannot converge (tried once a step falls below
-    ``CERTIFY_TOL``), or after ``max_iters`` iterations.  The
-    tolerances are module constants, read on every call.  A ``max_iters``
+    probability falls below ``CONVERGENCE_TOL`` or into the BEC basin
+    (a proof that it converges), on a stable non-trivial fixed point (a
+    step below ``FIXED_POINT_TOL``), when a certificate proves that it
+    cannot converge (tried once a step falls below ``CERTIFY_TOL``), or
+    after ``max_iters`` iterations.  The tolerances are module
+    constants, read on every call.  A ``max_iters``
     that is not an integer of at least 1 (a float, a bool, 0) is refused
     (ValueError): every probe with eps > 0 would fail."""
 
@@ -371,20 +464,25 @@ class DeConfig:
 class DeResult:
     """``trajectory`` records (iteration, failure probability = P(size
     of a variable-to-check message > 1)).  ``stop_reason`` says which
-    stop rule ended the run: ``"converged"``, ``"fixed_point"`` (a
-    stable non-trivial fixed point), ``"certified"`` (a proof that the
-    run cannot converge) or ``"max_iters"`` (the iteration budget ran
-    out first).  ``certifiable`` says whether the run's tables passed
-    the order check, so that the certificate was tried; a table that
-    fails it (a noisy Monte Carlo law, say) leaves the run to the other
-    rules.  ``monotone`` and ``mass_ok`` flag the runtime sanity checks
-    (warned about, never silently dropped); ``mass_drift`` is the
-    largest |mass - 1| of either half's output before it was
-    renormalised, each mass read from the size chain's mass column, and
-    ``mass_ok`` is ``mass_drift <= 1e-9``."""
+    stop rule ended the run: ``"converged"`` (below
+    ``CONVERGENCE_TOL``), ``"basin"`` (below the BEC map's least fixed
+    point, a proof that the run converges), ``"fixed_point"`` (a stable
+    non-trivial fixed point), ``"certified"`` (a proof that the run
+    cannot converge) or ``"max_iters"`` (the iteration budget ran out
+    first); ``converged`` holds for the first two.  ``tries`` counts the
+    certificate's evaluations of F, each charged as an iteration and
+    none counted in ``iterations``.  ``certifiable`` says whether the
+    run's tables passed the order check, so that the certificate was
+    tried; a table that fails it (a noisy Monte Carlo law, say) leaves
+    the run to the other rules.  ``monotone`` and ``mass_ok`` flag the
+    runtime sanity checks (warned about, never silently dropped);
+    ``mass_drift`` is the largest |mass - 1| of either half's output
+    before it was renormalised, each mass read from the size chain's
+    mass column, and ``mass_ok`` is ``mass_drift <= 1e-9``."""
 
     converged: bool
     iterations: int
+    tries: int
     trajectory: list[tuple[int, float]]
     stop_reason: str
     certifiable: bool = True
@@ -395,11 +493,12 @@ class DeResult:
 
 def run(cfg: DeConfig) -> DeResult:
     """Iterate density evolution until the failure probability drops
-    below ``CONVERGENCE_TOL``, a fixed point is detected, divergence is
-    certified, or ``max_iters`` is reached.  The run takes as many map
-    evaluations as the open budget's cells allow and raises ValueError if
-    it needs more; its tables, and then its evaluations (iterations and
-    certificate tries alike), are charged to that budget.
+    below ``CONVERGENCE_TOL`` or into the basin, a fixed point is
+    detected, divergence is certified, or ``max_iters`` is reached.  The
+    run takes as many map evaluations as the open budget's cells allow
+    and raises ValueError if it needs more; its tables, and then its
+    evaluations (iterations and certificate tries alike), are charged to
+    that budget.
 
     The certificate.  The map F is monotone in stochastic order when its
     tables pass the order check: a check law rises with each incoming
@@ -410,16 +509,34 @@ def run(cfg: DeConfig) -> DeResult:
     >=st y, then z_{l+k} >=st F^k(y) >=st y for every k: the failure
     probability never falls below pe(y), and if pe(y) > 10 *
     ``CONVERGENCE_TOL`` the run cannot converge.  Once a step of the
-    failure probability falls below ``CERTIFY_TOL``, every fourth
-    iteration builds y from the last three iterates (``_below``) and
-    certifies if CDF(F(y)) <= CDF(y) - ``CERTIFY_MARGIN`` on every size
-    1..M-1 (``_rises``).  A try sums its CDFs as Python floats, left to
-    right as ``stochastically_le`` sums them, so its only numpy work is
-    the one evaluation F(y): most tries fail, on the plateaus of
-    converging runs.  The margin, 1e-13, stands against float error: F
-    sums a few products over M <= 4 entries on de-sweep, off by ~1e-15,
-    and the tables are ordered up to ``ORDER_SLACK`` = 1e-15.  Runs
-    whose tables fail the check are never certified."""
+    failure probability falls below ``CERTIFY_TOL``, a try builds y from
+    the last three iterates (``_below``) and certifies if CDF(F(y)) <=
+    CDF(y) - ``CERTIFY_MARGIN`` on every size 1..M-1 (``_rises``).  The
+    next try comes 4 iterations later, and the gap doubles after each
+    try, up to ``CERTIFY_MAX_GAP``, as most tries fail, on the plateaus
+    of converging runs.  Fewer tries change no verdict: a run that a
+    skipped try would have certified cannot converge, so a later try,
+    the fixed-point stop or ``max_iters`` ends it.  A try sums its CDFs
+    as Python floats, left to right as ``stochastically_le`` sums them,
+    so its only numpy work is the one evaluation F(y).  The margin,
+    1e-13, stands against float error: F sums a few products over M <= 4
+    entries on de-sweep, off by ~1e-15, and the tables are ordered up to
+    ``ORDER_SLACK`` = 1e-15.  Runs whose tables fail the check are never
+    certified.
+
+    The basin.  When the tables keep singletons (``_keeps_singletons``),
+    a check output is a singleton whenever all its inputs are, and a
+    variable output whenever the channel is clean or any incoming check
+    message is one, because every message holds the sent symbol.  So
+    pe_{l+1} <= f(pe_l) for the BEC map f(x) = eps lambda(1 - rho(1 -
+    x)), which rises with x.  Below its least positive fixed point x*,
+    f(x) < x, so a pe_l < x* gives pe_{l+k} <= f^k(pe_l) -> 0: the run
+    converges.  ``_basin_edge`` reads x_lo <= x* from a lower envelope
+    of the BEC curve x / lambda(1 - rho(1 - x)), once a run; the run
+    stops (``"basin"``) at the first pe < x_lo, at iteration 0 when eps
+    lies below the envelope, as below the BEC threshold.  The bound
+    holds up to float rounding, as the certificate does: the envelope
+    is lowered by 2**-26 of itself."""
     ch = cfg.channel
     field, M, eps = ch.field, ch.M, ch.epsilon
 
@@ -434,6 +551,9 @@ def run(cfg: DeConfig) -> DeResult:
         certifiable = budget.table(_chain_ordered, field.q, M) and all(
             budget.table(_check_ordered, field, M, d, cfg.size_model) for d in rho
         )
+        keeps = all(budget.table(_keeps_singletons, field, M, d, cfg.size_model) for d in rho)
+    # the run has converged once pe falls below x_lo
+    x_lo = _basin_edge(lam, rho, eps) if keeps else 0.0
     # the degree fractions folded into copies of the tables, once per run
     chk = [(built[d][0], rho[d] * built[d][1]) for d in sorted(rho)]
     var = [(d - 2, eps * lam[d]) for d in sorted(lam)]
@@ -467,11 +587,11 @@ def run(cfg: DeConfig) -> DeResult:
     monotone = True
     drift = 0.0
     conv_tol, fp_tol, cert_tol = CONVERGENCE_TOL, FIXED_POINT_TOL, CERTIFY_TOL
-    stop_reason = "converged" if pe < conv_tol else "max_iters"
+    stop_reason = "converged" if pe < conv_tol else "basin" if pe < x_lo else "max_iters"
     left = spend.left // price  # map evaluations the budget affords
     allowed = min(cfg.max_iters, left)
     # the first try needs three iterates
-    next_try = 2 if certifiable else cfg.max_iters + 1
+    next_try, gap = (2 if certifiable else cfg.max_iters + 1), 4
 
     it = tries = 0
     old = z
@@ -487,15 +607,17 @@ def run(cfg: DeConfig) -> DeResult:
             monotone = False
         if new_pe < conv_tol:
             stop_reason = "converged"
+        elif new_pe < x_lo:
+            stop_reason = "basin"
         elif abs(new_pe - pe) < fp_tol:
             stop_reason = "fixed_point"
         elif it >= next_try and abs(new_pe - pe) < cert_tol and it + tries < left:
-            next_try = it + 4
+            next_try, gap = it + gap, min(2 * gap, CERTIFY_MAX_GAP)
             y = _below(older, old, z, M)
-            if y is not None:
+            if y is not None and 1.0 - y[0] > 10 * conv_tol:
                 tries += 1
                 allowed = min(allowed, left - tries)
-                if 1.0 - y[0] > 10 * conv_tol and _rises(y, step(np.array(y))[0].tolist(), M):
+                if _rises(y, step(np.array(y))[0].tolist(), M):
                     stop_reason = "certified"
         pe = new_pe
 
@@ -509,8 +631,9 @@ def run(cfg: DeConfig) -> DeResult:
     if not monotone:
         warnings.warn("failure probability increased across an iteration")
     return DeResult(
-        converged=stop_reason == "converged",
+        converged=stop_reason in ("converged", "basin"),
         iterations=it,
+        tries=tries,
         trajectory=trajectory,
         stop_reason=stop_reason,
         certifiable=certifiable,
@@ -539,7 +662,9 @@ def threshold_search(
     < eps2 (Richardson and Urbanke, Modern Coding Theory, ch. 3-4), and
     so pe_l(eps1) <= pe_l(eps2).  A run whose failure probability falls
     below ``CONVERGENCE_TOL`` within ``max_iters`` at eps2 falls below it
-    no later at eps1, where no certificate can stop it first.  The proof
+    no later at eps1, where no certificate can stop it first; and as the
+    basin's edge x_lo falls as eps rises, one that enters the basin at
+    eps2 enters it no later at eps1.  The proof
     covers the exact map, up to float rounding.  It does not cover the
     ``FIXED_POINT_TOL`` stop, a heuristic that could in principle end a
     converging probe early.

@@ -295,3 +295,31 @@ def numpy_below(older, old, z, M: int):
     t = 1.5 * (top / prev) / (1.0 - top / prev) + 1.0
     cdf = np.maximum.accumulate(np.minimum(c[2] + np.maximum(t * d[1], 0.0), 1.0))
     return np.diff(cdf, prepend=0.0, append=1.0).tolist()
+
+
+def bec_map(eps, lam: dict, rho: dict, x):
+    """eps lambda(1 - rho(1 - x)), the binary-erasure density-evolution
+    map, from its definition; x a float, a Fraction or a numpy array."""
+    y = 1 - sum(f * (1 - x) ** (d - 1) for d, f in rho.items())
+    return eps * sum(f * y ** (d - 1) for d, f in lam.items())
+
+
+def bec_least_fixed_point(eps: float, lam: dict, rho: dict) -> float:
+    """A point just below the least positive fixed point of ``bec_map``
+    (inf if the map lies below x on all of (0, 1]): the first of 2**20
+    grid points where the map reaches x, then 80 bisection steps in
+    exact rationals between it and the grid point before."""
+    xs = np.arange(1, 2**20 + 1) / 2**20
+    hits = np.flatnonzero(bec_map(eps, lam, rho, xs) >= xs)
+    if not hits.size:
+        return float("inf")
+    e = Fraction(eps)
+    la, rh = ({d: Fraction(f) for d, f in c.items()} for c in (lam, rho))
+    lo, hi = Fraction(int(hits[0]), 2**20), Fraction(int(hits[0]) + 1, 2**20)
+    for _ in range(80):
+        mid = (lo + hi) / 2
+        if bec_map(e, la, rh, mid) >= mid:
+            hi = mid
+        else:
+            lo = mid
+    return float(lo)

@@ -101,6 +101,7 @@ def test_criterion_02_bec_reduction():
             mp.setattr(de_mod, "CONVERGENCE_TOL", 0.0)
             mp.setattr(de_mod, "FIXED_POINT_TOL", 0.0)
             mp.setattr(de_mod, "CERTIFY_TOL", 0.0)
+            mp.setattr(de_mod, "_keeps_singletons", lambda *a: False)  # no basin stop
             for eps in (0.35, 0.4294, 0.5):
                 r = run(replace(cfg, channel=cfg.channel.with_epsilon(eps)))
                 oracle = bec_trajectory(eps, 3, 6, 200)

@@ -33,6 +33,8 @@ from pecldpc.combinatorics import common_member_intersection_dist
 from pecldpc.symbol_sets import set_layout
 
 from oracles import (
+    bec_least_fixed_point,
+    bec_map,
     bec_threshold,
     bec_trajectory,
     brute_common_member_dist,
@@ -266,6 +268,7 @@ def test_mixture_iterations_match_float_reference(M, lam, rho, entries, monkeypa
     cfg = DeConfig(ch, DegreeDistribution(lam, rho), model, max_iters=2)
     monkeypatch.setattr(de_mod, "CONVERGENCE_TOL", 0.0)
     monkeypatch.setattr(de_mod, "FIXED_POINT_TOL", 0.0)
+    monkeypatch.setattr(de_mod, "_keeps_singletons", lambda *a: False)  # no basin stop
     got = [pe for _, pe in run(cfg).trajectory]
     # the folded tables are built, once per check degree, only when run folds
     assert len(folded) == (len(rho) if folds else 0)
@@ -375,8 +378,9 @@ def test_run_reports_variable_mass_drift(monkeypatch):
 
 def test_run_stop_reasons():
     assert run(bec_cfg(4, 0.0)).stop_reason == "converged"
+    # below the BEC threshold every run converges, a proof at iteration 0
     r = run(bec_cfg(4, 0.3))
-    assert r.converged and r.stop_reason == "converged"
+    assert r.converged and r.stop_reason == "basin" and r.iterations == 0
     # above the BEC threshold 0.4294 the failure probability settles:
     # a certificate proves it within a few iterations, and without the
     # certificate the step falls below FIXED_POINT_TOL
@@ -397,8 +401,15 @@ def test_run_stop_reasons():
         r = run(bec_cfg(4, 0.6, max_iters=300))
     assert not r.converged and r.stop_reason == "max_iters"
     assert r.iterations == 300
-    # a run that would converge, but needs more than the budget
-    assert run(bec_cfg(4, 0.42, max_iters=10)).stop_reason == "max_iters"
+    # a run that would converge, but needs more than the budget: just
+    # below the (q=4, M=2) exact threshold 0.82098 its failure
+    # probability stays above the basin for over 50 iterations
+    ch = PartialErasureChannel(GF(4), 2, 0.82)
+    cfg = DeConfig(ch, DegreeDistribution.regular(3, 6), SumsetSizeModel("exact"))
+    r = run(cfg)
+    assert r.converged and r.stop_reason == "basin" and r.iterations > 50
+    r = run(replace(cfg, max_iters=10))
+    assert not r.converged and r.stop_reason == "max_iters" and r.iterations == 10
 
 
 # (q, M, model, eps, lambda, rho) -> (iterations, stop reason, sha256 of
@@ -407,13 +418,13 @@ def test_run_stop_reasons():
 # changed rounding in either half compounds
 TRAJECTORY_PINS = [
     ((8, 4, "exact", 0.59857177734375, {3: 1.0}, {6: 1.0}),
-     (1076, "converged", "c481db8f3f2d36f73b57a738344f4bd768a10bcd049b74fa5aefbd08d7328f27")),
+     (1072, "basin", "5e7dc7627cf509c81c7b9879251a97c11ada252f8c7fb42d344d5e1a916ef5bd")),
     ((16, 4, "balls", 0.76507568359375, {3: 1.0}, {6: 1.0}),
-     (353, "converged", "f727f3afd037713fe72406ce56440b6119e8730c5c7b4de7664f3ebff0e70512")),
+     (351, "basin", "bd61600fec6b41aad49d759dbc0aebfb5b77f0764874e1448d04101fccbf841c")),
     ((4, 2, "union", 0.85089111328125 + 2**-14, {3: 1.0}, {6: 1.0}),
      (73, "certified", "32536b1171c6c6f3f8f1f6e80ae0bb1cdd414cfd11949ac1014de7999136479b")),
     ((8, 3, "union", 0.6, {2: 0.3, 3: 0.7}, {5: 0.4, 6: 0.6}),
-     (20, "converged", "16483a185e9f79b651fd0905404a4a6e9d354a010c5c8712fd0bfb13b3afc2d4")),
+     (6, "basin", "2438db7fdf58efa403eaf07407ad5cf79f6e18f01151c3de589d0bd97a86524a")),
     # above the threshold 0.5242, with tables too large to fold the chain
     ((16, 8, "bound-upper", 0.53, {3: 1.0}, {6: 1.0}),
      (21, "certified", "cf22cca8783c805fd04ba10867fccec75270fe42c470683c25942050cac29bf5")),
@@ -468,6 +479,7 @@ def test_failure_probability_monotone_in_eps(case, monkeypatch):
 def test_bec_reduction_termwise(monkeypatch):
     monkeypatch.setattr(de_mod, "CONVERGENCE_TOL", 0.0)
     monkeypatch.setattr(de_mod, "FIXED_POINT_TOL", 0.0)
+    monkeypatch.setattr(de_mod, "_keeps_singletons", lambda *a: False)  # no basin stop
     r = run(bec_cfg(2, 0.41, max_iters=200))
     want = bec_trajectory(0.41, 3, 6, 200)
     assert len(r.trajectory) == 201
@@ -531,6 +543,7 @@ def test_run_matches_exact_rational_oracle(q, ensemble, monkeypatch):
     ch = PartialErasureChannel(GF(q), M, float(eps))
     monkeypatch.setattr(de_mod, "CONVERGENCE_TOL", 0.0)
     monkeypatch.setattr(de_mod, "FIXED_POINT_TOL", 0.0)
+    monkeypatch.setattr(de_mod, "_keeps_singletons", lambda *a: False)  # no basin stop
     got = [pe for _, pe in run(DeConfig(ch, deg, SumsetSizeModel("exact"), max_iters=5)).trajectory]
     want = exact_de_trajectory(GF(q), M, eps, lam, rho, 5)
     assert len(got) == len(want) == 6
@@ -852,6 +865,123 @@ def test_threshold_order_proven_on_exact_tables(q, M):
 
 
 # ---------------------------------------------------------
+# The basin: convergence proven through the BEC map
+# ---------------------------------------------------------
+BASIN_ENSEMBLES = {
+    "3-6": ({3: 1.0}, {6: 1.0}),
+    "4-8": ({4: 1.0}, {8: 1.0}),
+    "irregular": ({2: 0.3, 3: 0.7}, {5: 0.4, 6: 0.6}),
+}
+
+
+def test_failure_probability_below_bec_map(monkeypatch):
+    # a check output is a singleton when all its inputs are, and a
+    # variable output when the channel is clean or any input is one, so
+    # pe_{l+1} <= eps lambda(1 - rho(1 - pe_l)) on every iteration: of the
+    # pinned runs and of every probe of the q=4 threshold searches.  The
+    # basin stop is off, so the converging runs go on to CONVERGENCE_TOL;
+    # the parent's largest excess over de-sweep's probes was 2.5e-16
+    monkeypatch.setattr(de_mod, "_keeps_singletons", lambda *a: False)
+    runs = []
+    for q, M, kind, eps, lam, rho in (c for c, _ in TRAJECTORY_PINS):
+        cfg = DeConfig(PartialErasureChannel(GF(q), M, eps), DegreeDistribution(lam, rho),
+                       SumsetSizeModel(kind))
+        runs.append((cfg, run(cfg)))
+    real_run = de_mod.run
+    monkeypatch.setattr(de_mod, "run", lambda cfg: runs.append((cfg, real_run(cfg))) or runs[-1][1])
+    deg = DegreeDistribution.regular(3, 6)
+    for M, kind in Q4_GRID_THRESHOLDS:
+        cfg = DeConfig(PartialErasureChannel(GF(4), M, 0.0), deg, SumsetSizeModel(kind))
+        de_mod.threshold_search(cfg, tol_eps=1e-4, check_monotone=True)
+    assert len(runs) > 200
+    for cfg, r in runs:
+        eps, lam, rho = cfg.channel.epsilon, cfg.degrees.lambda_coeffs, cfg.degrees.rho_coeffs
+        pes = [pe for _, pe in r.trajectory]
+        for it, (pe, nxt) in enumerate(zip(pes, pes[1:])):
+            assert nxt <= bec_map(eps, lam, rho, pe) + 2.0**-50, (eps, it, pe, nxt)
+
+
+@pytest.mark.parametrize("ensemble", BASIN_ENSEMBLES)
+def test_basin_edge_below_least_fixed_point(ensemble):
+    # the envelope lies below the BEC curve c(x) = x / lambda(1 - rho(1 -
+    # x)): on 2**20 floats above 2**-10, and in exact rationals on a
+    # geometric grid down to 2**-40.  So x_lo(eps) lies below the least
+    # fixed point x*(eps) of the BEC map, found by a scan of the map
+    lam, rho = BASIN_ENSEMBLES[ensemble]
+    lefts, rising = de_mod._bec_envelope(tuple(sorted(lam.items())), tuple(sorted(rho.items())))
+    lefts, floor = np.array(lefts), -np.array(rising)
+    xs = np.arange(2**10, 2**20 + 1) / 2**20
+    curve = xs / bec_map(1.0, lam, rho, xs)
+    assert (floor[np.searchsorted(lefts, xs) - 1] <= curve).all()
+    exact = [{d: Fraction(f) for d, f in c.items()} for c in (lam, rho)]
+    for x in np.geomspace(2.0**-40, 2.0**-10, 200):
+        env = floor[np.searchsorted(lefts, x) - 1]
+        assert Fraction(env) <= Fraction(x) / bec_map(1, *exact, Fraction(x)), x
+    # the envelope's minimum is the BEC threshold, to within 1e-5
+    eps_bec = curve.min()
+    assert eps_bec * (1 - 1e-5) < floor[-1] <= eps_bec
+    # below it every probe ends at iteration 0; above it, x_lo < x*
+    below = eps_bec * (1 - 1e-4)
+    assert de_mod._basin_edge(lam, rho, below) == bec_least_fixed_point(below, lam, rho) == math.inf
+    for eps in (eps_bec * (1 + 1e-4), 0.5, 0.6, 0.7):
+        x_lo, x_star = de_mod._basin_edge(lam, rho, eps), bec_least_fixed_point(eps, lam, rho)
+        assert 0.8 * x_star < x_lo < x_star, (eps, x_lo, x_star)
+
+
+def test_lost_singletons_turn_the_basin_off(monkeypatch):
+    # a check law of all-singleton inputs, or a size-chain law of a
+    # singleton, that moves 2**-40 of its mass off size 1 breaks the BEC
+    # bound: the run converges by CONVERGENCE_TOL alone, past iteration 0
+    cfg = bec_cfg(4, 0.3)
+    r = run(cfg)
+    assert r.stop_reason == "basin" and r.iterations == 0
+    built, chain = de_mod._check_matrices, de_mod._size_chain
+
+    def leaky_check(*args):
+        draws, mat = built(*args)
+        mat = mat.copy()
+        mat[0, :2] += [-(2.0**-40), 2.0**-40]
+        return draws, mat
+
+    def leaky_chain(q, M):
+        out = chain(q, M).copy()
+        out[0, :2] += [-(2.0**-40), 2.0**-40]  # H_{1,1}
+        return out
+
+    for name, leaky in (("_check_matrices", leaky_check), ("_size_chain", leaky_chain)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(de_mod, name, leaky)
+            r = run(cfg)
+        assert r.stop_reason == "converged" and r.iterations > 5, name
+
+
+def test_backoff_certifies_pinned_runs(monkeypatch):
+    # with the gap capped at 4 the certificate is tried every fourth
+    # iteration; the doubling gap tries less often and still certifies
+    # each pinned certified run, on the same trajectory, at most
+    # CERTIFY_MAX_GAP iterations later and with no more tries
+    certified = record_certified(monkeypatch)
+    for (q, M, kind, eps, lam, rho), (_, stop, _) in TRAJECTORY_PINS:
+        if stop == "certified":
+            ch = PartialErasureChannel(GF(q), M, eps)
+            de_mod.run(DeConfig(ch, DegreeDistribution(lam, rho), SumsetSizeModel(kind)))
+    for q, M, kind in PROBE_PINS:
+        ch = PartialErasureChannel(GF(q), M, 0.0)
+        cfg = DeConfig(ch, DegreeDistribution.regular(3, 6), SumsetSizeModel(kind))
+        de_mod.threshold_search(cfg, tol_eps=1e-4)
+    assert len(certified) > 10
+    for cfg in certified:
+        r = run(cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(de_mod, "CERTIFY_MAX_GAP", 4)
+            every_fourth = run(cfg)
+        assert r.stop_reason == every_fourth.stop_reason == "certified"
+        assert r.trajectory[: len(every_fourth.trajectory)] == every_fourth.trajectory
+        assert r.iterations <= every_fourth.iterations + de_mod.CERTIFY_MAX_GAP
+        assert r.tries <= every_fourth.tries
+
+
+# ---------------------------------------------------------
 # Threshold search
 # ---------------------------------------------------------
 def test_threshold_bec_anchor():
@@ -1027,8 +1157,8 @@ def test_threshold_large_fields_pinned(monkeypatch):
 # last-bit drift in a walk or a certificate try moves some probe.  Each
 # search probes 1.0 and then its 14 bisection points
 PROBE_PINS = {
-    (16, 4, "balls"): "4b015b20e1d13049e28dbce1e89825a038e1643ba77952e6fc3c68c4f453d41f",
-    (8, 3, "union"): "a4437b2e5c6563708e85832258c901400e1246630eb61ecf356bc32dc113b2f3",
+    (16, 4, "balls"): "0cc905203a954f6402e0e207879935bc41b0c8cbb38c8506a8a3b3d8f5cb66c9",
+    (8, 3, "union"): "8a9499da0312fd0e11fd2735f71529cd36532c2b9d9e49605eb1595efeab75a4",
 }
 
 

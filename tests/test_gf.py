@@ -153,12 +153,13 @@ def test_div_matches_inv():
             assert f.sub(a, b) == f.add(a, f.neg(b))
 
 
-@pytest.mark.parametrize("bad", [-1, "q", 2.5])
+@pytest.mark.parametrize("bad", [-1, "q", 2.5, True, False])
 @pytest.mark.parametrize("op", ["add", "sub", "mul", "neg", "inv", "div"])
 def test_element_ops_refuse_non_elements(op, bad):
     # the list lookups went unchecked: GF(5).add(-1, 0) answered 4,
     # inv(-2) answered 2, add(1, 7) raised a raw IndexError and a float
-    # a raw TypeError
+    # a raw TypeError; a bool passed the range check, so add(True, 1)
+    # answered 2 and neg(False) answered 0
     f = GF(5)
     bad = f.q if bad == "q" else bad
     calls = [(bad,)] if op in ("neg", "inv") else [(bad, 1), (1, bad)]
