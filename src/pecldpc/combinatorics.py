@@ -4,9 +4,12 @@ Everything here is plain combinatorics over an abstract q-element
 universe (no field structure).  Counts are exact big integers built by
 a chain that meets one set at a time: a size-s set meets a fixed i-set
 in exactly j members in binom(i, j) * binom(q - i, s - j) ways, so each
-step is a sum of positive terms.  Probabilities are ratios of those
-counts, available both as exact `Fraction` vectors and as float vectors
-for the density-evolution loops, each entry one integer division.
+step is a sum of positive terms.  The chain starts from one fixed
+smallest set, so its counts lack that set's binom(q, mu) choices, a
+factor that cancels in every law; the count functions multiply it back
+once.  Probabilities are ratios of those counts, available both as
+exact `Fraction` vectors and as float vectors for the
+density-evolution loops, each entry one integer division.
 Nothing here is memoized: the callers that re-read laws keep what they
 build (density evolution its size chain, the coverage models their
 matrices).
@@ -59,10 +62,11 @@ def _norm(sizes: Sequence[int], q: int, least: int = 0) -> tuple[tuple[int, ...]
 
 
 def _counts(sizes: tuple[int, ...], q: int) -> tuple[int, ...]:
-    # the smallest set alone: binom(q, mu) choices, each its own
-    # intersection; then meet one more set at a time
+    # the counts over one fixed smallest set, each 1/binom(q, mu) of the
+    # true count: that set alone is its own intersection; then meet one
+    # more set at a time
     mu = sizes[0]
-    counts = [0] * mu + [binom(q, mu)]
+    counts = [0] * mu + [1]
     for s in sizes[1:]:
         nxt = [0] * (mu + 1)
         for i, c in enumerate(counts):
@@ -81,12 +85,13 @@ def intersection_count(sizes: Sequence[int], m: int, q: int) -> int:
     t, q = _norm(sizes, q)
     if as_int(m, "m", 0) > t[0]:
         raise ValueError(f"m={m} above the least size {t[0]}")
-    return _counts(t, q)[m]
+    return binom(q, t[0]) * _counts(t, q)[m]
 
 
 def intersection_counts(sizes: Sequence[int], q: int) -> list[int]:
     """All counts for m = 0 .. min(sizes)."""
-    return list(_counts(*_norm(sizes, q)))
+    t, q = _norm(sizes, q)
+    return [binom(q, t[0]) * c for c in _counts(t, q)]
 
 
 def _common_counts(sizes: Sequence[int], q: int) -> tuple[int, ...]:

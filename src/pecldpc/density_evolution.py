@@ -63,6 +63,16 @@ process, gives each run a proven point x_lo below that fixed point; the
 run stops at the first pe below it (see ``run``).  Tables that fail the
 check leave the run to ``CONVERGENCE_TOL``.
 
+A bisection probe starts from the probe above it.  By the same order,
+the last iterate of a probe at a higher eps that did not converge lies
+above the same-index iterate of every probe below it, so a probe may
+start from the meet of that iterate and its own start law (``run``'s
+``above``): its iterates are then sandwiched between the cold run's
+later and same-index iterates, it reaches the basin no later, and every
+verdict reached by proof stays as it was.  ``threshold_search`` passes
+its latest probe that did not converge once the tables pass the order
+check.
+
 The check tables, and the order and singleton verdicts on them and on
 the size chain, are built once per work budget (``budget``): a
 threshold search builds them for its first probe, and a model is a
@@ -264,12 +274,15 @@ def _bec_envelope(lam: tuple, rho: tuple):
     the last k), so c > eps on (0, lefts[k]] for the first k with
     -rising[k] <= eps.
 
-    The bounds come from cells covering (0, 1].  On a cell [a, b] away
-    from 0, c >= a / lambda(1 - rho(1 - b)), as lambda(1 - rho(1 - x))
-    rises with x; on the cell at 0, 1 - rho(1 - y) <= rho'(1) y (1 - rho(1
-    - y) is concave), so c(y) >= y / lambda(rho'(1) y), which falls with
-    y.  Only the cells where the running minimum of the bounds falls are
-    kept: lefts[k] is such a cell's left end and -rising[k] that minimum.
+    The bounds come from cells covering (0, 1], each the larger of two.
+    On a cell [a, b], c >= a / lambda(1 - rho(1 - b)), as lambda(1 - rho(1
+    - x)) rises with x; and 1 - rho(1 - y) <= rho'(1) y (1 - rho(1 - y) is
+    concave), so c(y) >= y / lambda(rho'(1) y) >= b / lambda(rho'(1) b), as
+    y / lambda(rho'(1) y) falls with y.  The second bound carries the cell
+    at 0, and it reaches 1 / (lambda_2 rho'(1)) near 0, so a minimum of c
+    at 0+ (a stability-limited ensemble) is met too.  Only the cells where
+    the running minimum of the bounds falls are kept: lefts[k] is such a
+    cell's left end and -rising[k] that minimum.
 
     The cells start geometric, 2**12 of them from 2**-32 to 1.  Six times
     over, the 512 cells whose bounds lie lowest below the least value of
@@ -282,23 +295,27 @@ def _bec_envelope(lam: tuple, rho: tuple):
     asks for it only after ``_iteration_cells`` has bounded the
     degrees."""
     lam_sum, rho_sum = sum(f for _, f in lam), sum(f for _, f in rho)
+    slope = sum(f / rho_sum * (d - 1) for d, f in rho)
 
     def g(x):  # lambda(1 - rho(1 - x))
         u = sum(f / rho_sum * -np.expm1((d - 1) * np.log1p(-x)) for d, f in rho)
         return sum(f / lam_sum * u ** (d - 1) for d, f in lam)
 
+    def bounds(edges):  # each cell's bound, the cell (0, edges[0]] first
+        # lambda(rho'(1) b) / b at each right end b
+        linear = sum(f / lam_sum * slope * (slope * edges) ** (d - 2) for d, f in lam)
+        return np.maximum(np.concatenate([[0.0], edges[:-1] / g(edges[1:])]), 1.0 / linear)
+
     edges = np.geomspace(2.0**-32, 1.0, 2**12 + 1)
-    # a bound is infinite where g underflows, and log1p(-1) is -inf
+    # a bound is infinite where g or lambda underflows, and log1p(-1) is -inf
     with np.errstate(divide="ignore", over="ignore"):
         for _ in range(6):
-            bound = edges[:-1] / g(edges[1:])
+            bound = bounds(edges)[1:]
             low = np.flatnonzero(bound < (edges / g(edges)).min())
             low = low[np.argsort(bound[low])[:512]]
             cuts = edges[low, None] + (edges[low + 1] - edges[low])[:, None] * np.arange(1, 8) / 8
             edges = np.sort(np.concatenate([edges, cuts.ravel()]))
-        slope = sum(f / rho_sum * (d - 1) for d, f in rho)
-        at_zero = sum(f / lam_sum * slope * (slope * edges[0]) ** (d - 2) for d, f in lam)
-        bound = np.concatenate([[1.0 / np.float64(at_zero)], edges[:-1] / g(edges[1:])])
+        bound = bounds(edges)
     floor = np.minimum.accumulate(bound * (1.0 - 2.0**-26))
     falls = np.flatnonzero(floor < np.concatenate([[inf], floor[:-1]]))
     lefts = np.concatenate([[0.0], edges[:-1]])[falls]
@@ -431,6 +448,16 @@ def _below(older: np.ndarray, old: np.ndarray, z: np.ndarray, M: int):
     return [b - a for a, b in zip([0.0, *cdf], [*cdf, 1.0])]
 
 
+def _meet(z0: np.ndarray, w) -> np.ndarray:
+    """The greatest size law below both z0 and w (M entries each) in
+    stochastic order: its CDF is the larger of theirs at each size below
+    M, capped at 1, each CDF a running sum of Python floats, left to
+    right, as ``_below`` takes it."""
+    cdfs = zip(accumulate(z0.tolist()[:-1]), accumulate(w[:-1]))
+    cdf = [min(max(a, b), 1.0) for a, b in cdfs]
+    return np.array([b - a for a, b in zip([0.0, *cdf], [*cdf, 1.0])])
+
+
 def _rises(y, fy, M: int) -> bool:
     """Whether the law ``fy`` lies above ``y`` by ``CERTIFY_MARGIN`` in
     every CDF entry over sizes 1..M-1: ``stochastically_le(y[:M-1],
@@ -478,7 +505,10 @@ class DeResult:
     runtime sanity checks (warned about, never silently dropped);
     ``mass_drift`` is the largest |mass - 1| of either half's output
     before it was renormalised, each mass read from the size chain's
-    mass column, and ``mass_ok`` is ``mass_drift <= 1e-9``."""
+    mass column, and ``mass_ok`` is ``mass_drift <= 1e-9``.  ``config``
+    is the run's configuration, its eps among it, and ``last`` its last
+    iterate, a law over sizes 1..M: a run that did not converge can
+    start a run below it (``run``'s ``above``)."""
 
     converged: bool
     iterations: int
@@ -489,16 +519,38 @@ class DeResult:
     monotone: bool = True
     mass_ok: bool = True
     mass_drift: float = 0.0
+    config: DeConfig | None = None
+    last: tuple[float, ...] = ()
 
 
-def run(cfg: DeConfig) -> DeResult:
+def _check_above(cfg: DeConfig, above) -> None:
+    """ValueError unless ``above`` may start a run of ``cfg``: the result
+    of a run that did not converge, at a higher eps, on tables that pass
+    the order check and equal ``cfg``'s (the same field, M, degree
+    distribution and model)."""
+    if not isinstance(above, DeResult) or above.config is None:
+        raise ValueError(f"above must be the DeResult of a run, got {above!r:.80}")
+    a, ch = above.config, cfg.channel
+    if above.converged or not above.certifiable:
+        raise ValueError("above must be a run that did not converge, on tables that pass the order check")
+    if not a.channel.epsilon > ch.epsilon:
+        raise ValueError(f"above must be a run at an eps above {ch.epsilon}, got {a.channel.epsilon}")
+    if (a.channel.field, a.channel.M, a.degrees, a.size_model) != (
+        ch.field, ch.M, cfg.degrees, cfg.size_model
+    ):
+        raise ValueError("above must be a run on the same field, M, degree distribution and model")
+
+
+def run(cfg: DeConfig, *, above: DeResult | None = None) -> DeResult:
     """Iterate density evolution until the failure probability drops
     below ``CONVERGENCE_TOL`` or into the basin, a fixed point is
     detected, divergence is certified, or ``max_iters`` is reached.  The
     run takes as many map evaluations as the open budget's cells allow
     and raises ValueError if it needs more; its tables, and then its
     evaluations (iterations and certificate tries alike), are charged to
-    that budget.
+    that budget.  It starts from the channel's start law z_0, or, given
+    ``above`` (checked by ``_check_above``, ValueError otherwise), from
+    the meet of z_0 and ``above``'s last iterate.
 
     The certificate.  The map F is monotone in stochastic order when its
     tables pass the order check: a check law rises with each incoming
@@ -536,7 +588,28 @@ def run(cfg: DeConfig) -> DeResult:
     stops (``"basin"``) at the first pe < x_lo, at iteration 0 when eps
     lies below the envelope, as below the BEC threshold.  The bound
     holds up to float rounding, as the certificate does: the envelope
-    is lowered by 2**-26 of itself."""
+    is lowered by 2**-26 of itself.
+
+    The start from above.  Let w be the last iterate of a run at eps' >
+    eps on the same tables, which pass the order check.  F_eps rises with
+    eps, and F(z_0) <=st z_0 (F(z) is (1-eps) e_1 plus eps times a law on
+    1..M), so no run's iterates rise and F_eps'(w) <=st w; and w >=st
+    z'_L >=st z_L for some L, by induction over the runs above it, each
+    started from z'_0 or from above in turn.  The meet U_0 of w and z_0
+    (the larger CDF at each size, ``_meet``) then lies between, z_L <=st
+    U_0 <=st z_0, and as F is monotone, z_{L+k} <=st U_k <=st z_k at
+    every k; F(U_0) lies below both F(z_0) <=st z_0 and F_eps'(w) <=st
+    w, so U_1 <=st U_0, and U never rises.  So pe(U_k) <= pe(z_k): a run
+    that converges or enters the basin from z_0 does so no later from
+    U_0 (unless the ``FIXED_POINT_TOL`` heuristic stops it first, as
+    ``threshold_search`` notes); a y <=st U_l with F(y) >=st y lies below
+    z_l too, so the run from U_0 certifies only what cannot converge
+    from z_0; and as U_k lies above z_{L+k}, a run that cannot converge
+    from z_0 does not converge from U_0.  It holds up to float rounding,
+    as the basin and the certificate do: U_0's CDF is the max of two
+    float CDFs, and the runs stay ordered to within ~1e-15."""
+    if above is not None:
+        _check_above(cfg, above)
     ch = cfg.channel
     field, M, eps = ch.field, ch.M, ch.epsilon
 
@@ -552,6 +625,8 @@ def run(cfg: DeConfig) -> DeResult:
             budget.table(_check_ordered, field, M, d, cfg.size_model) for d in rho
         )
         keeps = all(budget.table(_keeps_singletons, field, M, d, cfg.size_model) for d in rho)
+    if above is not None and not certifiable:
+        raise ValueError("a run from above needs tables that pass the order check")
     # the run has converged once pe falls below x_lo
     x_lo = _basin_edge(lam, rho, eps) if keeps else 0.0
     # the degree fractions folded into copies of the tables, once per run
@@ -582,6 +657,8 @@ def run(cfg: DeConfig) -> DeResult:
         return out, w_sum, z_sum
 
     z = initial_vtc_dist(ch)[:M]
+    if above is not None:
+        z = _meet(z, above.last)
     pe = 1.0 - z.item(0)
     trajectory = [(0, pe)]
     monotone = True
@@ -640,6 +717,8 @@ def run(cfg: DeConfig) -> DeResult:
         monotone=monotone,
         mass_ok=mass_ok,
         mass_drift=drift,
+        config=cfg,
+        last=tuple(z.tolist()[:M]),
     )
 
 
@@ -673,14 +752,22 @@ def threshold_search(
     tables fail the order check (noisy Monte Carlo laws, say), so that
     monotonicity in epsilon is unproven.  The order check depends on the
     tables alone, not on epsilon, so one probe decides it.
+
+    The same order lets each probe start from the latest probe that did
+    not converge, at the bracket's upper end: that probe's last iterate
+    bounds every iterate of the probes below it (``run``'s ``above``),
+    so a probe that converges from the start law converges no later
+    from there, and one that the certificate or the basin decides keeps
+    its verdict.  Tables that fail the order check start every probe
+    from the start law.
     """
     # below 2**-52 the midpoint of two adjacent floats in [0, 1] is one
     # of them, so the bisection would never narrow to within tol_eps
     if not is_real(tol_eps) or not tol_eps >= 2.0**-52:
         raise ValueError(f"bisection tolerance must be a real number >= 2**-52, got {tol_eps!r}")
 
-    def probe(eps: float) -> DeResult:
-        return run(replace(cfg, channel=cfg.channel.with_epsilon(eps)))
+    def probe(eps: float, above=None) -> DeResult:
+        return run(replace(cfg, channel=cfg.channel.with_epsilon(eps)), above=above)
 
     # every probe draws on the search's budget
     with budget.scope():
@@ -692,11 +779,14 @@ def threshold_search(
             )
         if top.converged:
             return 1.0
-        lo, hi = 0.0, 1.0
+        # each probe starts from the latest one that did not converge,
+        # at hi, once the tables pass the order check
+        lo, hi, above = 0.0, 1.0, top
         while hi - lo > tol_eps:
             mid = 0.5 * (lo + hi)
-            if probe(mid).converged:
+            r = probe(mid, above if top.certifiable else None)
+            if r.converged:
                 lo = mid
             else:
-                hi = mid
+                hi, above = mid, r
         return lo

@@ -177,3 +177,45 @@ def test_memoization_stability():
     a = intersection_dist([3, 2], 5)
     b = intersection_dist([2, 3], 5)  # order must not matter
     assert (a == b).all()
+
+
+def test_laws_pinned_digest():
+    # the float laws of every size pair at q <= 32 and of sampled pairs at
+    # q=256, and the Fraction laws at q <= 12: the sha256 of their text as
+    # recorded while every chain count still carried the smallest set's
+    # binom(q, mu) choices, so dropping that factor moved no bit
+    def pairs():
+        for q in range(2, 33):
+            for i in range(1, q + 1):
+                for s in range(i, q + 1):
+                    yield q, (i, s)
+        picks = (1, 2, 3, 50, 64, 100, 127, 128, 129, 200, 255, 256)
+        for sizes in combinations_with_replacement(picks, 2):
+            yield 256, sizes
+
+    floats, fractions = hashlib.sha256(), hashlib.sha256()
+    for q, sizes in pairs():
+        for law in (common_member_intersection_dist(sizes, q), intersection_dist(sizes, q)):
+            floats.update(" ".join(float(x).hex() for x in law).encode() + b"\n")
+        if q <= 12:
+            for law in (
+                common_member_intersection_dist_exact(sizes, q),
+                intersection_dist_exact(sizes, q),
+            ):
+                fractions.update(repr(law).encode())
+    assert floats.hexdigest() == (
+        "2f83fe6d29bbfae1aaa992c8e27a3b38e84cd8565dd6331156c164053383b8bf"
+    )
+    assert fractions.hexdigest() == (
+        "3c040484daf37eba11485500671d9cf10a5ebcb0b481b1882409b721588fcd8d"
+    )
+
+
+def test_laws_are_ratios_of_the_counts():
+    # each float entry is the correctly rounded ratio of the full counts
+    for q in (5, 17, 64, 256):
+        for sizes in ((1, q), (2, 3), (q // 2, q // 2 + 1), (3, q - 1, q // 3)):
+            counts = intersection_counts(sizes, q)
+            total = sum(counts)
+            assert intersection_dist(sizes, q).tolist() == [c / total for c in counts]
+            assert list(intersection_dist_exact(sizes, q)) == [Fraction(c, total) for c in counts]

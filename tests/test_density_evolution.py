@@ -888,7 +888,9 @@ def test_failure_probability_below_bec_map(monkeypatch):
                        SumsetSizeModel(kind))
         runs.append((cfg, run(cfg)))
     real_run = de_mod.run
-    monkeypatch.setattr(de_mod, "run", lambda cfg: runs.append((cfg, real_run(cfg))) or runs[-1][1])
+    monkeypatch.setattr(
+        de_mod, "run", lambda cfg, **kw: runs.append((cfg, real_run(cfg, **kw))) or runs[-1][1]
+    )
     deg = DegreeDistribution.regular(3, 6)
     for M, kind in Q4_GRID_THRESHOLDS:
         cfg = DeConfig(PartialErasureChannel(GF(4), M, 0.0), deg, SumsetSizeModel(kind))
@@ -926,6 +928,19 @@ def test_basin_edge_below_least_fixed_point(ensemble):
     for eps in (eps_bec * (1 + 1e-4), 0.5, 0.6, 0.7):
         x_lo, x_star = de_mod._basin_edge(lam, rho, eps), bec_least_fixed_point(eps, lam, rho)
         assert 0.8 * x_star < x_lo < x_star, (eps, x_lo, x_star)
+
+
+def test_bec_envelope_meets_a_stability_limited_minimum():
+    # lambda = {2: 0.5, 60: 0.5}, rho = {6: 1}: the BEC curve takes its
+    # least value at 0+, 1 / (lambda_2 rho'(1)) = 0.4, which the cells'
+    # bound y / lambda(rho'(1) y) reaches; the envelope stays below the curve
+    lam, rho = {2: 0.5, 60: 0.5}, {6: 1.0}
+    lefts, rising = de_mod._bec_envelope(tuple(sorted(lam.items())), tuple(sorted(rho.items())))
+    lefts, floor = np.array(lefts), -np.array(rising)
+    assert 0.4 - 1e-6 < floor[-1] <= 0.4
+    xs = np.arange(1, 2**20 + 1) / 2**20
+    assert (floor[np.searchsorted(lefts, xs) - 1] <= xs / bec_map(1.0, lam, rho, xs)).all()
+    assert de_mod._basin_edge(lam, rho, 0.4 * (1 - 1e-6)) == math.inf
 
 
 def test_lost_singletons_turn_the_basin_off(monkeypatch):
@@ -970,11 +985,11 @@ def test_backoff_certifies_pinned_runs(monkeypatch):
         cfg = DeConfig(ch, DegreeDistribution.regular(3, 6), SumsetSizeModel(kind))
         de_mod.threshold_search(cfg, tol_eps=1e-4)
     assert len(certified) > 10
-    for cfg in certified:
-        r = run(cfg)
+    for cfg, kw in certified:
+        r = run(cfg, **kw)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(de_mod, "CERTIFY_MAX_GAP", 4)
-            every_fourth = run(cfg)
+            every_fourth = run(cfg, **kw)
         assert r.stop_reason == every_fourth.stop_reason == "certified"
         assert r.trajectory[: len(every_fourth.trajectory)] == every_fourth.trajectory
         assert r.iterations <= every_fourth.iterations + de_mod.CERTIFY_MAX_GAP
@@ -1066,13 +1081,13 @@ Q4_GRID_THRESHOLDS = {
 
 
 def record_certified(monkeypatch) -> list:
-    """The configs of every certified run from here on."""
+    """The (config, keywords) of every certified run from here on."""
     real_run, certified = de_mod.run, []
 
-    def recording_run(cfg):
-        r = real_run(cfg)
+    def recording_run(cfg, **kw):
+        r = real_run(cfg, **kw)
         if r.stop_reason == "certified":
-            certified.append(cfg)
+            certified.append((cfg, kw))
         return r
 
     monkeypatch.setattr(de_mod, "run", recording_run)
@@ -1084,8 +1099,8 @@ def assert_never_converge(certified):
     # without converging: the certificate ended no converging run
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(de_mod, "CERTIFY_TOL", 0.0)
-        for cfg in certified:
-            r = run(cfg)
+        for cfg, kw in certified:
+            r = run(cfg, **kw)
             assert r.stop_reason in ("fixed_point", "max_iters"), cfg
 
 
@@ -1155,32 +1170,128 @@ def test_threshold_large_fields_pinned(monkeypatch):
 # probability's float.hex, its iterations and its stop reason.  Both
 # searches read coverage walks and end probes by the certificate, so a
 # last-bit drift in a walk or a certificate try moves some probe.  Each
-# search probes 1.0 and then its 14 bisection points
+# search probes 1.0 and then its 14 bisection points, each point below
+# 1.0 started from the latest probe above it that did not converge
 PROBE_PINS = {
-    (16, 4, "balls"): "0cc905203a954f6402e0e207879935bc41b0c8cbb38c8506a8a3b3d8f5cb66c9",
-    (8, 3, "union"): "8a9499da0312fd0e11fd2735f71529cd36532c2b9d9e49605eb1595efeab75a4",
+    (16, 4, "balls"): "52d24ddc4c1388fecc7084e17ac9c92cdcaf6c4a767b13fcae01470dff3456ec",
+    (8, 3, "union"): "7eaa9b56536c1202c62c15c939078f9e270429a138cbe07f8aebc704cfa58ba6",
+}
+# the sha256 of the same probes' eps and stop reasons alone, as recorded
+# while every probe still started from the channel's start law: the
+# start from above moved no probe and no stop reason
+PROBE_STOP_PINS = {
+    (16, 4, "balls"): "b393776d469ad3b6d6be6a7badc03e232f56818e21869a32d4777003d777b7fc",
+    (8, 3, "union"): "e96852ec0ef05c32cd9d61ba6abfdb31a7ca54ceb60f04e1424d49b11e6b4e17",
 }
 
 
-def probe_digest(q, M, kind, monkeypatch) -> str:
-    real_run, probes = de_mod.run, []
+def probe_digest(q, M, kind, monkeypatch) -> tuple[str, str]:
+    """The sha256 of the search's probes in full, and of their eps and
+    stop reasons alone."""
+    real_run, probes, stops = de_mod.run, [], []
 
-    def recording_run(cfg):
-        r = real_run(cfg)
+    def recording_run(cfg, **kw):
+        r = real_run(cfg, **kw)
         pes = " ".join(pe.hex() for _, pe in r.trajectory)
         probes.append(f"{cfg.channel.epsilon.hex()}:{pes}|{r.iterations}|{r.stop_reason}")
+        stops.append(f"{cfg.channel.epsilon.hex()}:{r.stop_reason}")
         return r
 
     monkeypatch.setattr(de_mod, "run", recording_run)
     ch = PartialErasureChannel(GF(q), M, 0.0)
     cfg = DeConfig(ch, DegreeDistribution.regular(3, 6), SumsetSizeModel(kind))
     de_mod.threshold_search(cfg, tol_eps=1e-4, check_monotone=True)
-    return hashlib.sha256("\n".join(probes).encode()).hexdigest()
+    return tuple(hashlib.sha256("\n".join(v).encode()).hexdigest() for v in (probes, stops))
 
 
 @pytest.mark.parametrize("key", list(PROBE_PINS), ids=["q16-balls", "q8-union"])
 def test_threshold_probes_pinned(key, monkeypatch):
-    assert probe_digest(*key, monkeypatch) == PROBE_PINS[key]
+    assert probe_digest(*key, monkeypatch) == (PROBE_PINS[key], PROBE_STOP_PINS[key])
+
+
+# ---------------------------------------------------------
+# Probes started from above
+# ---------------------------------------------------------
+SANDWICH_SEARCHES = {
+    "q4-grid": [(4, M, kind) for M, kind in Q4_GRID_THRESHOLDS],
+    "large-fields": list(LARGE_FIELD_THRESHOLDS),
+}
+
+
+@pytest.mark.parametrize("searches", SANDWICH_SEARCHES)
+def test_start_from_above_is_sandwiched(searches, monkeypatch):
+    # a probe started from above lies below the same probe run cold from
+    # the start law at every iteration, and never rises; every verdict the
+    # cold run reaches by a stop rule other than the fixed-point heuristic
+    # and max_iters is kept, and a converging probe converges no later
+    real_run, warm = de_mod.run, []
+
+    def recording_run(cfg, **kw):
+        r = real_run(cfg, **kw)
+        if kw.get("above") is not None:
+            warm.append((cfg, r))
+        return r
+
+    monkeypatch.setattr(de_mod, "run", recording_run)
+    fields = {q: GF(q) for q, _, _ in SANDWICH_SEARCHES[searches]}
+    deg = DegreeDistribution.regular(3, 6)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", "failure probability increased")
+        for q, M, kind in SANDWICH_SEARCHES[searches]:
+            cfg = DeConfig(PartialErasureChannel(fields[q], M, 0.0), deg, SumsetSizeModel(kind))
+            de_mod.threshold_search(cfg, tol_eps=1e-4, check_monotone=True)
+    assert len(warm) > 100
+    for cfg, r in warm:
+        cold = real_run(cfg)
+        assert r.monotone, cfg
+        for (k, pe), (_, cold_pe) in zip(r.trajectory, cold.trajectory):
+            assert pe <= cold_pe + 2.0**-50, (cfg, k)
+        if cold.stop_reason in ("basin", "converged", "certified"):
+            assert r.converged == cold.converged, cfg
+        if cold.converged:
+            assert r.iterations <= cold.iterations, cfg
+
+
+def test_run_from_above_refuses_what_cannot_bound_it(monkeypatch):
+    # above must be a run that did not converge, on tables that pass the
+    # order check, at a higher eps, on the same field, M, degrees and model
+    deg = DegreeDistribution.regular(3, 6)
+
+    def result(eps, q=4, M=3, kind="exact", degrees=deg):
+        ch = PartialErasureChannel(GF(q), M, eps)
+        return run(DeConfig(ch, degrees, SumsetSizeModel(kind)))
+
+    cfg = result(0.8).config
+    top = result(0.9)
+    assert not top.converged and top.certifiable
+    assert run(cfg, above=top).stop_reason == run(cfg).stop_reason == "certified"
+    for above in (
+        "a result",
+        replace(top, config=None),
+        result(0.3),  # converged
+        replace(top, certifiable=False),
+        result(0.8),  # equal eps
+        result(0.7),  # lower eps
+        result(1.0, q=5),
+        result(1.0, M=2),
+        result(1.0, degrees=DegreeDistribution.regular(4, 8)),
+        result(1.0, kind="union"),
+    ):
+        with pytest.raises(ValueError, match="above"):
+            run(cfg, above=above)
+    # and a run whose own tables fail the order check is refused a start
+    # from above
+    built = de_mod._check_matrices
+
+    def lowered_check(*args):
+        draws, mat = built(*args)
+        mat = mat.copy()
+        mat[-1] += mat[-1].sum() * 1e-3 * (np.eye(4)[0] - np.eye(4)[3])
+        return draws, mat
+
+    monkeypatch.setattr(de_mod, "_check_matrices", lowered_check)
+    with pytest.raises(ValueError, match="order check"):
+        run(cfg, above=top)
 
 
 def test_threshold_probes_each_epsilon_once(monkeypatch):
@@ -1188,9 +1299,9 @@ def test_threshold_probes_each_epsilon_once(monkeypatch):
 
     real_run, probed = de_mod.run, []
 
-    def counting_run(cfg):
+    def counting_run(cfg, **kw):
         probed.append(cfg.channel.epsilon)
-        return real_run(cfg)
+        return real_run(cfg, **kw)
 
     monkeypatch.setattr(de_mod, "run", counting_run)
     th = de_mod.threshold_search(bec_cfg(2, 0.0), check_monotone=True)

@@ -5,17 +5,23 @@ Runs the de-sweep's threshold searches (the search list and settings of
 the totals: searches, probes, iterations and certificate tries (the
 evaluations of F that ``DeResult.tries`` counts).  With ``--out FILE``
 it also writes one JSON line per probe, in probe order: the search, the
-eps, ``converged``, the stop reason, iterations, tries, the sha256 of
-the trajectory's ``float.hex`` text and that text itself.
+eps, whether the probe started from a run above it (``run``'s
+``above``), its start failure probability, ``converged``, the stop
+reason, iterations, tries, the sha256 of the trajectory's ``float.hex``
+text and that text itself.
 
     python tools/de_probes.py [--out probes.jsonl]
     python tools/de_probes.py --compare A.jsonl B.jsonl
 
 ``--compare`` pairs the probes of two record files in order.  It reports
-each pair whose search or eps differ, each verdict change, and how each
-pair's trajectories relate: identical, one a prefix of the other, or
-apart.  It exits 1 if any search, eps or verdict differs or any
-trajectories part.
+each pair whose search or eps differ, each change of verdict or stop
+reason, and how each pair's trajectories relate: identical, one a
+prefix of the other, apart (they part after a common start) or
+restarted (their first entries differ, or only one probe started from
+a run above it, so their start laws differ).  A record without
+``above`` (an older file) started from the start law.  It exits 1 if
+any search, eps, verdict or stop reason differs or any trajectories
+part after a common start.
 
 The package is imported from the checkout's ``src/`` unless
 ``PYTHONPATH`` names another copy first.
@@ -46,12 +52,14 @@ def record() -> list[dict]:
     probes, real_run = [], de.run
     search = None
 
-    def recording_run(cfg):
-        r = real_run(cfg)
+    def recording_run(cfg, **kw):
+        r = real_run(cfg, **kw)
         text = " ".join(pe.hex() for _, pe in r.trajectory)
         probes.append({
-            "search": search, "eps": cfg.channel.epsilon.hex(), "converged": r.converged,
-            "stop_reason": r.stop_reason, "iterations": r.iterations, "tries": r.tries,
+            "search": search, "eps": cfg.channel.epsilon.hex(),
+            "above": kw.get("above") is not None, "start": r.trajectory[0][1].hex(),
+            "converged": r.converged, "stop_reason": r.stop_reason,
+            "iterations": r.iterations, "tries": r.tries,
             "sha256": hashlib.sha256(text.encode()).hexdigest(), "trajectory": text,
         })
         return r
@@ -74,8 +82,9 @@ def record() -> list[dict]:
 
 def compare(a: list[dict], b: list[dict]) -> bool:
     """Print how the probes of ``b`` differ from ``a``'s; True if no
-    search, eps or verdict differs and no two trajectories part."""
-    kinds = {"identical": 0, "prefix": 0, "extension": 0, "apart": 0}
+    search, eps, verdict or stop reason differs and no two trajectories
+    part after a common start."""
+    kinds = {"identical": 0, "prefix": 0, "extension": 0, "apart": 0, "restarted": 0}
     bad = len(a) != len(b)
     if bad:
         print(f"probe counts differ: {len(a)} vs {len(b)}")
@@ -85,9 +94,10 @@ def compare(a: list[dict], b: list[dict]) -> bool:
             print(f"{where}: B probes {y['search']} at eps {float.fromhex(y['eps'])!r}")
             bad = True
             continue
-        if x["converged"] != y["converged"]:
-            print(f"{where}: converged {x['converged']} -> {y['converged']}")
-            bad = True
+        for key in ("converged", "stop_reason"):
+            if x[key] != y[key]:
+                print(f"{where}: {key} {x[key]} -> {y[key]}")
+                bad = True
         tx, ty = x["trajectory"].split(), y["trajectory"].split()
         if tx == ty:
             kinds["identical"] += 1
@@ -95,6 +105,8 @@ def compare(a: list[dict], b: list[dict]) -> bool:
             kinds["prefix"] += 1
         elif tx == ty[: len(tx)]:
             kinds["extension"] += 1
+        elif tx[0] != ty[0] or x.get("above", False) != y.get("above", False):
+            kinds["restarted"] += 1
         else:
             kinds["apart"] += 1
             print(f"{where}: trajectories part at iteration "
