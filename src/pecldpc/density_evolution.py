@@ -34,10 +34,11 @@ nothing grows with q beyond that array.
 
 H(w) = (weights @ matrix) @ chain, so while the check tables are small
 (T * M*(M+1) entries summed over the check degrees, at most 2**12)
-``run`` folds the chain into them: row t of a folded table is row t of
-the check matrix times the chain, and one product turns the weights
-straight into H(w) with its mass column.  Larger tables keep the two
-products, whose folded form would cost more than the call it saves.
+the operator folds the chain into them: row t of a folded table is row
+t of the check matrix times the chain, and one product turns the
+weights straight into H(w) with its mass column.  Larger tables keep
+the two products, whose folded form would cost more than the call it
+saves.
 
 ``run`` renormalises by Python floats: H(w) is never divided; each
 variable term's scale eps*lambda_d is multiplied by (1/w_sum)**(d-1),
@@ -73,14 +74,20 @@ verdict reached by proof stays as it was.  ``threshold_search`` passes
 its latest probe that did not converge once the tables pass the order
 check.
 
-The check tables, and the order and singleton verdicts on them and on
-the size chain, are built once per work budget (``budget``): a
-threshold search builds them for its first probe, and a model is a
-value, so equal models share them.  The size chain is kept for the process and charged once per
-budget as if it were built.  ``run`` folds the check degree fractions
-into copies of the tables once per call.  Each table, each order or
-singleton check and every probe's map evaluations are charged to the
-budget before they are computed.
+The DE operator (``_operator``) is built once per work budget
+(``budget``), keyed by the field, M, the degree fractions and the model:
+a threshold search builds it for its first probe, and a model is a
+value, so equal inputs share it.  It holds an iteration's price, the
+check tables with the check degree fractions folded into copies of them
+(and the size chain beside them where it is not folded in), the order
+and singleton verdicts on them and on the size chain, and the BEC
+envelope; each table under it is built once per budget too.  The size
+chain is kept for the process and charged once per budget as if it were
+built.  ``run`` binds F's two halves to the operator's terms and one
+output buffer once per call, as closures (``_mix``,
+``_variable_half``), so an evaluation is its numpy calls and little
+else.  Each table, each order or singleton check and every probe's map
+evaluations are charged to the budget before they are computed.
 """
 
 from __future__ import annotations
@@ -148,6 +155,12 @@ def initial_vtc_dist(channel: PartialErasureChannel) -> np.ndarray:
     return z
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only: every table is shared."""
+    arr.setflags(write=False)
+    return arr
+
+
 @cache
 def _weight_tables(max_size: int, k: int):
     """All size multisets of k draws from 1..max_size: the tuples, their
@@ -159,10 +172,7 @@ def _weight_tables(max_size: int, k: int):
     multinom = [factorial(k) // prod(factorial(t.count(s)) for s in set(t)) for t in tuples]
     # a float holds no integer of 1024 bits or more
     budget.over(max(multinom).bit_length(), 1023, f"multinomials of {k} draws, in bits")
-    multinom = np.array(multinom, float)
-    draws.setflags(write=False)
-    multinom.setflags(write=False)
-    return tuples, draws, multinom
+    return tuples, _frozen(draws), _frozen(np.array(multinom, float))
 
 
 def _check_matrices(field: GF, M: int, d_c: int, model: SumsetSizeModel):
@@ -178,9 +188,7 @@ def _check_matrices(field: GF, M: int, d_c: int, model: SumsetSizeModel):
     budget.current().charge(len(tuples) * 8 * budget.CALL, f"a check table of {len(tuples)} laws")
     laws = np.stack([model.distribution(t, field) for t in tuples])
     laws[laws < np.finfo(float).tiny] = 0.0
-    mat = multinom[:, None] * laws
-    mat.setflags(write=False)
-    return draws, mat
+    return draws, _frozen(multinom[:, None] * laws)
 
 
 def _check_ordered(field: GF, M: int, d_c: int, model: SumsetSizeModel) -> bool:
@@ -222,9 +230,7 @@ def _size_chain(q: int, M: int) -> np.ndarray:
             if s <= M:
                 chain[i - 1, s - 1, : len(law)] = law
     chain[:, :, M] = chain[:, :, :M].sum(axis=2)
-    chain = chain.reshape(q, M * (M + 1))
-    chain.setflags(write=False)
-    return chain
+    return _frozen(chain.reshape(q, M * (M + 1)))
 
 
 def _chain(q: int, M: int) -> np.ndarray:
@@ -291,9 +297,9 @@ def _bec_envelope(lam: tuple, rho: tuple):
     - x)**k is taken as -expm1(k log1p(-x)), free of cancellation near
     0, and each bound is lowered by 2**-26 of itself against float
     rounding and the fractions' sums, which lie within 1e-9 of 1.  A
-    build takes a few milliseconds a degree and is not charged: ``run``
-    asks for it only after ``_iteration_cells`` has bounded the
-    degrees."""
+    build takes a few milliseconds a degree and is not charged:
+    ``_operator`` asks for it only after ``_iteration_cells`` has bounded
+    the degrees."""
     lam_sum, rho_sum = sum(f for _, f in lam), sum(f for _, f in rho)
     slope = sum(f / rho_sum * (d - 1) for d, f in rho)
 
@@ -318,8 +324,14 @@ def _bec_envelope(lam: tuple, rho: tuple):
         bound = bounds(edges)
     floor = np.minimum.accumulate(bound * (1.0 - 2.0**-26))
     falls = np.flatnonzero(floor < np.concatenate([[inf], floor[:-1]]))
-    lefts = np.concatenate([[0.0], edges[:-1]])[falls]
-    return lefts, -floor[falls]
+    return _frozen(np.concatenate([[0.0], edges[:-1]])[falls]), _frozen(-floor[falls])
+
+
+def _edge(envelope, eps: float) -> float:
+    """x_lo of ``_basin_edge`` read off a ``_bec_envelope``."""
+    lefts, rising = envelope
+    k = int(np.searchsorted(rising, -eps))
+    return float(lefts[k]) if k < len(lefts) else inf
 
 
 def _basin_edge(lam: dict, rho: dict, eps: float) -> float:
@@ -329,16 +341,14 @@ def _basin_edge(lam: dict, rho: dict, eps: float) -> float:
     and the map lies below x, on (0, x_lo).  0 where the map rises above
     x next to 0; inf when eps lies below the whole envelope, as below the
     BEC threshold min c."""
-    lefts, rising = _bec_envelope(tuple(sorted(lam.items())), tuple(sorted(rho.items())))
-    k = int(np.searchsorted(rising, -eps))
-    return float(lefts[k]) if k < len(lefts) else inf
+    return _edge(_bec_envelope(tuple(sorted(lam.items())), tuple(sorted(rho.items()))), eps)
 
 
 def _folds(M: int, checks) -> bool:
-    """Whether ``run`` folds the size chain into the check tables of these
-    degrees: while the folded tables hold at most 2**12 entries, sum(T) *
-    M*(M+1), which cost no more than the chain product they remove (a
-    gemv call is worth ~2**12 entries of a small one)."""
+    """Whether the operator folds the size chain into the check tables
+    of these degrees: while the folded tables hold at most 2**12
+    entries, sum(T) * M*(M+1), which cost no more than the chain product
+    they remove (a gemv call is worth ~2**12 entries of a small one)."""
     return sum(comb(M + d - 2, d - 1) for d in checks) * M * (M + 1) <= 2**12
 
 
@@ -350,51 +360,94 @@ def _folded_check(field: GF, M: int, d_c: int, model: SumsetSizeModel):
     small."""
     draws, mat = budget.table(_check_matrices, field, M, d_c, model)
     chain = budget.table(_chain, field.q, M)
-    folded = np.stack([np.dot(row, chain) for row in mat])
-    folded.setflags(write=False)
-    return draws, folded
+    return draws, _frozen(np.stack([np.dot(row, chain) for row in mat]))
 
 
-def _mix(dist: np.ndarray, terms, out=None) -> np.ndarray:
-    """Sum over (draws, matrix) terms of weights @ matrix, where a
-    multiset's weight is the product of ``dist`` over its draws; written
-    into ``out`` when it is given."""
-    first = True
-    for draws, mat in terms:
-        weights = np.multiply.reduce(dist[draws], axis=0)
-        if first:
-            out = np.dot(weights, mat, out=out)
-            first = False
-        else:
-            out += np.dot(weights, mat)
-    return out
+def _operator(field: GF, M: int, lam: tuple, rho: tuple, model: SumsetSizeModel):
+    """The DE operator of these (degree, fraction) pairs, each tuple in
+    ascending degree, built once per work budget: (price, checks, chain,
+    certifiable, basin).  ``price`` is an iteration's cells
+    (``_iteration_cells``, refused before any table is built); ``checks``
+    the (draws, fraction * matrix) term of each check degree, the
+    matrices folded with the size chain (``_folds``) or not, and then
+    ``chain`` the size chain, None when folded; ``certifiable`` and the
+    singleton verdict the order and singleton checks (``_check_ordered``,
+    ``_chain_ordered``, ``_keeps_singletons``); and ``basin`` the
+    ``_bec_envelope`` of the degrees, or None when the tables lose
+    singletons.  Each table and check is built, and charged, through
+    ``budget.table``, in this order: the size chain where it is not
+    folded in, each check degree's table, the chain's order and each
+    table's (up to the first that fails), and each table's singletons
+    (likewise), the check degrees in ascending order."""
+    degrees = [d for d, _ in rho]
+    price = _iteration_cells(field.q, M, degrees, [d for d, _ in lam])
+    if _folds(M, degrees):
+        tables, chain = _folded_check, None
+    else:
+        tables, chain = _check_matrices, budget.table(_chain, field.q, M)
+    built = [(budget.table(tables, field, M, d, model), f) for d, f in rho]
+    certifiable = budget.table(_chain_ordered, field.q, M) and all(
+        budget.table(_check_ordered, field, M, d, model) for d in degrees
+    )
+    keeps = all(budget.table(_keeps_singletons, field, M, d, model) for d in degrees)
+    terms = tuple((draws, _frozen(f * mat)) for (draws, mat), f in built)
+    return price, terms, chain, certifiable, _bec_envelope(lam, rho) if keeps else None
 
 
-def _variable_half(h: np.ndarray, terms, w_sum: float) -> np.ndarray:
-    """The eps part of the variable output from H(w) as an (M, M+1) array
-    h whose column M holds each row's mass, and whose mass is w_sum: per
-    (steps, scale) term, row M of h (the channel's M-set after one step)
-    carried ``steps`` more steps along h and scaled by
-    scale * (1/w_sum)**(steps+1), which renormalises H(w) by a float;
-    summed over the terms.  Entry M of the result is its mass, carried
-    along in h's mass column."""
-    z = None
-    for steps, scale in terms:
-        v = (scale * (1.0 / w_sum) ** (steps + 1)) * h[-1]
-        for _ in range(steps):
-            v = np.dot(v[:-1], h)
-        z = v if z is None else z + v
-    return z
+def _mix(terms, out=None):
+    """F's check half over (draws, matrix) terms: a function of a size
+    vector ``dist`` that returns the sum over the terms of weights @
+    matrix, where a multiset's weight is the product of ``dist`` over its
+    draws; written into ``out`` when it is given."""
+    reduce, dot = np.multiply.reduce, np.dot
+    (draws, mat), *rest = terms
+
+    def mix(dist):
+        o = dot(reduce(dist[draws], 0), mat, out=out)
+        for more, m in rest:
+            o += dot(reduce(dist[more], 0), m)
+        return o
+
+    return mix
+
+
+def _variable_half(h: np.ndarray, terms):
+    """F's variable half over H(w), an (M, M+1) array h whose column M
+    holds each row's mass: a function of H(w)'s mass w_sum that returns
+    the eps part of the variable output.  Per (steps, scale) term, row M
+    of h (the channel's M-set after one step) is carried ``steps`` more
+    steps along h and scaled by scale * (1/w_sum)**(steps+1), which
+    renormalises H(w) by a float; the terms are summed.  Entry M of the
+    result is its mass, carried along in h's mass column.  The first
+    step takes the row's view without its mass, ``(c * h[-1])[:-1]``
+    bit for bit."""
+    dot, row, top = np.dot, h[-1], h[-1, :-1]
+
+    def half(w_sum):
+        inv, z = 1.0 / w_sum, None
+        for steps, scale in terms:
+            c = scale * inv ** (steps + 1)
+            v = dot(c * top, h) if steps else c * row
+            for _ in range(steps - 1):
+                v = dot(v[:-1], h)
+            z = v if z is None else z + v
+        return z
+
+    return half
 
 
 def _size_vector(v, q: int, name: str) -> np.ndarray:
-    """``v`` as a float size distribution over 1..q, or ValueError."""
+    """``v`` as a float size distribution over 1..q, or ValueError: a
+    law whose entries sum to 1 within 1e-9, the tolerance of
+    ``DeResult.mass_ok``, as neither half renormalises its input."""
     arr = np.asarray(v)
     if arr.dtype.kind not in "biuf" or arr.shape != (q,):
         raise ValueError(f"{name} must be a 1-D real array of length q={q}, got shape {arr.shape}")
     arr = arr.astype(float)
     if not np.isfinite(arr).all() or (arr < 0).any():
         raise ValueError(f"{name} entries must be finite and nonnegative")
+    if not abs(arr.sum() - 1.0) <= 1e-9:
+        raise ValueError(f"{name} entries must sum to 1, got {arr.sum()}")
     return arr
 
 
@@ -410,7 +463,7 @@ def check_update(
     if z[M:].any():
         raise ValueError("variable-to-check sizes cannot exceed M")
     _iteration_cells(field.q, M, checks=[d_c])
-    return _mix(z, [budget.table(_check_matrices, field, M, d_c, model)])
+    return _mix([budget.table(_check_matrices, field, M, d_c, model)])(z)
 
 
 def variable_update(w: np.ndarray, d_v: int, channel: PartialErasureChannel) -> np.ndarray:
@@ -421,7 +474,7 @@ def variable_update(w: np.ndarray, d_v: int, channel: PartialErasureChannel) -> 
     w = _size_vector(w, q, "w")
     _iteration_cells(q, M, variables=[d_v])
     h = np.dot(w, budget.table(_chain, q, M)).reshape(M, M + 1)
-    z = _variable_half(h, [(d_v - 2, eps)], 1.0)
+    z = _variable_half(h, [(d_v - 2, eps)])(1.0)
     z[0] += 1.0 - eps
     return np.pad(z[:M], (0, q - M))
 
@@ -546,9 +599,10 @@ def run(cfg: DeConfig, *, above: DeResult | None = None) -> DeResult:
     below ``CONVERGENCE_TOL`` or into the basin, a fixed point is
     detected, divergence is certified, or ``max_iters`` is reached.  The
     run takes as many map evaluations as the open budget's cells allow
-    and raises ValueError if it needs more; its tables, and then its
-    evaluations (iterations and certificate tries alike), are charged to
-    that budget.  It starts from the channel's start law z_0, or, given
+    and raises ValueError if it needs more; its operator (``_operator``,
+    built once per budget: the tables, verdicts and BEC envelope of its
+    field, M, degrees and model), and then its evaluations (iterations
+    and certificate tries alike), are charged to that budget.  It starts from the channel's start law z_0, or, given
     ``above`` (checked by ``_check_above``, ValueError otherwise), from
     the meet of z_0 and ``above``'s last iterate.
 
@@ -583,8 +637,9 @@ def run(cfg: DeConfig, *, above: DeResult | None = None) -> DeResult:
     pe_{l+1} <= f(pe_l) for the BEC map f(x) = eps lambda(1 - rho(1 -
     x)), which rises with x.  Below its least positive fixed point x*,
     f(x) < x, so a pe_l < x* gives pe_{l+k} <= f^k(pe_l) -> 0: the run
-    converges.  ``_basin_edge`` reads x_lo <= x* from a lower envelope
-    of the BEC curve x / lambda(1 - rho(1 - x)), once a run; the run
+    converges.  x_lo <= x* is read (``_edge``, as ``_basin_edge`` reads
+    it) off the operator's lower envelope of the BEC curve x / lambda(1
+    - rho(1 - x)), once a run; the run
     stops (``"basin"``) at the first pe < x_lo, at iteration 0 when eps
     lies below the envelope, as below the BEC threshold.  The bound
     holds up to float rounding, as the certificate does: the envelope
@@ -612,29 +667,20 @@ def run(cfg: DeConfig, *, above: DeResult | None = None) -> DeResult:
         _check_above(cfg, above)
     ch = cfg.channel
     field, M, eps = ch.field, ch.M, ch.epsilon
-
-    rho, lam = cfg.degrees.rho_coeffs, cfg.degrees.lambda_coeffs
-    price = _iteration_cells(field.q, M, rho, lam)
+    lam, rho = (tuple(sorted(c.items())) for c in (cfg.degrees.lambda_coeffs, cfg.degrees.rho_coeffs))
     with budget.scope() as spend:
-        if _folds(M, rho):
-            tables, chain = _folded_check, None
-        else:
-            tables, chain = _check_matrices, budget.table(_chain, field.q, M)
-        built = {d: budget.table(tables, field, M, d, cfg.size_model) for d in rho}
-        certifiable = budget.table(_chain_ordered, field.q, M) and all(
-            budget.table(_check_ordered, field, M, d, cfg.size_model) for d in rho
+        price, checks, chain, certifiable, basin = budget.table(
+            _operator, field, M, lam, rho, cfg.size_model
         )
-        keeps = all(budget.table(_keeps_singletons, field, M, d, cfg.size_model) for d in rho)
     if above is not None and not certifiable:
         raise ValueError("a run from above needs tables that pass the order check")
     # the run has converged once pe falls below x_lo
-    x_lo = _basin_edge(lam, rho, eps) if keeps else 0.0
-    # the degree fractions folded into copies of the tables, once per run
-    chk = [(built[d][0], rho[d] * built[d][1]) for d in sorted(rho)]
-    var = [(d - 2, eps * lam[d]) for d in sorted(lam)]
+    x_lo = 0.0 if basin is None else _edge(basin, eps)
     h = np.empty((M, M + 1))  # H(w), rewritten in place each evaluation
     h_out = h.reshape(-1)
-    clean = 1.0 - eps
+    check = _mix(checks, h_out if chain is None else None)
+    variable = _variable_half(h, [(d - 2, eps * f) for d, f in lam])
+    clean, dot = 1.0 - eps, np.dot
 
     def step(z):
         # F(z) and the masses of its halves.  H(w) carries, in its mass
@@ -646,11 +692,11 @@ def run(cfg: DeConfig, *, above: DeResult | None = None) -> DeResult:
         # redone from the same float.  z keeps its mass in entry M, which
         # no draw reads
         if chain is None:
-            _mix(z, chk, h_out)
+            check(z)
         else:
-            np.dot(_mix(z, chk), chain, out=h_out)
+            dot(check(z), chain, out=h_out)
         w_sum = h.item(M - 1, M)
-        zz = _variable_half(h, var, w_sum)
+        zz = variable(w_sum)
         z_sum = zz.item(M) + clean
         out = zz / z_sum
         out[0] = (zz.item(0) + clean) / z_sum

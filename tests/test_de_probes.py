@@ -64,3 +64,37 @@ def test_record_marks_probes_started_from_above():
         assert p["above"] is not first
         assert p["start"] == p["trajectory"].split()[0]
         assert float.fromhex(p["start"]) <= float.fromhex(p["eps"])
+
+
+def test_compare_flags_a_charge(capsys):
+    # a pair whose charges differ fails; a record without a charge (an
+    # older file) is not compared by it
+    a = [probe([1.0, 0.5], cells=100), probe([1.0], cells=40)]
+    assert de_probes.compare(a, [probe([1.0, 0.5], cells=100), probe([1.0], cells=40)])
+    assert "cells 140 vs 140" in capsys.readouterr().out
+    assert not de_probes.compare(a, [probe([1.0, 0.5], cells=100), probe([1.0], cells=41)])
+    out = capsys.readouterr().out
+    assert "cells 40 -> 41" in out and "cells 140 vs 141" in out
+    assert de_probes.compare(a, [probe([1.0, 0.5]), probe([1.0])])
+    assert "cells" not in capsys.readouterr().out
+
+
+def test_record_charges_each_search_in_full():
+    # a search's probes charge, between them, all that the search charges
+    # to its budget, the first one its tables too, and each probe some
+    import pecldpc
+    from pecldpc import budget
+
+    probes = de_probes.record()
+    assert "cells " + str(sum(p["cells"] for p in probes)) in de_probes.totals(probes)
+    wl = de_probes.wl
+    for search in ("4,2,exact", "16,4,balls"):
+        q, M, kind = search.split(",")
+        ch = pecldpc.PartialErasureChannel(pecldpc.GF(int(q)), int(M), 0.0)
+        cfg = pecldpc.DeConfig(ch, pecldpc.DegreeDistribution.regular(wl.D_V, wl.D_C),
+                               pecldpc.SumsetSizeModel(kind), max_iters=wl.DE_MAX_ITERS)
+        with budget.scope() as spend:
+            pecldpc.threshold_search(cfg, tol_eps=wl.DE_TOL_EPS, check_monotone=True)
+        cells = [p["cells"] for p in probes if p["search"] == search]
+        assert sum(cells) == budget.CELLS - spend.left
+        assert min(cells) > 0

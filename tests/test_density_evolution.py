@@ -149,6 +149,12 @@ def test_public_updates_validate_input():
     for bad in bad_w:
         with pytest.raises(ValueError):
             variable_update(bad, 3, ch)
+    # a vector that is not a law gave one that is not either: a check
+    # output of mass 32, a variable output of mass 0.5
+    with pytest.raises(ValueError, match="sum to 1"):
+        check_update([1, 1, 0, 0], 6, SumsetSizeModel("exact"), f, 2)
+    with pytest.raises(ValueError, match="sum to 1"):
+        variable_update(np.zeros(4), 3, ch)
     for M in (0, 5):
         with pytest.raises(ValueError, match="M must"):
             check_update(z, 6, union, f, M)
@@ -642,6 +648,153 @@ def test_de_matrices_built_once_and_read_only():
     w = check_update(np.array([0.5, 0.5, 0, 0]), 6, model, f, 2)
     w[0] = 0.0
     assert check_update(np.array([0.5, 0.5, 0, 0]), 6, model, f, 2)[0] > 0.0
+
+
+def multiset_halves_digest() -> str:
+    """The sha256 of the float.hex of every output of the public halves
+    on ``test_multiset_equals_ordered``'s inputs."""
+    out = []
+    for q, M, d in [(4, 2, 4), (4, 3, 3), (5, 4, 3), (3, 2, 4)]:
+        f, rng = GF(q), np.random.default_rng(q * 10 + M)
+        ch = PartialErasureChannel(f, M, 0.55)
+        for _ in range(5):
+            z = np.zeros(q)
+            z[:M] = rng.random(M)
+            z /= z.sum()
+            out += check_update(z, d, SumsetSizeModel("exact"), f, M).tolist()
+            w = rng.random(q)
+            w /= w.sum()
+            out += variable_update(w, d, ch).tolist()
+    return hashlib.sha256(" ".join(x.hex() for x in out).encode()).hexdigest()
+
+
+def test_public_halves_pinned():
+    # recorded while each half was a plain function of its input, before
+    # both became factories of the closures that run evaluates F with
+    assert multiset_halves_digest() == (
+        "9cc8b8145b915edfb193f5ff1b87cef1853b11bfc418225fd7a791ac88200eed"
+    )
+
+
+# (q, M, model) of two (3,6) searches: the check table of d_c = 6 at M=3
+# holds 21 laws and folds the size chain in; at M=6 it holds 252, too
+# many to fold
+OPERATOR_SEARCHES = {"folded": (4, 3, "exact"), "unfolded": (8, 6, "union")}
+
+
+def counting_builders(monkeypatch) -> dict:
+    """Every call of the operator and of each table and check under it,
+    by name, from here on: the arguments of each call."""
+    calls = {}
+    for name in ("_operator", "_check_matrices", "_folded_check", "_chain", "_chain_ordered",
+                 "_check_ordered", "_keeps_singletons"):
+        build, calls[name] = getattr(de_mod, name), []
+        monkeypatch.setattr(
+            de_mod, name, lambda *a, build=build, seen=calls[name]: seen.append(a) or build(*a)
+        )
+    return calls
+
+
+@pytest.mark.parametrize("path", OPERATOR_SEARCHES)
+def test_search_builds_the_operator_once(path, monkeypatch):
+    # fifteen probes, one operator, and each table and check under it
+    # built once; the unfolded path reads the size chain itself
+    q, M, kind = OPERATOR_SEARCHES[path]
+    assert de_mod._folds(M, [6]) is (path == "folded")
+    calls = counting_builders(monkeypatch)
+    probes = []
+    real_run = de_mod.run
+    monkeypatch.setattr(de_mod, "run", lambda cfg, **kw: probes.append(cfg) or real_run(cfg, **kw))
+    ch = PartialErasureChannel(GF(q), M, 0.0)
+    threshold_search(DeConfig(ch, DegreeDistribution.regular(3, 6), SumsetSizeModel(kind)))
+    assert len(probes) == 15
+    built = {name: len(seen) for name, seen in calls.items()}
+    assert built == {
+        "_operator": 1, "_check_matrices": 1, "_folded_check": int(path == "folded"), "_chain": 1,
+        "_chain_ordered": 1, "_check_ordered": 1, "_keeps_singletons": 1,
+    }
+    assert calls["_operator"] == [(GF(q), M, ((3, 1.0),), ((6, 1.0),), SumsetSizeModel(kind))]
+
+
+def test_operator_shared_within_a_budget(monkeypatch):
+    from pecldpc import budget
+
+    f, model = GF(4), SumsetSizeModel("exact")
+    lam, rho = ((2, 0.25), (3, 0.75)), ((4, 0.5), (6, 0.5))
+    with budget.scope():
+        op = budget.table(de_mod._operator, f, 2, lam, rho, model)
+        assert budget.table(de_mod._operator, f, 2, lam, rho, SumsetSizeModel("exact")) is op
+        for other in (
+            (f, 3, lam, rho, model),
+            (f, 2, lam, rho, SumsetSizeModel("union")),
+            (f, 2, ((3, 1.0),), rho, model),
+            (f, 2, lam, ((6, 1.0),), model),
+        ):
+            assert budget.table(de_mod._operator, *other) is not op
+    assert budget.table(de_mod._operator, f, 2, lam, rho, model) is not op
+    # runs key it on the degree fractions in ascending degree: equal
+    # distributions share one, however their fractions were listed
+    calls = counting_builders(monkeypatch)
+    ch = PartialErasureChannel(f, 2, 0.7)
+    with budget.scope():
+        for degrees in (
+            DegreeDistribution({2: 0.25, 3: 0.75}, {4: 0.5, 6: 0.5}),
+            DegreeDistribution({3: 0.75, 2: 0.25}, {6: 0.5, 4: 0.5}),
+        ):
+            run(DeConfig(ch, degrees, model))
+    assert calls["_operator"] == [(f, 2, lam, rho, model)]
+    # a new budget builds its own
+    run(DeConfig(ch, DegreeDistribution({2: 0.25, 3: 0.75}, {4: 0.5, 6: 0.5}), model))
+    assert len(calls["_operator"]) == 2
+
+
+@pytest.mark.parametrize("path", OPERATOR_SEARCHES)
+def test_operator_is_read_only(path):
+    from pecldpc import budget
+
+    q, M, kind = OPERATOR_SEARCHES[path]
+    with budget.scope():
+        price, checks, chain, certifiable, basin = budget.table(
+            de_mod._operator, GF(q), M, ((3, 1.0),), ((6, 1.0),), SumsetSizeModel(kind)
+        )
+    assert price == de_mod._iteration_cells(q, M, [6], [3])
+    assert certifiable and basin is not None and (chain is None) is (path == "folded")
+    arrays = [*checks[0], *basin] + ([] if chain is None else [chain])
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+@pytest.mark.parametrize("path", OPERATOR_SEARCHES)
+def test_probe_alone_matches_probe_in_a_search(path, monkeypatch):
+    # a search carries nothing from probe to probe but its operator and
+    # the probe above: each probe run again on its own, in a budget that
+    # holds the operator (a fresh one for the first probe), gives the same
+    # trajectory, stop reason and tries, and charges the same cells
+    from pecldpc import budget
+
+    real_run, probes = de_mod.run, []
+
+    def recording_run(cfg, **kw):
+        left = budget.current().left
+        r = real_run(cfg, **kw)
+        probes.append((cfg, kw, r, left - budget.current().left))
+        return r
+
+    monkeypatch.setattr(de_mod, "run", recording_run)
+    q, M, kind = OPERATOR_SEARCHES[path]
+    ch = PartialErasureChannel(GF(q), M, 0.0)
+    threshold_search(DeConfig(ch, DegreeDistribution.regular(3, 6), SumsetSizeModel(kind)))
+    assert sum(r.tries for _, _, r, _ in probes) > 0
+    for n, (cfg, kw, r, cells) in enumerate(probes):
+        with budget.scope() as spend:
+            if n:
+                real_run(probes[0][0])
+            left = spend.left
+            alone = real_run(cfg, **kw)
+            assert left - spend.left == cells, n
+        assert [pe.hex() for _, pe in alone.trajectory] == [pe.hex() for _, pe in r.trajectory]
+        assert (alone.stop_reason, alone.tries) == (r.stop_reason, r.tries), n
 
 
 @pytest.mark.parametrize("kind", ["balls", "union"])

@@ -2,13 +2,15 @@
 
 Runs the de-sweep's threshold searches (the search list and settings of
 ``bench/workloads.py``, as the benchmark worker runs them) and prints
-the totals: searches, probes, iterations and certificate tries (the
-evaluations of F that ``DeResult.tries`` counts).  With ``--out FILE``
-it also writes one JSON line per probe, in probe order: the search, the
+the totals: searches, probes, iterations, certificate tries (the
+evaluations of F that ``DeResult.tries`` counts) and the cells the
+probes charged to their searches' work budgets.  With ``--out FILE`` it
+also writes one JSON line per probe, in probe order: the search, the
 eps, whether the probe started from a run above it (``run``'s
 ``above``), its start failure probability, ``converged``, the stop
-reason, iterations, tries, the sha256 of the trajectory's ``float.hex``
-text and that text itself.
+reason, iterations, tries, the cells it charged (its search's first
+probe pays for the tables too), the sha256 of the trajectory's
+``float.hex`` text and that text itself.
 
     python tools/de_probes.py [--out probes.jsonl]
     python tools/de_probes.py --compare A.jsonl B.jsonl
@@ -18,10 +20,11 @@ each pair whose search or eps differ, each change of verdict or stop
 reason, and how each pair's trajectories relate: identical, one a
 prefix of the other, apart (they part after a common start) or
 restarted (their first entries differ, or only one probe started from
-a run above it, so their start laws differ).  A record without
-``above`` (an older file) started from the start law.  It exits 1 if
-any search, eps, verdict or stop reason differs or any trajectories
-part after a common start.
+a run above it, so their start laws differ), and each pair whose
+charged cells differ.  A record without ``above`` (an older file)
+started from the start law, and one without ``cells`` is not compared
+by its charge.  It exits 1 if any search, eps, verdict, stop reason or
+charge differs or any trajectories part after a common start.
 
 The package is imported from the checkout's ``src/`` unless
 ``PYTHONPATH`` names another copy first.
@@ -45,6 +48,7 @@ import workloads as wl  # noqa: E402
 def record() -> list[dict]:
     """One record per probe of the de-sweep's searches, in probe order."""
     import pecldpc
+    from pecldpc import budget
     from pecldpc import density_evolution as de
 
     degrees = pecldpc.DegreeDistribution.regular(wl.D_V, wl.D_C)
@@ -53,13 +57,15 @@ def record() -> list[dict]:
     search = None
 
     def recording_run(cfg, **kw):
+        # inside the search's scope: its budget is the one open
+        left = budget.current().left
         r = real_run(cfg, **kw)
         text = " ".join(pe.hex() for _, pe in r.trajectory)
         probes.append({
             "search": search, "eps": cfg.channel.epsilon.hex(),
             "above": kw.get("above") is not None, "start": r.trajectory[0][1].hex(),
             "converged": r.converged, "stop_reason": r.stop_reason,
-            "iterations": r.iterations, "tries": r.tries,
+            "iterations": r.iterations, "tries": r.tries, "cells": left - budget.current().left,
             "sha256": hashlib.sha256(text.encode()).hexdigest(), "trajectory": text,
         })
         return r
@@ -82,8 +88,8 @@ def record() -> list[dict]:
 
 def compare(a: list[dict], b: list[dict]) -> bool:
     """Print how the probes of ``b`` differ from ``a``'s; True if no
-    search, eps, verdict or stop reason differs and no two trajectories
-    part after a common start."""
+    search, eps, verdict, stop reason or charge differs and no two
+    trajectories part after a common start."""
     kinds = {"identical": 0, "prefix": 0, "extension": 0, "apart": 0, "restarted": 0}
     bad = len(a) != len(b)
     if bad:
@@ -94,8 +100,8 @@ def compare(a: list[dict], b: list[dict]) -> bool:
             print(f"{where}: B probes {y['search']} at eps {float.fromhex(y['eps'])!r}")
             bad = True
             continue
-        for key in ("converged", "stop_reason"):
-            if x[key] != y[key]:
+        for key in ("converged", "stop_reason", "cells"):
+            if x.get(key, y.get(key)) != y.get(key, x.get(key)):
                 print(f"{where}: {key} {x[key]} -> {y[key]}")
                 bad = True
         tx, ty = x["trajectory"].split(), y["trajectory"].split()
@@ -114,6 +120,8 @@ def compare(a: list[dict], b: list[dict]) -> bool:
             bad = True
     print(f"probes {len(a)} vs {len(b)}; B's trajectory against A's: "
           + ", ".join(f"{v} {k}" for k, v in kinds.items()))
+    if all("cells" in p for p in a + b):
+        print(f"cells {sum(p['cells'] for p in a)} vs {sum(p['cells'] for p in b)}")
     return not bad
 
 
@@ -121,7 +129,9 @@ def totals(probes: list[dict]) -> str:
     searches = len({p["search"] for p in probes})
     iterations = sum(p["iterations"] for p in probes)
     tries = sum(p["tries"] for p in probes)
-    return f"searches {searches}, probes {len(probes)}, iterations {iterations}, tries {tries}"
+    cells = sum(p["cells"] for p in probes)
+    return (f"searches {searches}, probes {len(probes)}, iterations {iterations}, "
+            f"tries {tries}, cells {cells}")
 
 
 def main(argv=None) -> int:
