@@ -50,9 +50,13 @@ def is_real(value) -> bool:
 
 
 def _norm(sizes: Sequence[int], q: int, least: int = 0) -> tuple[tuple[int, ...], int]:
-    """(sizes sorted, q) as ints, or ValueError unless there is a size and
-    each lies in [least, q]."""
+    """(sizes sorted, q) as ints, or ValueError unless sizes is iterable,
+    there is a size and each lies in [least, q]."""
     q = as_int(q, "q")
+    try:
+        sizes = iter(sizes)
+    except TypeError:
+        raise ValueError(f"sizes must be an iterable of integers, got {sizes!r}") from None
     t = tuple(sorted(as_int(s, "a size") for s in sizes))
     if not t:
         raise ValueError("size tuple must be nonempty")

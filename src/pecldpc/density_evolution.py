@@ -777,7 +777,7 @@ def threshold_search(
     """Largest erasure probability (to within ``tol_eps``) at which
     density evolution still converges, by bisection on [0, 1].  Each
     probe is a distinct epsilon, run once.  A ``tol_eps`` that is not a
-    real number of at least 2**-52 is refused (ValueError).
+    real number in [2**-52, 1) is refused (ValueError).
 
     The bisection needs the verdict monotone in epsilon, and it is
     wherever the tables pass the order check (``DeResult.certifiable``):
@@ -808,9 +808,10 @@ def threshold_search(
     from the start law.
     """
     # below 2**-52 the midpoint of two adjacent floats in [0, 1] is one
-    # of them, so the bisection would never narrow to within tol_eps
-    if not is_real(tol_eps) or not tol_eps >= 2.0**-52:
-        raise ValueError(f"bisection tolerance must be a real number >= 2**-52, got {tol_eps!r}")
+    # of them, so the bisection would never narrow to within tol_eps; at
+    # 1 or above it would not bisect at all and return 0 after one probe
+    if not is_real(tol_eps) or not 2.0**-52 <= tol_eps < 1:
+        raise ValueError(f"bisection tolerance must be a real number in [2**-52, 1), got {tol_eps!r}")
 
     def probe(eps: float, above=None) -> DeResult:
         return run(replace(cfg, channel=cfg.channel.with_epsilon(eps)), above=above)

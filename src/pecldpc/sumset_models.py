@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import budget
-from .combinatorics import _law, _law_exact, _norm, as_int, binom, intersection_dist
+from .combinatorics import _counts, _law, _law_exact, _norm, as_int, binom
 from .gf import GF
 from .symbol_sets import index_masks, mask_dtype, masks_to_planes, set_bytes, set_layout
 
@@ -66,14 +66,22 @@ class SumsetBounds:
     upper: int
 
 
-def sumset_bounds(sizes: Sequence[int], field: GF) -> SumsetBounds:
+def _checked(sizes: Sequence[int], field: GF) -> tuple[tuple[int, ...], SumsetBounds]:
+    """(sizes sorted as ints, their ``SumsetBounds``), or ValueError
+    unless sizes is an iterable of integers in [1, q] with at least one.
+    The one size check of every law here: each public law calls it once,
+    and the helpers under it take the sorted tuple it returns."""
     t, q = _norm(sizes, field.q, 1)
     if len(t) >= 2 and t[-1] + t[-2] > q:
-        return SumsetBounds(lower=q, upper=q)
-    k = len(t)
-    lower = max(t[-1], min(field.p, sum(t) - k + 1))
-    upper = min(q, prod(t))
-    return SumsetBounds(lower=lower, upper=upper)
+        return t, SumsetBounds(lower=q, upper=q)
+    lower = max(t[-1], min(field.p, sum(t) - len(t) + 1))
+    return t, SumsetBounds(lower=lower, upper=min(q, prod(t)))
+
+
+def sumset_bounds(sizes: Sequence[int], field: GF) -> SumsetBounds:
+    """Bounds on the size of the sumset of sets of the given sizes;
+    ValueError as for ``_checked``."""
+    return _checked(sizes, field)[1]
 
 
 def _delta(q: int, size: int) -> np.ndarray:
@@ -151,12 +159,12 @@ def _exact_counts(sizes: Sequence[int], field: GF) -> list[int]:
     """Operand choices by sumset size (length q, index size-1), from the
     orbit chain; EnumerationBudgetError as for ``exact_dist``."""
     q = field.q
-    b = sumset_bounds(sizes, field)
+    t, b = _checked(sizes, field)
     if b.lower == b.upper:
         return [int(s == b.lower) for s in range(1, q + 1)]
     # a size-1 operand is a translate, whose step maps every orbit to
     # itself; with the bounds apart, two or more larger operands are left
-    t = tuple(s for s in _norm(sizes, q, 1)[0] if s > 1)
+    t = tuple(s for s in t if s > 1)
     # orbit key -> number of operand choices so far, from {0}
     state, work = Counter({1: 1}), 0
     with budget.scope():
@@ -248,7 +256,8 @@ def coverage_transition_matrix(step: int, q: int) -> np.ndarray:
     budget.over(8 * q * q, budget.BYTES, f"a coverage matrix of {q} bins, in bytes")
     gamma = np.zeros((q, q))
     for i in range(1, q + 1):
-        t = intersection_dist((i, step), q)
+        # (i, step) sorted and in [1, q]: the law of intersection_dist
+        t = _law(_counts((min(i, step), max(i, step)), q))
         for m in range(len(t)):
             j = i + step - m
             if 1 <= j <= q:
@@ -318,8 +327,7 @@ def _truncate_renorm(g: np.ndarray, lower: int) -> np.ndarray:
 
 def _coverage_dist(sizes: Sequence[int], field: GF, batched: bool) -> np.ndarray:
     # the prod(sizes) sums in batches of one (balls) or max(sizes) (union)
-    t = _norm(sizes, field.q, 1)[0]
-    b = sumset_bounds(t, field)
+    t, b = _checked(sizes, field)
     if b.lower == b.upper:
         return _delta(field.q, b.lower)
     d = t[-1] if batched else 1
@@ -368,21 +376,23 @@ class SumsetSizeModel:
 
     def distribution(self, sizes: Sequence[int], field: GF) -> np.ndarray:
         """A fresh length-q law of the sumset size for ``sizes``."""
-        t = _norm(sizes, field.q, 1)[0]
         # each law through its module-level name, so a wrapper put there
-        # (a tracer, a test's counter) sees every call
+        # (a tracer, a test's counter) sees every call; the law checks
+        # the sizes, once, so they pass on as given
         if self.kind == "exact":
             try:
-                return exact_dist(t, field)
+                return exact_dist(sizes, field)
             except EnumerationBudgetError:
                 if self.mc_seed is None:
                     raise
+            # the seed reads the sizes sorted, in any order they came
+            t = _norm(sizes, field.q, 1)[0]
             rng = np.random.default_rng([self.mc_seed, field.q, *t])
             return monte_carlo_dist(t, field, self.mc_samples, rng)
         if self.kind == "bound-lower":
-            return bound_dist(t, field, "lower")
+            return bound_dist(sizes, field, "lower")
         if self.kind == "bound-upper":
-            return bound_dist(t, field, "upper")
+            return bound_dist(sizes, field, "upper")
         if self.kind == "balls":
-            return balls_dist(t, field)
-        return union_model_dist(t, field)
+            return balls_dist(sizes, field)
+        return union_model_dist(sizes, field)

@@ -77,7 +77,7 @@ def test_threshold_rejects_unusable_tolerance(capsys):
         "threshold", "--q", "4", "--M", "2", "--dv", "3", "--dc", "6",
         "--model", "bound-upper",
     ]
-    for tol in ("0", "-1", "1e-300", "nan"):
+    for tol in ("0", "-1", "1e-300", "nan", "1", "inf"):
         assert main(args + ["--tol", tol]) == 2
         assert "tolerance" in capsys.readouterr().err
 

@@ -96,6 +96,9 @@ def test_count_argument_validation():
             intersection_dist(sizes, 8)
     with pytest.raises(ValueError, match=">= 1"):
         common_member_intersection_dist((0, 2), 4)
+    # a bare size in place of a tuple of them raised a raw TypeError
+    with pytest.raises(ValueError, match="size"):
+        intersection_dist(5, 8)
     # q and m too: a float q raised a raw TypeError, and m=True counted
     # as intersection size 1
     for bad in (2.5, True, float("nan")):

@@ -1159,8 +1159,9 @@ def test_threshold_bec_anchor():
 
 
 def test_threshold_rejects_unusable_tolerance():
-    # None and a string raised raw TypeErrors, and True bisected at 1.0
-    for tol in (0.0, -1.0, 1e-300, float("nan"), None, "a", True):
+    # None and a string raised raw TypeErrors, True bisected at 1.0, and
+    # a tolerance of 1 or more returned 0.0 after one probe
+    for tol in (0.0, -1.0, 1e-300, float("nan"), None, "a", True, 1.0, 2.0, float("inf")):
         with pytest.raises(ValueError):
             threshold_search(bec_cfg(2, 0.0), tol_eps=tol)
 

@@ -56,10 +56,11 @@ def test_bounds_universe_member():
     ],
     ids=["bounds", "exact", "balls", "union", "bound-upper"],
 )
-@pytest.mark.parametrize("sizes", [(2.5, 3), (True, 3), (2, float("nan")), (), (0, 2), (2, 9)])
+@pytest.mark.parametrize("sizes", [(2.5, 3), (True, 3), (2, float("nan")), (), (0, 2), (2, 9), 3])
 def test_laws_refuse_bad_sizes(law, sizes):
     # non-integer sizes once gave answers (balls_dist a law, sumset_bounds
-    # an upper bound of 7.5) or a raw TypeError (exact_dist)
+    # an upper bound of 7.5) or a raw TypeError (exact_dist), and so did
+    # a bare size in place of a tuple of them
     with pytest.raises(ValueError, match="size"):
         law(sizes, GF(8))
 
@@ -446,9 +447,17 @@ def test_model_fields_frozen():
 
 def test_model_calls_module_level_laws(monkeypatch):
     # distribution looks each law up by its module-level name at call
-    # time, so a wrapper put there (the bench tracer's spans) sees it
-    calls = []
+    # time, so a wrapper put there (the bench tracer's spans) sees it;
+    # and the law checks the sizes once, with nothing under it checking
+    # them again
+    calls, checks = [], []
     ss = pecldpc.sumset_models
+
+    def checked(*args, _fn=ss._norm):
+        checks.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(ss, "_norm", checked)
     for name in ("exact_dist", "bound_dist", "balls_dist", "union_model_dist"):
 
         def counted(*args, _name=name, _fn=getattr(ss, name)):
@@ -466,8 +475,10 @@ def test_model_calls_module_level_laws(monkeypatch):
     }
     for kind in MODEL_KINDS:
         calls.clear()
+        checks.clear()
         SumsetSizeModel(kind).distribution([2, 2], f)
         assert calls == want[kind], kind
+        assert len(checks) == 1, kind
 
 
 def test_exact_model_mc_fallback(monkeypatch):
