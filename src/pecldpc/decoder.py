@@ -22,7 +22,12 @@ after the first iteration a pass runs only the nodes with an input that
 changed in the pass before; the others keep their outputs, and the
 decode is the same as a full flooding pass.  Each pass finds the real
 edge slots whose output changed as flat indices into its slot block,
-and gathers their edge ids and new sets through those indices alone.
+and gathers their edge ids and new sets through those indices alone;
+it masks out the pad slots only when its slot array holds any, which a
+``build_regular`` graph's never do.  The check pass keeps its sumsets
+before the 1/label scaling too, diffs its new ones against those and
+scales only the ones that changed into ctv: scaling by a nonzero label
+is a bijection of the sets, so a sumset changed iff its image did.
 """
 
 from __future__ import annotations
@@ -115,6 +120,16 @@ def _differs(new: np.ndarray, old: np.ndarray, index: np.ndarray) -> np.ndarray:
     return differ.any(axis=-1) if differ.ndim > index.ndim else differ
 
 
+def _changed(new: np.ndarray, old: np.ndarray, slots: np.ndarray, pad: int | None) -> np.ndarray:
+    """Flat indices into ``slots`` of the slots whose set in ``new``
+    differs from the one ``old`` holds for its edge, skipping the slots
+    of the sentinel ``pad`` (None: the block holds none)."""
+    differ = _differs(new, old[slots], slots)
+    if pad is not None:
+        differ &= slots != pad
+    return np.flatnonzero(differ)
+
+
 def _rows(sets: np.ndarray) -> np.ndarray:
     """A (D, n) block of sets as one run of D * n sets."""
     return sets.reshape((-1,) + sets.shape[2:])
@@ -152,6 +167,8 @@ def decode(
     # to ~93 bytes a row at q = 256 (8 at q <= 8), so BYTES holds 2**23
     budget.over(2 * n_edges * max_iters * record_messages, budget.BYTES >> 7, "its trace rows")
     chk_slots, var_slots = graph.slots
+    # the sentinel slot E, in the slot arrays that hold pads
+    chk_pad, var_pad = (n_edges if a.size > n_edges else None for a in graph.slots)
     labels = np.append(graph.edge_label, 1)  # any nonzero label for the sentinel
     sfac = field.neg_table[labels].astype(np.intp)
     ofac = field.inv_table[labels].astype(np.intp)
@@ -159,29 +176,33 @@ def decode(
     chan = sets.encode(_received_masks(graph, received))
     # edge message arrays end in the sentinel slot: {0}, the sumset
     # identity, in vtc and in y (vtc scaled by the negated labels);
-    # the full set, the intersection identity, in ctv
+    # the full set, the intersection identity, in ctv and in sums (ctv
+    # before its scaling by the inverted labels, which maps the full
+    # set to itself)
     vtc = np.concatenate([chan[graph.edge_var], sets.zero_sets(1)])
     y = sets.scaled(vtc, sfac)
     ctv = sets.full_sets(n_edges + 1)  # no check heard yet
+    sums = sets.full_sets(n_edges + 1)
     posterior = chan.copy()
     unresolved = int(np.count_nonzero(sets.sizes(chan) != 1))
     hist = np.bincount(sets.sizes(vtc[:n_edges]), minlength=field.q + 1)
-    history = [hist.copy()]
+    history = [hist]
     msgs = [(None, sets.to_masks(vtc[:n_edges]).tolist())] if record_messages else None
 
     # A node's outputs depend on its inputs alone, so after the first
     # pass only nodes with a changed input run; the others keep theirs.
-    active_chk = np.arange(graph.m)
+    slots = chk_slots  # the first check pass runs every check
     iterations = 0
     while iterations < max_iters and unresolved:
         iterations += 1
-        # check pass: leave-one-out sumsets of the scaled inputs
-        slots = np.take(chk_slots, active_chk, axis=1)
-        out = sets.scaled(sets.leave_one_out_sumsets(y[slots]), ofac[slots])
-        # flat indices of the real slots whose message changed
-        hit = np.flatnonzero(_differs(out, ctv[slots], slots) & (slots < n_edges))
+        # check pass: leave-one-out sumsets of the scaled inputs, and the
+        # changed ones scaled by the inverted labels into ctv
+        out = sets.leave_one_out_sumsets(y[slots])
+        hit = _changed(out, sums, slots, chk_pad)
         edges = slots.reshape(-1)[hit]
-        ctv[edges] = _rows(out)[hit]
+        new = _rows(out)[hit]
+        sums[edges] = new
+        ctv[edges] = sets.scaled(new, ofac[edges])
         active_var = _nodes_of(edges, graph.edge_var, graph.n)
 
         # variable pass: leave-one-out intersections with the channel set
@@ -189,11 +210,11 @@ def decode(
         cs = ctv[slots]
         out = np.array(leave_one_out(operator.and_, cs, head=chan[active_var]))
         post = out[-1] & cs[-1]
-        hit = np.flatnonzero(_differs(out, vtc[slots], slots) & (slots < n_edges))
+        hit = _changed(out, vtc, slots, var_pad)
         edges = slots.reshape(-1)[hit]
         new = _rows(out)[hit]
         new_sizes = sets.sizes(new)
-        moved = _differs(post, posterior[active_var], active_var)
+        moved = np.flatnonzero(_differs(post, posterior[active_var], active_var))
         moved_vars = active_var[moved]
         post = post[moved]
         post_sizes = sets.sizes(post)
@@ -204,9 +225,9 @@ def decode(
         unresolved -= int(np.count_nonzero(post_sizes == 1))
         posterior[moved_vars] = post
 
-        hist -= np.bincount(sets.sizes(vtc[edges]), minlength=field.q + 1)
-        hist += np.bincount(new_sizes, minlength=field.q + 1)
-        history.append(hist.copy())
+        hist = (hist - np.bincount(sets.sizes(vtc[edges]), minlength=field.q + 1)
+                + np.bincount(new_sizes, minlength=field.q + 1))
+        history.append(hist)
         vtc[edges] = new
         y[edges] = sets.scaled(new, sfac[edges])
         if record_messages:
@@ -216,7 +237,7 @@ def decode(
 
         if not edges.size:  # no vtc message changed: a fixed point
             break
-        active_chk = _nodes_of(edges, graph.edge_chk, graph.m)
+        slots = np.take(chk_slots, _nodes_of(edges, graph.edge_chk, graph.m), axis=1)
 
     return DecodeResult(
         status=STATUS_STALLED if unresolved else STATUS_SUCCESS,

@@ -279,6 +279,37 @@ def test_planes_decodes_pinned(q):
     assert h.hexdigest() == DECODE_DIGESTS[q]
 
 
+def decode_digest(q):
+    """The digest of test_planes_decodes_pinned for GF(q)."""
+    f = GF(q)
+    rng = np.random.default_rng(q)
+    h = hashlib.sha256()
+    for M, eps in ((4, 0.6), (4, 0.9), (q // 2, 0.6), (q // 2, 0.95)):
+        g = build_regular(60, 3, 6, f, rng)
+        received = PartialErasureChannel(f, M, eps).transmit_zero_word(g.n, rng)
+        r = decode(g, received, max_iters=30, record_messages=True)
+        hist = [x.tolist() for x in r.vtc_size_history]
+        h.update(repr((r.status, r.iterations, r.posterior.tolist(), r.message_history, hist)).encode())
+    return h.hexdigest()
+
+
+# the same digest for the fields of the word layout, as recorded when the
+# check pass scaled every output it computed before comparing it with ctv
+WORD_DECODE_DIGESTS = {
+    4: "391f30013c83d5d9d37a9c3867476a6a71f1d4f52c2fd626c891029ff5503bc9",
+    8: "0790deda568b5f48d180d63ec58993976e1f23218a4ab2dfa119f39781a8b057",
+    9: "472589be97d776bcf4b8b8216315314f2261872e6c00de2f6c22d77bd6eed239",
+    13: "2b4bdeeadd2d76e200fe5cc1b71cf87527395b642706ddfee578d6977d9a7163",
+    16: "4a2700f68436f326191aef4fe75bf9ab2b1cf14ccd3345500e6c7290638bbf75",
+}
+
+
+@pytest.mark.parametrize("q", sorted(WORD_DECODE_DIGESTS))
+def test_word_decodes_pinned(q):
+    assert type(set_layout(GF(q))) is MaskTables
+    assert decode_digest(q) == WORD_DECODE_DIGESTS[q]
+
+
 def test_object_masks_may_hold_numpy_integers():
     # a np.uint8 mask once overflowed SetPlanes' Python-int & at q = 128
     g = TannerGraph(GF(128), [0, 1], [0, 0], [1, 1], n=2, m=1)
@@ -386,6 +417,43 @@ def irregular_graph(field, rng):
         n=60,
         m=31,
     )
+
+
+def one_sided_graph(field, rng, padded):
+    """A graph of 48 edges whose ``padded`` side ("check" or "variable")
+    mixes degrees, so its slot array holds sentinel pads, while the
+    other side's nodes share one degree, so its array holds none: 16
+    variables of degree 3 and 9 checks of degree 4-7, or 16 variables
+    of degree 2-4 and 8 checks of degree 6."""
+    if padded == "check":
+        var_deg, chk_deg = [3] * 16, [4, 5, 6, 7] * 2 + [4]
+    else:
+        var_deg, chk_deg = [2, 3, 4] * 4 + [2, 3, 4, 3], [6] * 8
+    return TannerGraph(
+        field,
+        np.repeat(np.arange(16), rng.permutation(var_deg)),
+        rng.permutation(np.repeat(np.arange(len(chk_deg)), chk_deg)),
+        rng.integers(1, field.q, size=48),
+        n=16,
+        m=len(chk_deg),
+    )
+
+
+@pytest.mark.parametrize("padded", ["check", "variable"])
+@pytest.mark.parametrize("q", [4, 13, 32])
+def test_one_sided_pads_agree_with_reference(q, padded):
+    # each pass masks the pad slots only when its own slot array holds
+    # pads: a pad's output written to the sentinel edge would corrupt it
+    rng = np.random.default_rng(70 + q)
+    f = GF(q)
+    for eps in (0.4, 0.7, 0.95):
+        g = one_sided_graph(f, rng, padded)
+        chk_slots, var_slots = g.slots
+        assert (chk_slots.size > g.n_edges) == (padded == "check")
+        assert (var_slots.size > g.n_edges) == (padded == "variable")
+        received = PartialErasureChannel(f, 3, eps).transmit_zero_word(g.n, rng)
+        sets = [SymbolSet.from_mask(f, int(m)) for m in received]
+        assert_decode_matches_reference(g, sets, 20)
 
 
 @pytest.mark.parametrize("q", [4, 5, 16, 27])

@@ -235,6 +235,30 @@ def test_layouts_match_oracles(q):
         assert [mask_elements(m) for m in got] == [set(row) for row in members.tolist()]
 
 
+@pytest.mark.parametrize("as_factors", [
+    lambda a: np.asarray(a, dtype=np.intp),
+    lambda a: np.asarray(a, dtype=np.int16),  # the dtype of GF's tables
+    lambda a: np.asarray(a, dtype=np.uint16),
+    list,
+], ids=["intp", "int16", "uint16", "list"])
+@pytest.mark.parametrize("q", [9, 11, 13, 16])
+def test_word_scaling_at_the_top_of_its_index_range(q, as_factors):
+    # the largest table index, factor q - 1 on the full chunk, is
+    # (q - 1) << q | 2**q - 1 up to GF(11), the largest field with one
+    # whole-word table (22,527 there), and (q - 1) << 8 | 255 in both
+    # byte chunks at GF(13) and GF(16); a wrapped index reads another
+    # factor's row, or another table's
+    f = GF(q)
+    full = (1 << q) - 1
+    masks = [full, 1 << (q - 1)] + ([0xFF, full & ~0xFF] if q > PAIR_TABLE_MAX_Q else [])
+    pairs = [(m, c) for m in masks for c in (q - 1, q - 2, 1)]
+    words = MaskTables(f)
+    sets = words.encode(np.array([m for m, _ in pairs], dtype=mask_dtype(q)))
+    got = words.to_masks(words.scaled(sets, as_factors([c for _, c in pairs]))).tolist()
+    for (m, c), image in zip(pairs, got):
+        assert mask_elements(image) == gf_scale(f, mask_elements(m), c), (m, c)
+
+
 @pytest.mark.parametrize("q", [2, 4, 5, 9, 13, 16, 25, 27, 128])
 def test_leave_one_out_sumsets_match_oracle_folds(q):
     f = GF(q)
