@@ -28,6 +28,9 @@ it masks out the pad slots only when its slot array holds any, which a
 before the 1/label scaling too, diffs its new ones against those and
 scales only the ones that changed into ctv: scaling by a nonzero label
 is a bijection of the sets, so a sumset changed iff its image did.
+Every gather is an ``np.take`` on its index as it comes, never cast to
+intp (of set arrays along their first axis, so that bool planes gather
+whole rows), and the label factors stay in the field tables' int16.
 """
 
 from __future__ import annotations
@@ -124,7 +127,7 @@ def _changed(new: np.ndarray, old: np.ndarray, slots: np.ndarray, pad: int | Non
     """Flat indices into ``slots`` of the slots whose set in ``new``
     differs from the one ``old`` holds for its edge, skipping the slots
     of the sentinel ``pad`` (None: the block holds none)."""
-    differ = _differs(new, old[slots], slots)
+    differ = _differs(new, old.take(slots, axis=0), slots)
     if pad is not None:
         differ &= slots != pad
     return np.flatnonzero(differ)
@@ -138,7 +141,7 @@ def _rows(sets: np.ndarray) -> np.ndarray:
 def _nodes_of(edges: np.ndarray, node_of_edge: np.ndarray, n_nodes: int) -> np.ndarray:
     """Sorted distinct nodes the given edges attach to."""
     mark = np.zeros(n_nodes, dtype=bool)
-    mark[node_of_edge[edges]] = True
+    mark[node_of_edge.take(edges)] = True
     return np.flatnonzero(mark)
 
 
@@ -169,9 +172,10 @@ def decode(
     chk_slots, var_slots = graph.slots
     # the sentinel slot E, in the slot arrays that hold pads
     chk_pad, var_pad = (n_edges if a.size > n_edges else None for a in graph.slots)
-    labels = np.append(graph.edge_label, 1)  # any nonzero label for the sentinel
-    sfac = field.neg_table[labels].astype(np.intp)
-    ofac = field.inv_table[labels].astype(np.intp)
+    # negated and inverted labels in one int16 gather; the sentinel slot
+    # takes label 1, as any nonzero label would do
+    sfac, ofac = np.stack((field.neg_table, field.inv_table)).take(
+        np.append(graph.edge_label, 1), axis=1)
 
     chan = sets.encode(_received_masks(graph, received))
     # edge message arrays end in the sentinel slot: {0}, the sumset
@@ -179,7 +183,7 @@ def decode(
     # the full set, the intersection identity, in ctv and in sums (ctv
     # before its scaling by the inverted labels, which maps the full
     # set to itself)
-    vtc = np.concatenate([chan[graph.edge_var], sets.zero_sets(1)])
+    vtc = np.concatenate([chan.take(graph.edge_var, axis=0), sets.zero_sets(1)])
     y = sets.scaled(vtc, sfac)
     ctv = sets.full_sets(n_edges + 1)  # no check heard yet
     sums = sets.full_sets(n_edges + 1)
@@ -197,26 +201,26 @@ def decode(
         iterations += 1
         # check pass: leave-one-out sumsets of the scaled inputs, and the
         # changed ones scaled by the inverted labels into ctv
-        out = sets.leave_one_out_sumsets(y[slots])
+        out = sets.leave_one_out_sumsets(y.take(slots, axis=0))
         hit = _changed(out, sums, slots, chk_pad)
-        edges = slots.reshape(-1)[hit]
-        new = _rows(out)[hit]
+        edges = slots.take(hit)
+        new = _rows(out).take(hit, axis=0)
         sums[edges] = new
-        ctv[edges] = sets.scaled(new, ofac[edges])
+        ctv[edges] = sets.scaled(new, ofac.take(edges))
         active_var = _nodes_of(edges, graph.edge_var, graph.n)
 
         # variable pass: leave-one-out intersections with the channel set
-        slots = np.take(var_slots, active_var, axis=1)
-        cs = ctv[slots]
-        out = np.array(leave_one_out(operator.and_, cs, head=chan[active_var]))
+        slots = var_slots.take(active_var, axis=1)
+        cs = ctv.take(slots, axis=0)
+        out = np.array(leave_one_out(operator.and_, cs, head=chan.take(active_var, axis=0)))
         post = out[-1] & cs[-1]
         hit = _changed(out, vtc, slots, var_pad)
-        edges = slots.reshape(-1)[hit]
-        new = _rows(out)[hit]
+        edges = slots.take(hit)
+        new = _rows(out).take(hit, axis=0)
         new_sizes = sets.sizes(new)
-        moved = np.flatnonzero(_differs(post, posterior[active_var], active_var))
-        moved_vars = active_var[moved]
-        post = post[moved]
+        moved = np.flatnonzero(_differs(post, posterior.take(active_var, axis=0), active_var))
+        moved_vars = active_var.take(moved)
+        post = post.take(moved, axis=0)
         post_sizes = sets.sizes(post)
         if not (new_sizes.all() and post_sizes.all()):
             raise DecodingInconsistency("received sets admit no common codeword")
@@ -225,11 +229,11 @@ def decode(
         unresolved -= int(np.count_nonzero(post_sizes == 1))
         posterior[moved_vars] = post
 
-        hist = (hist - np.bincount(sets.sizes(vtc[edges]), minlength=field.q + 1)
+        hist = (hist - np.bincount(sets.sizes(vtc.take(edges, axis=0)), minlength=field.q + 1)
                 + np.bincount(new_sizes, minlength=field.q + 1))
         history.append(hist)
         vtc[edges] = new
-        y[edges] = sets.scaled(new, sfac[edges])
+        y[edges] = sets.scaled(new, sfac.take(edges))
         if record_messages:
             msgs.append(
                 (sets.to_masks(ctv[:n_edges]).tolist(), sets.to_masks(vtc[:n_edges]).tolist())
@@ -237,7 +241,7 @@ def decode(
 
         if not edges.size:  # no vtc message changed: a fixed point
             break
-        slots = np.take(chk_slots, _nodes_of(edges, graph.edge_chk, graph.m), axis=1)
+        slots = chk_slots.take(_nodes_of(edges, graph.edge_chk, graph.m), axis=1)
 
     return DecodeResult(
         status=STATUS_STALLED if unresolved else STATUS_SUCCESS,
@@ -265,16 +269,20 @@ def _received_masks(graph: TannerGraph, received) -> np.ndarray:
         )
     if masks.ndim != 1 or len(masks) != graph.n:
         raise ValueError(f"expected {graph.n} received sets, got shape {masks.shape}")
+    outside = f"a received mask names an element outside GF({q})"
     if masks.dtype == object:
         for m in masks:
-            as_int(m, "a received mask")
+            # refused before the cast, to which a mask of 2**64 or more
+            # is an OverflowError at q <= 64
+            if as_int(m, "a received mask") >> q > 0:
+                raise ValueError(outside)
     elif masks.dtype.kind not in "iu":
         raise ValueError(f"received masks must be integers, not {masks.dtype}")
     if (masks < 0).any():
         raise ValueError("received masks must be nonnegative")
     masks = masks.astype(mask_dtype(q))
     if (masks >> q).any():
-        raise ValueError(f"a received mask names an element outside GF({q})")
+        raise ValueError(outside)
     if not masks.all():
         raise DecodingInconsistency("empty channel set")
     return masks

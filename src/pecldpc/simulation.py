@@ -88,6 +88,9 @@ def run_trials(
         total_iters += result.iterations
         post = result.posterior
         unresolved += int(np.count_nonzero(post & (post - 1)))  # masks of 2+ elements
+        # free this trial's graph before the next one is built: with two
+        # alive, that build set the peak memory of runs at n = 10,000
+        del g, received, result, post
 
     return TrialReport(
         n=n,

@@ -200,6 +200,19 @@ def test_received_mask_outside_field_rejected(q, bad):
             decode(g, np.array(masks, dtype=np.int64))
 
 
+@pytest.mark.parametrize("q", [4, 64])
+@pytest.mark.parametrize("bad", [2**70, 2**64])
+@pytest.mark.parametrize("as_masks", [list, lambda m: np.array(m, dtype=object)],
+                         ids=["list", "object-array"])
+def test_received_mask_past_64_bits_rejected(q, bad, as_masks):
+    # refused as outside the field, not an OverflowError of the uint64 cast
+    g = small_graph(q)
+    masks = [1] * g.n
+    masks[0] = bad
+    with pytest.raises(ValueError, match=f"outside GF\\({q}\\)"):
+        decode(g, as_masks(masks))
+
+
 def test_iteration_limit():
     g = small_graph(4)
     received = PartialErasureChannel(g.field, 2, 0.5).transmit_zero_word(

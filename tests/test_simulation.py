@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -179,3 +180,19 @@ def test_run_trials_refuses_oversized_runs():
     assert "edge-message array" in proc.stdout
     with pytest.raises(ValueError, match="trials exceed"):
         run_trials(channel(4, 2, 0.5), n=12, d_v=3, d_c=6, trials=10**12, max_iters=10, seed=0)
+
+
+def test_each_trial_graph_is_freed_before_the_next_is_built(monkeypatch):
+    # a graph kept across the next build would double the graph memory
+    # at the point where a large run peaks
+    real, graphs, alive = pecldpc.simulation.build_regular, [], []
+
+    def build_regular(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in graphs))
+        g = real(*args, **kwargs)
+        graphs.append(weakref.ref(g))
+        return g
+
+    monkeypatch.setattr(pecldpc.simulation, "build_regular", build_regular)
+    run_trials(channel(4, 2, 0.6), n=60, d_v=3, d_c=6, trials=4, max_iters=20, seed=3)
+    assert alive == [0, 0, 0, 0]

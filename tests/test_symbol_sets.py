@@ -259,6 +259,35 @@ def test_word_scaling_at_the_top_of_its_index_range(q, as_factors):
         assert mask_elements(image) == gf_scale(f, mask_elements(m), c), (m, c)
 
 
+@pytest.mark.parametrize("q", [7, 8, 9, 11])
+def test_word_lookups_at_the_top_of_their_index_ranges(q):
+    # the pair index (a << q) | b of two full sets is 2**(2q) - 1: 16,383
+    # at GF(7), 65,535 at GF(8), the top of a uint16, and past 2**16 from
+    # GF(9); a wrapped index reads the sumset of other operands
+    f = GF(q)
+    full = (1 << q) - 1
+    operands = [full, 1 << (q - 1), full & ~1, 1]
+    pairs = [(a, b) for a in operands for b in operands]
+    words = MaskTables(f)
+    a = words.encode(np.array([m for m, _ in pairs], dtype=mask_dtype(q)))
+    b = words.encode(np.array([m for _, m in pairs], dtype=mask_dtype(q)))
+    got = words.to_masks(words.sumsets(a, b)).tolist()
+    for (ma, mb), m in zip(pairs, got):
+        assert mask_elements(m) == gf_sumset(f, mask_elements(ma), mask_elements(mb)), (ma, mb)
+    # sizes of a 2-d block keep its shape
+    block = a.reshape(4, 4)
+    assert words.sizes(block).shape == (4, 4)
+    assert words.sizes(block).ravel().tolist() == [len(mask_elements(m)) for m, _ in pairs]
+    # the decoder's factors: int16 gathers from the field's tables
+    labels = np.arange(len(pairs)) % (q - 1) + 1
+    for table in (f.neg_table, f.inv_table):
+        factors = table.take(labels)
+        assert factors.dtype == np.int16
+        scaled = words.to_masks(words.scaled(a, factors)).tolist()
+        for (ma, _), c, m in zip(pairs, factors.tolist(), scaled):
+            assert mask_elements(m) == gf_scale(f, mask_elements(ma), c), (ma, c)
+
+
 @pytest.mark.parametrize("q", [2, 4, 5, 9, 13, 16, 25, 27, 128])
 def test_leave_one_out_sumsets_match_oracle_folds(q):
     f = GF(q)

@@ -14,7 +14,11 @@ workload, the work the decodes did:
 - entries scaled by the layout's ``scaled``, in the check pass (the
   check outputs scaled by the inverted labels) and elsewhere (the
   channel sets and changed variable messages scaled by the negated
-  labels).
+  labels);
+- the largest ``tracemalloc`` peak of a single decode: the most memory
+  one decode held at once above what was allocated when it began,
+  numpy's arrays included.  Unlike peak RSS, it does not move with the
+  layout of the C heap or with numpy's cache of freed small buffers.
 
 The counts come from wrapping the field's layout methods and the
 decoder's names for its fold and its node marks, so they hold for any
@@ -29,6 +33,7 @@ The package is imported from the checkout's ``src/`` unless
 from __future__ import annotations
 
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -58,9 +63,13 @@ def work(workload: str, scale: str = "full") -> Counter:
     real_sumsets, real_scaled = layout.leave_one_out_sumsets, layout.scaled
 
     def counting_decode(*args, **kw):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
         r = real_decode(*args, **kw)
         counts["decodes"] += 1
         counts["iterations"] += r.iterations
+        peak = tracemalloc.get_traced_memory()[1] - start
+        counts["decode peak bytes"] = max(counts["decode peak bytes"], peak)
         return r
 
     def counting_sumsets(ys):
@@ -90,6 +99,9 @@ def work(workload: str, scale: str = "full") -> Counter:
     simulation.decode, decoder.leave_one_out, decoder._nodes_of = (
         counting_decode, counting_fold, counting_nodes_of)
     layout.leave_one_out_sumsets, layout.scaled = counting_sumsets, counting_scaled
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
     try:
         for i, eps in enumerate(p["eps"]):
             channel = pecldpc.PartialErasureChannel(field, p["M"], eps)
@@ -99,6 +111,8 @@ def work(workload: str, scale: str = "full") -> Counter:
         simulation.decode, decoder.leave_one_out, decoder._nodes_of = (
             real_decode, real_fold, real_nodes_of)
         del layout.leave_one_out_sumsets, layout.scaled
+        if not tracing:
+            tracemalloc.stop()
     return counts
 
 
@@ -109,7 +123,8 @@ KEYS = ("decodes", "iterations", "check slots", "variable slots", "check message
 def main() -> int:
     for workload in WORKLOADS:
         counts = work(workload)
-        print(f"{workload}: " + ", ".join(f"{k} {counts[k]}" for k in KEYS))
+        print(f"{workload}: " + ", ".join(f"{k} {counts[k]}" for k in KEYS)
+              + f", largest decode peak {counts['decode peak bytes'] / 1024:.0f} KB (tracemalloc)")
     return 0
 
 
